@@ -115,16 +115,11 @@ class TokenSequence:
 def build_vocabulary(corpus: Corpus, size: int, side: str) -> Vocabulary:
     """Specials plus the (size - 4) most frequent tokens of one side,
     ties broken lexicographically."""
-    if size < 5:
-        raise ConfigurationError(f"vocabulary size {size} below minimum of 5")
     if side not in ("source", "target"):
         raise ConfigurationError(f"unknown vocabulary side {side!r}")
-    counts = Counter()
-    for s in corpus.samples:
-        counts.update(s.code_tokens if side == "source" else s.comment_tokens)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    tokens = list(SPECIAL_TOKENS) + [t for t, _ in ranked[: size - 4]]
-    return Vocabulary(tokens)
+    return build_token_vocabulary(
+        (s.code_tokens if side == "source" else s.comment_tokens
+         for s in corpus.samples), size)
 
 
 def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
@@ -165,7 +160,7 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     sample-count deficit against its ratio target (ties go to the earlier
     split in train/val/test order).
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # rejects NaN
         raise ConfigurationError("ratios must be three positive fractions")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigurationError(f"ratios {ratios} do not sum to 1")
@@ -205,27 +200,24 @@ def filter_by_length_quantile(corpus: Corpus, q: float) -> Corpus:
     return Corpus(samples=kept, split_tag=corpus.split_tag)
 
 
-def stem(word: str) -> str:
-    return porter_stem(word)
-
-
 def extract_action_word(comment_tokens) -> str:
     if not comment_tokens:
         raise DataError("cannot extract an action word from an empty comment")
-    return stem(comment_tokens[0])
+    return porter_stem(comment_tokens[0])
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
-    """Read a raw corpus file and tokenize it.
+def read_jsonl(path, fields, make) -> list:
+    """make(record) for every non-blank line of a JSON-lines file.
 
-    derive_ast, when given, is called with the raw code of samples that
-    carry no ast field and may return an s-expression (or None).
+    Invalid JSON, a line that is not an object, a record lacking one of
+    fields, or a KeyError/TypeError/ValueError raised by make becomes a
+    DataError naming path:line.
     """
-    samples = []
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -235,21 +227,39 @@ def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("id", "project", "code", "comment"):
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            for key in fields:
                 if key not in rec:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            ast_text = rec.get("ast")
-            if ast_text is None and derive_ast is not None:
-                ast_text = derive_ast(rec["code"])
-            samples.append(Sample(
-                id=str(rec["id"]),
-                project=str(rec["project"]),
-                code_tokens=tokenize_code(rec["code"]),
-                comment_tokens=tokenize_comment(rec["comment"]),
-                ast_text=ast_text,
-                code_char_len=len(rec["code"]),
-            ))
-    return Corpus(samples=samples)
+            try:
+                out.append(make(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: bad record: {exc!r}") from exc
+    return out
+
+
+def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
+    """Read a raw corpus file and tokenize it.
+
+    derive_ast, when given, is called with the raw code of samples that
+    carry no ast field and may return an s-expression (or None).
+    """
+    def make(rec):
+        ast_text = rec.get("ast")
+        if ast_text is None and derive_ast is not None:
+            ast_text = derive_ast(rec["code"])
+        return Sample(
+            id=str(rec["id"]),
+            project=str(rec["project"]),
+            code_tokens=tokenize_code(rec["code"]),
+            comment_tokens=tokenize_comment(rec["comment"]),
+            ast_text=ast_text,
+            code_char_len=len(rec["code"]),
+        )
+
+    return Corpus(samples=read_jsonl(
+        path, ("id", "project", "code", "comment"), make))
 
 
 def _sample_to_record(s: Sample) -> dict:
@@ -270,25 +280,19 @@ def write_split_jsonl(corpus: Corpus, path) -> None:
 
 
 def read_split_jsonl(path, split_tag: str) -> Corpus:
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            samples.append(Sample(
-                id=rec["id"],
-                project=rec["project"],
-                code_tokens=list(rec["code_tokens"]),
-                comment_tokens=list(rec["comment_tokens"]),
-                ast_text=rec.get("ast"),
-                code_char_len=int(rec["code_char_len"]),
-            ))
-    return Corpus(samples=samples, split_tag=split_tag)
+    def make(rec):
+        return Sample(
+            id=rec["id"],
+            project=rec["project"],
+            code_tokens=list(rec["code_tokens"]),
+            comment_tokens=list(rec["comment_tokens"]),
+            ast_text=rec.get("ast"),
+            code_char_len=int(rec["code_char_len"]),
+        )
+
+    return Corpus(samples=read_jsonl(
+        path, ("id", "project", "code_tokens", "comment_tokens",
+               "code_char_len"), make), split_tag=split_tag)
 
 
 @dataclass

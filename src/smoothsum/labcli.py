@@ -3,14 +3,16 @@ score predictions, and rerun the protocol shapes (paired epsilon on/off
 comparison, epsilon-by-vocabulary sweeps, diversity and action-word
 studies).
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data or configuration error, 3 numeric
+failure.
 """
 
 import argparse
 import csv
 import io
+import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,35 +29,6 @@ from .trainer import TrainConfig, encode_corpus, sbt_tokens_for_sample
 
 DEFAULT_SWEEP_GRID = (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
 ACTIONWORD_EPSILONS = (0.0, 0.1, 0.4)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data_dir: str
-    arch: str
-    epsilons: tuple
-    epochs: int
-    seeds: tuple
-    vocab_sizes: tuple = ()
-    metric_names: tuple = ("meteor", "similarity", "bleu")
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
-        for eps in self.epsilons:
-            if not 0.0 <= eps <= 1.0:
-                raise ConfigurationError(f"epsilon {eps} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    epsilons: tuple = DEFAULT_SWEEP_GRID
-
-    def __post_init__(self):
-        eps = list(self.epsilons)
-        if sorted(set(eps)) != eps:
-            raise ConfigurationError("sweep grid must be sorted and unique")
 
 
 @dataclass
@@ -80,14 +53,8 @@ def _fmt_eps(value: float) -> str:
 
 
 def _fmt_score(value: float) -> str:
-    return f"{value:.2f}"
-
-
-def _fmt_t(value: float) -> str:
-    if value == float("inf"):
-        return "inf"
-    if value == float("-inf"):
-        return "-inf"
+    """Two decimals; also the t statistic, which prints as inf or -inf when
+    the paired differences have no spread."""
     return f"{value:.2f}"
 
 
@@ -99,46 +66,50 @@ _REPORT_HEADER = ["epsilon", "meteor", "similarity", "bleu",
                   "t_meteor", "p_meteor", "t_similarity", "p_similarity"]
 
 
-def _report_cells(row: ReportRow) -> list:
-    cells = [_fmt_eps(row.epsilon),
-             _fmt_score(row.scores["meteor"]),
-             _fmt_score(row.scores["similarity"]),
-             _fmt_score(row.scores["bleu"])]
-    for name in ("meteor", "similarity"):
-        comparison = row.comparisons.get(name)
-        if comparison is None:
-            cells += ["-", "-"]
-        else:
-            cells += [_fmt_t(comparison.t_stat), _fmt_p(comparison.p_value)]
-    return cells
+def _report_rows(rows) -> list:
+    """_REPORT_HEADER plus the formatted cells of each ReportRow."""
+    table = [_REPORT_HEADER]
+    for row in rows:
+        cells = [_fmt_eps(row.epsilon),
+                 _fmt_score(row.scores["meteor"]),
+                 _fmt_score(row.scores["similarity"]),
+                 _fmt_score(row.scores["bleu"])]
+        for name in ("meteor", "similarity"):
+            comparison = row.comparisons.get(name)
+            if comparison is None:
+                cells += ["-", "-"]
+            else:
+                cells += [_fmt_score(comparison.t_stat),
+                          _fmt_p(comparison.p_value)]
+        table.append(cells)
+    return table
 
 
-def render_report(table: ReportTable, fmt: str) -> str:
-    """CSV (RFC 4180) or aligned markdown; metric scores and p-values get
-    two decimals, p-values below 0.01 print as "<0.01"."""
-    rows = [_REPORT_HEADER] + [_report_cells(r) for r in table.rows]
+def render_table(rows, fmt: str) -> str:
+    """CSV (RFC 4180) or aligned markdown of a header row and body rows."""
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(rows)
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
         return buffer.getvalue()
     if fmt == "markdown":
+        rows = [[str(c) for c in row] for row in rows]
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        lines = []
-        header, *body = rows
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(header, widths)) + " |")
-        lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for row in body:
-            lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+        lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths))
+                 + " |" for row in rows]
+        lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
         return "\n".join(lines) + "\n"
     raise ConfigurationError(f"unknown report format {fmt!r}")
 
 
-def _write_table(table: ReportTable, out_dir: Path, stem: str) -> None:
-    (out_dir / f"{stem}.csv").write_text(render_report(table, "csv"),
-                                         encoding="utf-8")
-    (out_dir / f"{stem}.md").write_text(render_report(table, "markdown"),
-                                        encoding="utf-8")
+def render_report(table: ReportTable, fmt: str) -> str:
+    """A comparison table as CSV or markdown; metric scores and p-values
+    get two decimals, p-values below 0.01 print as "<0.01"."""
+    return render_table(_report_rows(table.rows), fmt)
+
+
+def _write_table(rows, csv_path: Path, md_path: Path) -> None:
+    csv_path.write_text(render_table(rows, "csv"), encoding="utf-8")
+    md_path.write_text(render_table(rows, "markdown"), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +118,17 @@ def _write_table(table: ReportTable, out_dir: Path, stem: str) -> None:
 
 def _arch_internal(name: str) -> str:
     return name.replace("-", "_")
+
+
+def _parse_list(text: str, convert, flag: str) -> tuple:
+    """A comma-separated flag value; a malformed entry is a
+    ConfigurationError."""
+    try:
+        return tuple(convert(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{flag} {text!r} is not a comma-separated list of "
+            f"{convert.__name__} values") from exc
 
 
 def _add_common_flags(parser, data_help: str) -> None:
@@ -225,27 +207,32 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _run_experiment_arm(args, prepared: PreparedData, epsilon: float,
-                        epochs: int, tgt_vocab: Vocabulary):
-    """Train one (epsilon, vocabulary) configuration and score the test
-    decodes. Returns (checkpoint, prediction set, metric report)."""
-    config = _model_config(args, prepared.src_vocab.size, tgt_vocab.size,
-                           epsilon, ast_size=_ast_size(args, prepared))
-    datasets = {
-        name: encode_corpus(split, config, prepared.src_vocab, tgt_vocab,
-                            prepared.ast_vocab)
-        for name, split in (("train", prepared.train), ("val", prepared.val),
-                            ("test", prepared.test))
-    }
-    model = models.build_model(config, seed=args.seed)
-    ckpt, history = trainer.train(model, datasets["train"], datasets["val"],
-                                  _train_config(args, epsilon, epochs))
-    _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
-         f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
-         f"final loss {history.records[-1].loss_nats:.4f}")
-    preds = decode_predictions(ckpt.model, datasets["test"], tgt_vocab)
-    report = metrics.score_predictions(preds)
-    return ckpt, preds, report
+def _experiment_arms(args, prepared: PreparedData, epsilons,
+                     tgt_vocab: Vocabulary):
+    """Train one arm per epsilon from the same seed and score its test
+    decodes. Yields (epsilon tag, checkpoint, predictions, report row);
+    every epsilon > 0 row is paired-tested against the epsilon = 0 row."""
+    base = _model_config(args, prepared.src_vocab.size, tgt_vocab.size, 0.0,
+                         ast_size=_ast_size(args, prepared))
+    train_set, val_set, test_set = (
+        encode_corpus(split, base, prepared.src_vocab, tgt_vocab,
+                      prepared.ast_vocab)
+        for split in (prepared.train, prepared.val, prepared.test))
+    baseline = None
+    for epsilon in epsilons:
+        config = replace(base, epsilon=epsilon)
+        model = models.build_model(config, seed=args.seed)
+        ckpt, history = trainer.train(model, train_set, val_set,
+                                      _train_config(args, epsilon, args.epochs))
+        _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
+             f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
+             f"final loss {history.records[-1].loss_nats:.4f}")
+        preds = decode_predictions(ckpt.model, test_set, tgt_vocab)
+        report = metrics.score_predictions(preds)
+        if epsilon == 0.0:
+            baseline = report
+        yield _eps_tag(epsilon), ckpt, preds, _comparison_row(
+            epsilon, report, baseline if epsilon > 0 else None, args.alpha)
 
 
 def _comparison_row(epsilon: float, report: metrics.MetricReport,
@@ -282,7 +269,7 @@ def cmd_prepare(args) -> int:
     corpus = Corpus(samples=kept)
     if args.quantile is not None:
         corpus = filter_by_length_quantile(corpus, args.quantile)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
+    ratios = _parse_list(args.ratios, float, "--ratios")
     train, val, test = split_by_project(corpus, ratios, args.seed)
     src_vocab = build_vocabulary(train, args.src_vocab, "source")
     tgt_vocab = build_vocabulary(train, args.tgt_vocab, "target")
@@ -358,22 +345,14 @@ def cmd_score(args) -> int:
     payload["count"] = len(preds)
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    import json as _json
     with open(f"{out_prefix}.json", "w", encoding="utf-8") as fh:
-        _json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    table = ReportTable(title="scores", rows=[ReportRow(
-        epsilon=float("nan"),
-        scores={"meteor": report.mean_meteor,
-                "similarity": report.mean_similarity,
-                "bleu": report.corpus_bleu})])
-    header = ["bleu", "meteor", "similarity", "count"]
-    values = [_fmt_score(report.corpus_bleu), _fmt_score(report.mean_meteor),
-              _fmt_score(report.mean_similarity), str(len(preds))]
-    widths = [max(len(h), len(v)) for h, v in zip(header, values)]
-    md = ("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |\n"
-          + "|" + "|".join("-" * (w + 2) for w in widths) + "|\n"
-          + "| " + " | ".join(v.ljust(w) for v, w in zip(values, widths)) + " |\n")
+    md = render_table([["bleu", "meteor", "similarity", "count"],
+                       [_fmt_score(report.corpus_bleu),
+                        _fmt_score(report.mean_meteor),
+                        _fmt_score(report.mean_similarity), str(len(preds))]],
+                      "markdown")
     with open(f"{out_prefix}.md", "w", encoding="utf-8") as fh:
         fh.write(md)
     print(md, end="")
@@ -384,92 +363,52 @@ def cmd_compare(args) -> int:
     """Paired run: train once without and once with label smoothing from
     identical seeds, score the test decodes, and t-test the two
     sentence-level metrics (BLEU is corpus-level and gets no test)."""
-    experiment = ExperimentConfig(
-        data_dir=args.data, arch=_arch_internal(args.arch),
-        epsilons=(0.0, args.epsilon), epochs=args.epochs,
-        seeds=(args.seed,), alpha=args.alpha)
-    prepared = load_prepared_dir(experiment.data_dir)
+    if not 0.0 <= args.epsilon <= 1.0:
+        raise ConfigurationError(f"epsilon {args.epsilon} outside [0, 1]")
+    prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    baseline_report = None
-    for epsilon in experiment.epsilons:
-        ckpt, preds, report = _run_experiment_arm(
-            args, prepared, epsilon, experiment.epochs, prepared.tgt_vocab)
-        tag = _eps_tag(epsilon)
+    for tag, ckpt, preds, row in _experiment_arms(
+            args, prepared, (0.0, args.epsilon), prepared.tgt_vocab):
         trainer.save_checkpoint(ckpt, out_dir / f"checkpoint_eps{tag}.json")
         metrics.write_predictions(preds, out_dir / f"predictions_eps{tag}.jsonl")
-        if epsilon == 0.0:
-            baseline_report = report
-            rows.append(_comparison_row(epsilon, report, None,
-                                        experiment.alpha))
-        else:
-            rows.append(_comparison_row(epsilon, report, baseline_report,
-                                        experiment.alpha))
-    table = ReportTable(title="pair", rows=rows)
-    _write_table(table, out_dir, "pair_report")
-    print(render_report(table, "markdown"), end="")
+        rows.append(row)
+    table = _report_rows(rows)
+    _write_table(table, out_dir / "pair_report.csv", out_dir / "pair_report.md")
+    print(render_table(table, "markdown"), end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
     """One training run per (epsilon, target vocabulary size); every
     epsilon > 0 row is paired-tested against the epsilon = 0 row of the
-    same vocabulary size."""
-    grid = SweepSpec().epsilons
-    sizes = tuple(int(x) for x in args.vocab_sizes.split(","))
-    experiment = ExperimentConfig(
-        data_dir=args.data, arch=_arch_internal(args.arch), epsilons=grid,
-        epochs=args.epochs, seeds=(args.seed,), vocab_sizes=sizes,
-        alpha=args.alpha)
-    prepared = load_prepared_dir(experiment.data_dir)
+    same vocabulary size. A numeric failure still writes the rows done so
+    far for its vocabulary size, then stops the sweep."""
+    sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
+    prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failure = None
-    for size in experiment.vocab_sizes:
+    for size in sizes:
         tgt_vocab = build_vocabulary(prepared.train, size, "target")
         tgt_vocab.write(out_dir / f"sweep_v{size}.vocab.tgt.txt")
         rows = []
-        baseline_report = None
+        failure = None
         try:
-            for epsilon in grid:
-                ckpt, preds, report = _run_experiment_arm(
-                    args, prepared, epsilon, experiment.epochs, tgt_vocab)
+            for tag, _, preds, row in _experiment_arms(
+                    args, prepared, DEFAULT_SWEEP_GRID, tgt_vocab):
                 metrics.write_predictions(
-                    preds, out_dir / f"sweep_v{size}_eps{_eps_tag(epsilon)}.jsonl")
-                if epsilon == 0.0:
-                    baseline_report = report
-                    rows.append(_comparison_row(epsilon, report, None,
-                                                experiment.alpha))
-                else:
-                    rows.append(_comparison_row(epsilon, report,
-                                                baseline_report,
-                                                experiment.alpha))
+                    preds, out_dir / f"sweep_v{size}_eps{tag}.jsonl")
+                rows.append(row)
         except NumericError as exc:
             failure = exc
-        table = ReportTable(title=f"sweep vocab {size}", rows=rows)
-        _write_table(table, out_dir, f"sweep_v{size}")
-        print(render_report(table, "markdown"), end="")
+        table = _report_rows(rows)
+        _write_table(table, out_dir / f"sweep_v{size}.csv",
+                     out_dir / f"sweep_v{size}.md")
+        print(render_table(table, "markdown"), end="")
         if failure is not None:
             raise failure
     return 0
-
-
-def _plain_table(header, rows):
-    """(csv_text, markdown_text) for a list-of-lists table."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    all_rows = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in all_rows) for i in range(len(header))]
-    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(all_rows[0], widths))
-             + " |",
-             "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-    for row in all_rows[1:]:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths))
-                     + " |")
-    return buffer.getvalue(), "\n".join(lines) + "\n"
 
 
 def cmd_diversity(args) -> int:
@@ -480,21 +419,18 @@ def cmd_diversity(args) -> int:
         preds = metrics.read_predictions(path)
         reports.append((path, metrics.diversity_report(preds)))
     base = reports[0][1]
-    header = ["file", "total_words", "unique_words", "avg_frequency",
-              "delta_total", "delta_unique"]
-    rows = []
+    rows = [["file", "total_words", "unique_words", "avg_frequency",
+             "delta_total", "delta_unique"]]
     for path, rep in reports:
         rows.append([str(path), rep.total_words, rep.unique_words,
                      f"{rep.avg_frequency:.4f}",
                      rep.total_words - base.total_words,
                      rep.unique_words - base.unique_words])
-    csv_text, md_text = _plain_table(header, rows)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(csv_text, encoding="utf-8")
-        out.with_suffix(".md").write_text(md_text, encoding="utf-8")
-    print(csv_text, end="")
+        _write_table(rows, out, out.with_suffix(".md"))
+    print(render_table(rows, "csv"), end="")
     return 0
 
 
@@ -525,9 +461,8 @@ def cmd_actionword(args) -> int:
     unique_train = sorted(set(train_labels))
     label_vocab = build_token_vocabulary([[w] for w in train_labels],
                                          size=4 + len(unique_train))
-    header = ["epsilon", "micro_precision", "micro_recall", "micro_f1",
-              "macro_f1", "unique_predicted"]
-    rows = []
+    rows = [["epsilon", "micro_precision", "micro_recall", "micro_f1",
+             "macro_f1", "unique_predicted"]]
     for epsilon in ACTIONWORD_EPSILONS:
         config = _model_config(args, prepared.src_vocab.size,
                                label_vocab.size, epsilon, comment_len=3,
@@ -559,10 +494,8 @@ def cmd_actionword(args) -> int:
                      f"{report.micro.recall:.4f}",
                      f"{report.micro.f1:.4f}", f"{report.macro.f1:.4f}",
                      unique_predicted])
-    csv_text, md_text = _plain_table(header, rows)
-    (out_dir / "actionword.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / "actionword.md").write_text(md_text, encoding="utf-8")
-    print(csv_text, end="")
+    _write_table(rows, out_dir / "actionword.csv", out_dir / "actionword.md")
+    print(render_table(rows, "csv"), end="")
     return 0
 
 

@@ -14,9 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
-from .corpus import SPECIAL_TOKENS
+from .corpus import SPECIAL_TOKENS, read_jsonl
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import Rng, stable_token_seed
 from .stemming import porter_stem
@@ -258,6 +257,10 @@ def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p = I_{df/(df+t^2)}(df/2, 1/2) via the regularized
     incomplete beta."""
+    # imported here: scipy costs most of the package's import time and only
+    # the paired tests of compare and sweep need it
+    from scipy.special import betainc
+
     if df < 1:
         raise ConfigurationError(f"degrees of freedom {df} must be >= 1")
     if math.isinf(t):
@@ -371,26 +374,18 @@ def write_predictions(preds: PredictionSet, path) -> None:
                 sort_keys=True) + "\n")
 
 
+def _token_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a token list, got {type(value).__name__}")
+    return [str(t) for t in value]
+
+
 def read_predictions(path) -> PredictionSet:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            for key in ("id", "ref", "pred"):
-                if key not in rec:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            records.append(PredictionRecord(
-                id=str(rec["id"]),
-                reference=[str(t) for t in rec["ref"]],
-                predicted=[str(t) for t in rec["pred"]],
-            ))
-    return PredictionSet(records=records)
+    return PredictionSet(records=read_jsonl(
+        path, ("id", "ref", "pred"),
+        lambda rec: PredictionRecord(id=str(rec["id"]),
+                                     reference=_token_list(rec["ref"]),
+                                     predicted=_token_list(rec["pred"]))))
 
 
 def score_predictions(preds: PredictionSet,

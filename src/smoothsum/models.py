@@ -196,29 +196,50 @@ def _validate_ids(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
     return ids
 
 
-def _forward_gru(model: Model, code_ids, ast_ids, prefix_ids) -> T.Tensor:
-    cfg = model.config
-    src_states, src_final = _run_gru_encoder(model, "enc_gru", "src_embed",
-                                             code_ids)
-    src_mask = code_ids != PAD
-    if cfg.arch == "ast_attendgru":
+def _encode_gru(model: Model, code_ids, ast_ids):
+    """Runs the encoders once. Returns the final source state, which seeds
+    the decoder, and one (states, mask) attention memory per encoder."""
+    src_states, state = _run_gru_encoder(model, "enc_gru", "src_embed",
+                                         code_ids)
+    memories = [(src_states, code_ids != PAD)]
+    if model.config.arch == "ast_attendgru":
         ast_states, _ = _run_gru_encoder(model, "ast_gru", "ast_embed", ast_ids)
-        ast_mask = ast_ids != PAD
+        memories.append((ast_states, ast_ids != PAD))
+    return state, memories
+
+
+def _gru_decoder_step(params: T.ParamStore, dec_gru: dict, memories,
+                      token_ids: np.ndarray, state: T.Tensor):
+    """One decoder step for a batch of previous tokens: the GRU update,
+    one attention context per memory, and the output projection of
+    [contexts..., state]. Returns (logits (B, V), new state)."""
+    state = T.gru_step(T.embedding(params["tgt_embed"], token_ids), state,
+                       dec_gru)
+    contexts = [T.dot_attention(state, states, mask=mask)[0]
+                for states, mask in memories]
+    features = T.concat(contexts + [state], axis=-1)
+    return T.add(T.matmul(features, params["out.w"]), params["out.b"]), state
+
+
+def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
+    """Checked source ids, plus AST ids for ast_attendgru (which needs
+    them); other architectures ignore ast_ids."""
+    code_ids = _validate_ids(code_ids, cfg.src_vocab, "source")
+    if cfg.arch == "ast_attendgru":
+        if ast_ids is None:
+            raise DataError("ast_attendgru requires AST token ids")
+        ast_ids = _validate_ids(ast_ids, cfg.ast_vocab, "ast")
+    return code_ids, ast_ids
+
+
+def _forward_gru(model: Model, code_ids, ast_ids, prefix_ids) -> T.Tensor:
+    state, memories = _encode_gru(model, code_ids, ast_ids)
     dec_gru = _gru_param_view(model.params, "dec_gru")
-    tgt_embed = model.params["tgt_embed"]
-    out_w, out_b = model.params["out.w"], model.params["out.b"]
-    state = src_final
     logits = []
     for t in range(prefix_ids.shape[1]):
-        state = T.gru_step(T.embedding(tgt_embed, prefix_ids[:, t]), state,
-                           dec_gru)
-        context, _ = T.dot_attention(state, src_states, mask=src_mask)
-        pieces = [context, state]
-        if cfg.arch == "ast_attendgru":
-            ast_context, _ = T.dot_attention(state, ast_states, mask=ast_mask)
-            pieces = [context, ast_context, state]
-        features = T.concat(pieces, axis=-1)
-        logits.append(T.add(T.matmul(features, out_w), out_b))
+        step_logits, state = _gru_decoder_step(model.params, dec_gru, memories,
+                                               prefix_ids[:, t], state)
+        logits.append(step_logits)
     return T.stack(logits, axis=1)
 
 
@@ -274,14 +295,10 @@ def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
                    training: bool = False, rng: Rng | None = None) -> T.Tensor:
     """Next-token logits for every prefix position: (batch, len, tgt_vocab)."""
     cfg = model.config
-    code_ids = _validate_ids(code_ids, cfg.src_vocab, "source")
+    code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
     prefix_ids = _validate_ids(prefix_ids, cfg.tgt_vocab, "comment")
     if code_ids.ndim != 2 or prefix_ids.ndim != 2:
         raise ConfigurationError("forward expects (batch, length) id arrays")
-    if cfg.arch == "ast_attendgru":
-        if ast_ids is None:
-            raise DataError("ast_attendgru requires AST token ids")
-        ast_ids = _validate_ids(ast_ids, cfg.ast_vocab, "ast")
     if training and cfg.dropout_rate > 0 and rng is None:
         raise ConfigurationError("training forward pass needs an rng")
     if cfg.arch == "transformer":
@@ -331,58 +348,40 @@ def greedy_decode(model: Model, code_ids, ast_ids=None,
     code_ids = np.asarray(code_ids, dtype=np.int64).reshape(1, -1)
     if ast_ids is not None:
         ast_ids = np.asarray(ast_ids, dtype=np.int64).reshape(1, -1)
-    if cfg.arch == "transformer" and max_len > cfg.comment_len - 1:
-        raise ConfigurationError(
-            "transformer decode length exceeds the position table")
+
+    if cfg.arch == "transformer":
+        if max_len > cfg.comment_len - 1:
+            raise ConfigurationError(
+                "transformer decode length exceeds the position table")
+        prefix = []
+
+        def next_distribution(token: int) -> np.ndarray:
+            prefix.append(token)
+            probs = forward_step(model, code_ids, None,
+                                 np.array([prefix], dtype=np.int64))
+            return probs[0, -1]
+    else:
+        # recurrent architectures decode incrementally from cached encoders
+        state, memories = _encode_gru(model,
+                                      *_validate_sources(cfg, code_ids, ast_ids))
+        dec_gru = _gru_param_view(model.params, "dec_gru")
+
+        def next_distribution(token: int) -> np.ndarray:
+            nonlocal state
+            logits, state = _gru_decoder_step(model.params, dec_gru, memories,
+                                              np.array([token]), state)
+            return T.softmax(logits, axis=-1).data[0]
 
     out_ids = []
     distributions = []
-    if cfg.arch == "transformer":
-        prefix = [START]
-        for _ in range(max_len):
-            probs = forward_step(model, code_ids, None,
-                                 np.array([prefix], dtype=np.int64))
-            dist = probs[0, -1]
-            nxt = int(np.argmax(dist))
-            distributions.append(dist)
-            out_ids.append(nxt)
-            if nxt == END:
-                break
-            prefix.append(nxt)
-        return DecodeResult(ids=out_ids, distributions=distributions)
-
-    # recurrent architectures decode incrementally
-    src_states, state = _run_gru_encoder(model, "enc_gru", "src_embed",
-                                         _validate_ids(code_ids,
-                                                       cfg.src_vocab, "source"))
-    src_mask = code_ids != PAD
-    if cfg.arch == "ast_attendgru":
-        if ast_ids is None:
-            raise DataError("ast_attendgru requires AST token ids")
-        ast_states, _ = _run_gru_encoder(model, "ast_gru", "ast_embed",
-                                         _validate_ids(ast_ids,
-                                                       cfg.ast_vocab, "ast"))
-        ast_mask = ast_ids != PAD
-    dec_gru = _gru_param_view(model.params, "dec_gru")
     token = START
     for _ in range(max_len):
-        state = T.gru_step(T.embedding(model.params["tgt_embed"],
-                                       np.array([token])), state, dec_gru)
-        context, _ = T.dot_attention(state, src_states, mask=src_mask)
-        pieces = [context, state]
-        if cfg.arch == "ast_attendgru":
-            ast_context, _ = T.dot_attention(state, ast_states, mask=ast_mask)
-            pieces = [context, ast_context, state]
-        features = T.concat(pieces, axis=-1)
-        logits = T.add(T.matmul(features, model.params["out.w"]),
-                       model.params["out.b"])
-        dist = T.softmax(logits, axis=-1).data[0]
-        nxt = int(np.argmax(dist))
+        dist = next_distribution(token)
+        token = int(np.argmax(dist))
         distributions.append(dist)
-        out_ids.append(nxt)
-        if nxt == END:
+        out_ids.append(token)
+        if token == END:
             break
-        token = nxt
     return DecodeResult(ids=out_ids, distributions=distributions)
 
 
@@ -401,11 +400,20 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
+def config_from_dict(cls, values, what: str):
+    """cls(**values) for a config read from a checkpoint; a missing,
+    unknown or mistyped field is a DataError."""
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise DataError(f"checkpoint {what} is invalid: {exc}") from exc
+
+
 def model_from_dict(payload: dict) -> Model:
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"unsupported checkpoint format {payload.get('format_version')!r}")
-    config = ModelConfig(**payload["config"])
+    config = config_from_dict(ModelConfig, payload.get("config"), "config")
     template = parameter_template(config)
     stored = payload["params"]
     if sorted(stored) != sorted(template):
@@ -427,9 +435,8 @@ def model_from_dict(payload: dict) -> Model:
 
 def save_model(model: Model, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True,
+                            separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> Model:

@@ -8,6 +8,7 @@ ties going to the earliest epoch.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict, field
 
@@ -39,6 +40,9 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        for name in ("learning_rate", "beta1", "beta2", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
         if self.optimizer != "adam":
@@ -259,8 +263,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload["epoch"] = ckpt.epoch
     payload["val_accuracy"] = ckpt.val_accuracy
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                 + "\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -275,7 +279,8 @@ def load_checkpoint(path) -> Checkpoint:
     model = models.model_from_dict(payload)
     return Checkpoint(
         model=model,
-        train_config=TrainConfig(**payload["train_config"]),
+        train_config=models.config_from_dict(
+            TrainConfig, payload["train_config"], "train_config"),
         epoch=int(payload["epoch"]),
         val_accuracy=float(payload["val_accuracy"]),
     )

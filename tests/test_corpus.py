@@ -8,11 +8,12 @@ from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
                               SPECIAL_TOKENS, Vocabulary, build_vocabulary,
                               encode_sequence, extract_action_word,
                               filter_by_length_quantile, load_prepared_dir,
-                              read_corpus_jsonl, split_by_project, stem,
+                              read_corpus_jsonl, split_by_project,
                               tokenize_code, tokenize_comment,
                               write_prepared_dir)
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
+from smoothsum.stemming import porter_stem
 
 
 def make_sample(i, project, code_len=10, comment=("does", "things")):
@@ -171,8 +172,9 @@ class TestSplitByProject:
 
     def test_bad_ratios(self):
         corpus = self._corpus({f"p{i}": 5 for i in range(4)})
-        with pytest.raises(ConfigurationError):
-            split_by_project(corpus, (0.8, 0.1, 0.2), 0)
+        for ratios in ((0.8, 0.1, 0.2), (math.nan, 0.5, 0.5)):
+            with pytest.raises(ConfigurationError):
+                split_by_project(corpus, ratios, 0)
 
 
 class TestQuantileFilter:
@@ -221,7 +223,7 @@ class TestActionWords:
         assert extract_action_word(["deletes", "the", "file"]) == "delet"
 
     def test_returns(self):
-        assert extract_action_word(["returns", "x"]) == stem("returns")
+        assert extract_action_word(["returns", "x"]) == porter_stem("returns")
 
     def test_empty_comment(self):
         with pytest.raises(DataError):

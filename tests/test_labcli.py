@@ -36,6 +36,21 @@ def prepared_dir(tmp_path_factory, corpus_file):
     return out
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory, prepared_dir):
+    run_dir = tmp_path_factory.mktemp("run")
+    assert run_cli("train", "--data", str(prepared_dir), "--out",
+                   str(run_dir), "--seed", "3", "--epochs", "1",
+                   *FAST_MODEL) == 0
+    return run_dir / "checkpoint.json"
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def tree_digest(directory):
     digest = {}
     for path in sorted(Path(directory).rglob("*")):
@@ -94,24 +109,19 @@ class TestRenderReport:
             labcli.render_report(labcli.ReportTable("t", []), "html")
 
 
-class TestSweepSpec:
+class TestSweepGrid:
     def test_default_grid(self):
-        assert labcli.SweepSpec().epsilons == (
-            0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
+        grid = labcli.DEFAULT_SWEEP_GRID
+        assert grid == (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
+        # the first arm is the epsilon = 0 baseline the others are tested
+        # against
+        assert list(grid) == sorted(set(grid))
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ConfigurationError):
-            labcli.SweepSpec(epsilons=(0.1, 0.0))
-
-
-class TestExperimentConfig:
-    def test_requires_seed(self):
-        with pytest.raises(ConfigurationError):
-            labcli.ExperimentConfig("d", "attendgru", (0.1,), 1, ())
-
-    def test_epsilon_range(self):
-        with pytest.raises(ConfigurationError):
-            labcli.ExperimentConfig("d", "attendgru", (1.5,), 1, (1,))
+    def test_malformed_vocab_sizes_exits_2(self, tmp_path, prepared_dir,
+                                           capsys):
+        assert run_cli("sweep", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "s"), "--vocab-sizes", "x") == 2
+        assert "--vocab-sizes" in assert_one_line_error(capsys)
 
 
 class TestPrepare:
@@ -141,6 +151,11 @@ class TestPrepare:
         bad.write_text('{"id": "1"}\n')
         assert run_cli("prepare", "--data", str(bad), "--out",
                        str(tmp_path / "y")) == 2
+
+    def test_malformed_ratios_exits_2(self, tmp_path, corpus_file, capsys):
+        assert run_cli("prepare", "--data", str(corpus_file), "--out",
+                       str(tmp_path / "r"), "--ratios", "a,b,c") == 2
+        assert "--ratios" in assert_one_line_error(capsys)
 
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
@@ -185,6 +200,42 @@ class TestTrainPredictScore:
                        str(run_dir / "checkpoint.json"), "--seed", "3") == 2
 
 
+    def test_split_record_without_code_tokens_exits_2(
+            self, tmp_path, prepared_dir, checkpoint, capsys):
+        bad = tmp_path / "prep"
+        bad.mkdir()
+        for path in prepared_dir.iterdir():
+            (bad / path.name).write_bytes(path.read_bytes())
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["code_tokens"]
+        lines[1] = json.dumps(record)
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_cli("predict", "--data", str(bad), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(checkpoint)) == 2
+        assert "test.jsonl:2" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("section", ["config", "train_config"])
+    def test_checkpoint_unknown_config_key_exits_2(
+            self, tmp_path, prepared_dir, checkpoint, capsys, section):
+        payload = json.loads(checkpoint.read_text())
+        payload[section]["bogus"] = 1
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("predict", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(bad)) == 2
+        assert section in assert_one_line_error(capsys)
+
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, prepared_dir,
+                                              capsys):
+        assert run_cli("train", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "run"), "--epochs", "1", *FAST_MODEL,
+                       "--lr", "nan") == 2
+        assert "learning_rate" in assert_one_line_error(capsys)
+
+
 class TestCompare:
     def test_pair_layout(self, tmp_path, prepared_dir):
         out = tmp_path / "pair"
@@ -203,6 +254,14 @@ class TestCompare:
         assert (out / "checkpoint_eps0p1.json").exists()
         assert (out / "predictions_eps0.jsonl").exists()
         assert (out / "predictions_eps0p1.jsonl").exists()
+
+    def test_epsilon_out_of_range_exits_2(self, tmp_path, prepared_dir,
+                                          capsys):
+        out = tmp_path / "pair"
+        assert run_cli("compare", "--data", str(prepared_dir), "--out",
+                       str(out), "--epsilon", "1.5", *FAST_MODEL) == 2
+        assert_one_line_error(capsys)
+        assert not list(tmp_path.rglob("checkpoint*.json"))
 
 
 class TestDiversityCommand:

@@ -319,9 +319,11 @@ class TestPredictionFiles:
             X.read_predictions(tmp_path / "bad.jsonl")
 
     def test_missing_keys(self, tmp_path):
-        (tmp_path / "bad.jsonl").write_text('{"id": "1", "ref": []}\n')
-        with pytest.raises(DataError):
-            X.read_predictions(tmp_path / "bad.jsonl")
+        for line in ('{"id": "1", "ref": []}',
+                     '{"id": "1", "ref": 5, "pred": []}'):
+            (tmp_path / "bad.jsonl").write_text(line + "\n")
+            with pytest.raises(DataError, match="bad.jsonl:1"):
+                X.read_predictions(tmp_path / "bad.jsonl")
 
     def test_duplicate_ids(self):
         with pytest.raises(DataError):

@@ -156,6 +156,22 @@ class TestGreedyDecode:
         shifted = M.greedy_decode(model, CODE[0])
         assert baseline.ids == shifted.ids
 
+    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru"])
+    def test_gru_steps_match_teacher_forcing(self, arch):
+        # greedy decoding and forward_step share one GRU decoder step, so
+        # each decoded distribution equals the teacher-forced row for the
+        # decoded prefix
+        model = M.build_model(tiny_config(arch), seed=7)
+        model.params["out.b"].data[END] -= 50.0  # decode the full length
+        ast = AST[:1] if arch == "ast_attendgru" else None
+        result = M.greedy_decode(model, CODE[0], ast, max_len=8)
+        assert len(result.ids) == 8
+        prefix = np.array([[START] + result.ids[:-1]])
+        probs = M.forward_step(model, CODE[:1], ast, prefix)[0]
+        for step, dist in enumerate(result.distributions):
+            np.testing.assert_allclose(dist, probs[step], rtol=0, atol=1e-12)
+            assert result.ids[step] == int(np.argmax(probs[step]))
+
     def test_respects_end_token(self):
         model = M.build_model(tiny_config("attendgru"), seed=5)
         result = M.greedy_decode(model, CODE[0], max_len=4)
