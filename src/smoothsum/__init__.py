@@ -2,14 +2,13 @@
 
 from .errors import (ConfigurationError, DataError, MiniParseError,
                      NumericError, SmoothsumError)
-from .smoothing import (SmoothingConfig, TargetDistribution, cross_entropy,
-                        logits_gradient, loss_floor, smooth_targets)
+from .smoothing import (TargetDistribution, cross_entropy, loss_floor,
+                        smooth_targets)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "DataError", "MiniParseError", "NumericError",
-    "SmoothsumError", "SmoothingConfig", "TargetDistribution",
-    "cross_entropy", "logits_gradient", "loss_floor", "smooth_targets",
-    "__version__",
+    "SmoothsumError", "TargetDistribution", "cross_entropy", "loss_floor",
+    "smooth_targets", "__version__",
 ]

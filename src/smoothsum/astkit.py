@@ -26,9 +26,6 @@ class AstNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def count_nodes(self) -> int:
-        return 1 + sum(c.count_nodes() for c in self.children)
-
 
 def node(label, *children) -> AstNode:
     return AstNode(label, tuple(children))
@@ -355,11 +352,6 @@ def sbt_flatten(root: AstNode) -> list:
 
     visit(root)
     return out
-
-
-def sbt_text(root: AstNode) -> str:
-    """Flattened AST as text: SBT tokens joined by single spaces."""
-    return " ".join(sbt_flatten(root))
 
 
 def _collect_leaves(root: AstNode):

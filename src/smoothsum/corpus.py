@@ -106,12 +106,6 @@ class Vocabulary:
         return cls(lines)
 
 
-@dataclass
-class TokenSequence:
-    ids: list
-    truncated: bool = False
-
-
 def build_vocabulary(corpus: Corpus, size: int, side: str) -> Vocabulary:
     """Specials plus the (size - 4) most frequent tokens of one side,
     ties broken lexicographically."""
@@ -135,7 +129,7 @@ def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
 
 
 def encode_sequence(tokens, vocab: Vocabulary, max_len: int,
-                    add_markers: bool) -> TokenSequence:
+                    add_markers: bool) -> list:
     """Map to ids (unknowns -> UNK), optionally wrap in START/END, truncate
     to max_len (END is kept at the final position) and pad with PAD."""
     if max_len < 2:
@@ -143,13 +137,11 @@ def encode_sequence(tokens, vocab: Vocabulary, max_len: int,
     ids = [vocab.encode_token(t) for t in tokens]
     if add_markers:
         ids = [START] + ids + [END]
-    truncated = len(ids) > max_len
-    if truncated:
+    if len(ids) > max_len:
         ids = ids[:max_len]
         if add_markers:
             ids[-1] = END
-    ids = ids + [PAD] * (max_len - len(ids))
-    return TokenSequence(ids=ids, truncated=truncated)
+    return ids + [PAD] * (max_len - len(ids))
 
 
 def split_by_project(corpus: Corpus, ratios, seed: int):
@@ -210,22 +202,30 @@ def extract_action_word(comment_tokens) -> str:
 # file formats
 
 
+def token_list(value) -> list:
+    """A record's token field: a JSON list, its items as strings."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a token list, got {type(value).__name__}")
+    return [str(t) for t in value]
+
+
 def read_jsonl(path, fields, make) -> list:
     """make(record) for every non-blank line of a JSON-lines file.
 
-    Invalid JSON, a line that is not an object, a record lacking one of
-    fields, or a KeyError/TypeError/ValueError raised by make becomes a
-    DataError naming path:line.
+    A line that is not UTF-8 JSON (nesting too deep included), a line that
+    is not an object, a record lacking one of fields, or a
+    KeyError/TypeError/ValueError raised by make becomes a DataError naming
+    path:line.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
@@ -282,10 +282,10 @@ def write_split_jsonl(corpus: Corpus, path) -> None:
 def read_split_jsonl(path, split_tag: str) -> Corpus:
     def make(rec):
         return Sample(
-            id=rec["id"],
-            project=rec["project"],
-            code_tokens=list(rec["code_tokens"]),
-            comment_tokens=list(rec["comment_tokens"]),
+            id=str(rec["id"]),
+            project=str(rec["project"]),
+            code_tokens=token_list(rec["code_tokens"]),
+            comment_tokens=token_list(rec["comment_tokens"]),
             ast_text=rec.get("ast"),
             code_char_len=int(rec["code_char_len"]),
         )

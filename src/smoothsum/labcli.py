@@ -3,8 +3,8 @@ score predictions, and rerun the protocol shapes (paired epsilon on/off
 comparison, epsilon-by-vocabulary sweeps, diversity and action-word
 studies).
 
-Exit codes: 0 success, 1 usage, 2 data or configuration error, 3 numeric
-failure.
+Exit codes: 0 success, 1 usage, 2 data or configuration error (a missing
+or unreadable file included), 3 numeric failure.
 """
 
 import argparse
@@ -232,22 +232,20 @@ def _experiment_arms(args, prepared: PreparedData, epsilons,
         if epsilon == 0.0:
             baseline = report
         yield _eps_tag(epsilon), ckpt, preds, _comparison_row(
-            epsilon, report, baseline if epsilon > 0 else None, args.alpha)
+            epsilon, report, baseline if epsilon > 0 else None)
 
 
 def _comparison_row(epsilon: float, report: metrics.MetricReport,
-                    baseline: metrics.MetricReport | None,
-                    alpha: float) -> ReportRow:
+                    baseline: metrics.MetricReport | None) -> ReportRow:
     scores = {"meteor": report.mean_meteor,
               "similarity": report.mean_similarity,
               "bleu": report.corpus_bleu}
     comparisons = {}
     if baseline is not None:
         comparisons["meteor"] = metrics.paired_t_test(
-            report.meteor_scores, baseline.meteor_scores, alpha=alpha,
-            metric="meteor")
+            report.meteor_scores, baseline.meteor_scores, metric="meteor")
         comparisons["similarity"] = metrics.paired_t_test(
-            report.similarity_scores, baseline.similarity_scores, alpha=alpha,
+            report.similarity_scores, baseline.similarity_scores,
             metric="similarity")
     return ReportRow(epsilon=epsilon, scores=scores, comparisons=comparisons)
 
@@ -546,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1,
                    help="smoothing for the treated arm")
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="epsilon grid x vocabulary sizes")
@@ -554,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--epochs", type=int, default=8)
     p.add_argument("--vocab-sizes", default="300,1200")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("diversity", help="word diversity of prediction files")
@@ -580,7 +576,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, ConfigurationError) as exc:
+    except (DataError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import SPECIAL_TOKENS, read_jsonl
+from .corpus import SPECIAL_TOKENS, read_jsonl, token_list
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import Rng, stable_token_seed
 from .stemming import porter_stem
@@ -271,9 +271,9 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return float(betainc(df / 2.0, 0.5, x))
 
 
-def paired_t_test(scores_a, scores_b, alpha: float = 0.05,
-                  metric: str = "") -> ComparisonResult:
-    """Two-sided paired t-test on per-sentence score differences a - b.
+def paired_t_test(scores_a, scores_b, metric: str = "") -> ComparisonResult:
+    """Two-sided paired t-test on per-sentence score differences a - b,
+    significant at alpha 0.05.
 
     Degenerate conventions: all differences zero -> (t=0, p=1); zero
     spread with nonzero mean -> p=0 with an infinite t.
@@ -297,7 +297,7 @@ def paired_t_test(scores_a, scores_b, alpha: float = 0.05,
         t_stat = mean / (sd / math.sqrt(n))
         p = student_t_two_sided_p(t_stat, n - 1)
     return ComparisonResult(metric=metric, t_stat=t_stat, p_value=p,
-                            alpha=alpha, significant=p < alpha)
+                            alpha=0.05, significant=p < 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +374,19 @@ def write_predictions(preds: PredictionSet, path) -> None:
                 sort_keys=True) + "\n")
 
 
-def _token_list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a token list, got {type(value).__name__}")
-    return [str(t) for t in value]
-
-
 def read_predictions(path) -> PredictionSet:
     return PredictionSet(records=read_jsonl(
         path, ("id", "ref", "pred"),
         lambda rec: PredictionRecord(id=str(rec["id"]),
-                                     reference=_token_list(rec["ref"]),
-                                     predicted=_token_list(rec["pred"]))))
+                                     reference=token_list(rec["ref"]),
+                                     predicted=token_list(rec["pred"]))))
 
 
-def score_predictions(preds: PredictionSet,
-                      embedder: SentenceEmbedder | None = None) -> MetricReport:
+def score_predictions(preds: PredictionSet) -> MetricReport:
     """All three metrics over one prediction set."""
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
-    embedder = embedder or default_embedder()
+    embedder = default_embedder()
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),
         meteor_scores=[sentence_meteor(r.predicted, r.reference)

@@ -14,7 +14,6 @@ The decoder is wired for teacher forcing: a forward pass returns one
 next-token distribution per prefix position.
 """
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -415,37 +414,33 @@ def model_from_dict(payload: dict) -> Model:
             f"unsupported checkpoint format {payload.get('format_version')!r}")
     config = config_from_dict(ModelConfig, payload.get("config"), "config")
     template = parameter_template(config)
-    stored = payload["params"]
+    stored = payload.get("params")
+    if not isinstance(stored, dict):
+        raise DataError("checkpoint params must be an object of name -> "
+                        "{shape, data}")
     if sorted(stored) != sorted(template):
         raise DataError("checkpoint parameter names do not match architecture")
     params = T.ParamStore()
     for name in sorted(template):
         entry = stored[name]
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+                and isinstance(entry.get("data"), list)):
+            raise DataError(f"checkpoint parameter {name!r} needs list "
+                            f"fields 'shape' and 'data'")
         shape = tuple(entry["shape"])
         if shape != template[name]:
             raise DataError(
                 f"checkpoint shape {shape} for {name!r} does not match "
                 f"template {template[name]}")
-        data = np.asarray(entry["data"], dtype=np.float64)
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint data for {name!r} is not numeric: "
+                            f"{exc}") from exc
         if data.size != int(np.prod(shape)):
             raise DataError(f"checkpoint data size mismatch for {name!r}")
-        params.add(name, data.reshape(shape))
+        params.add(name, data.reshape(template[name]))
     return Model(config=config, params=params)
-
-
-def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_dict(model), sort_keys=True,
-                            separators=(",", ":")) + "\n")
-
-
-def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed checkpoint {path}: {exc}") from exc
-    return model_from_dict(payload)
 
 
 def grad_check_model(model: Model, code_ids, ast_ids, comment_ids,

@@ -15,17 +15,6 @@ from .errors import ConfigurationError
 _LOG_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """epsilon = 0 disables smoothing and reproduces one-hot targets."""
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon {self.epsilon} outside [0, 1]")
-
-
 @dataclass
 class TargetDistribution:
     probs: np.ndarray
@@ -33,16 +22,13 @@ class TargetDistribution:
 
 
 def smooth_targets(y: int, n_vocab: int, epsilon: float) -> TargetDistribution:
-    """(1 - eps) at the gold index, eps / (n_vocab - 1) everywhere else."""
-    if n_vocab < 2:
-        raise ConfigurationError(f"vocabulary size {n_vocab} must be >= 2")
+    """(1 - eps) at the gold index, eps / (n_vocab - 1) everywhere else:
+    the one-row case of smooth_target_matrix."""
     if not 0 <= y < n_vocab:
         raise ConfigurationError(f"target index {y} outside [0, {n_vocab})")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigurationError(f"epsilon {epsilon} outside [0, 1]")
-    probs = np.full(n_vocab, epsilon / (n_vocab - 1), dtype=np.float64)
-    probs[y] = 1.0 - epsilon
-    return TargetDistribution(probs=probs, target_index=y)
+    return TargetDistribution(
+        probs=smooth_target_matrix(np.asarray(y), n_vocab, epsilon),
+        target_index=y)
 
 
 def smooth_target_matrix(target_ids: np.ndarray, n_vocab: int,
@@ -82,11 +68,3 @@ def loss_floor(epsilon: float, n_vocab: int) -> float:
     if epsilon == 1.0:
         return float(spread)
     return float(-(1.0 - epsilon) * np.log(1.0 - epsilon) + spread)
-
-
-def logits_gradient(logits: np.ndarray, target: TargetDistribution) -> np.ndarray:
-    """Gradient of cross_entropy(softmax(logits), target): softmax - t."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum() - target.probs

@@ -10,7 +10,7 @@ tape once in reverse topological order.
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .rng import Rng  # noqa: F401  (re-exported: the deterministic generator)
+from .rng import Rng
 
 _NEG_INF = -1e30
 
@@ -31,31 +31,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _coerce(x) -> Tensor:
@@ -86,38 +61,32 @@ def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def bw(g):
         _accumulate(a, _reduce_to(g, a.data.shape))
         _accumulate(b, _reduce_to(g, b.data.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def bw(g):
         _accumulate(a, _reduce_to(g, a.data.shape))
         _accumulate(b, _reduce_to(-g, b.data.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward_fn=bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def bw(g):
         _accumulate(a, _reduce_to(g * b.data, a.data.shape))
         _accumulate(b, _reduce_to(g * a.data, b.data.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -127,7 +96,6 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ConfigurationError(
             f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
 
     def bw(g):
         _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
@@ -135,56 +103,42 @@ def matmul(a, b) -> Tensor:
         _accumulate(b, _reduce_to(np.matmul(a.data.swapaxes(-1, -2), g),
                                   b.data.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
 
 
 def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,))
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = _coerce(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,),
+                  backward_fn=bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
 
     def bw(g):
         _accumulate(a, g.reshape(a.data.shape))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.reshape(shape), parents=(a,), backward_fn=bw)
 
 
 def transpose(a, axes) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.transpose(axes), parents=(a,))
     inverse = np.argsort(axes)
 
     def bw(g):
         _accumulate(a, g.transpose(inverse))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(a.data.transpose(axes), parents=(a,), backward_fn=bw)
 
 
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
 
     def bw(g):
@@ -194,58 +148,50 @@ def concat(tensors, axis=-1) -> Tensor:
             index[axis if axis >= 0 else g.ndim + axis] = slice(start, stop)
             _accumulate(t, g[tuple(index)])
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward_fn=bw)
 
 
 def stack(tensors, axis=0) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
 
     def bw(g):
         for i, t in enumerate(tensors):
             _accumulate(t, np.take(g, i, axis=axis))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.stack([t.data for t in tensors], axis=axis),
+                  parents=tuple(tensors), backward_fn=bw)
 
 
 def tanh(a) -> Tensor:
     a = _coerce(a)
     y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
 
     def bw(g):
         _accumulate(a, g * (1.0 - y * y))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), backward_fn=bw)
 
 
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(y, parents=(a,))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         _accumulate(a, g * y * (1.0 - y))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), backward_fn=bw)
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
 
     def bw(g):
         _accumulate(a, g * (a.data > 0))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(np.maximum(a.data, 0.0), parents=(a,), backward_fn=bw)
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -254,14 +200,12 @@ def softmax(a, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(a,))
 
     def bw(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
         _accumulate(a, p * (g - dot))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(p, parents=(a,), backward_fn=bw)
 
 
 def log_softmax(a, axis=-1) -> Tensor:
@@ -270,13 +214,11 @@ def log_softmax(a, axis=-1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
     p = np.exp(y)
-    out = Tensor(y, parents=(a,))
 
     def bw(g):
         _accumulate(a, g - p * g.sum(axis=axis, keepdims=True))
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(a,), backward_fn=bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -285,15 +227,13 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ConfigurationError(
             f"embedding id outside table of {table.data.shape[0]} rows")
-    out = Tensor(table.data[ids], parents=(table,))
 
     def bw(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(table.data[ids], parents=(table,), backward_fn=bw)
 
 
 def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -303,7 +243,6 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
-    out = Tensor(xhat * gain.data + bias.data, parents=(x, gain, bias))
 
     def bw(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -314,8 +253,8 @@ def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
             - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
         _accumulate(x, term * inv)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return Tensor(xhat * gain.data + bias.data, parents=(x, gain, bias),
+                  backward_fn=bw)
 
 
 def apply_dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
@@ -341,13 +280,9 @@ def gru_step(x, h, params) -> Tensor:
         r = sigma(x Wr + h Ur + br)
         h_tilde = tanh(x Wh + (r * h) Uh + bh)
 
-    Accepts single vectors or (batch, dim) matrices.
+    x and h are (batch, dim) matrices.
     """
     x, h = _coerce(x), _coerce(h)
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = reshape(x, (1, -1))
-        h = reshape(h, (1, -1))
     wz, uz = params["wz"], params["uz"]
     if x.data.shape[-1] != wz.data.shape[0] or h.data.shape[-1] != uz.data.shape[0]:
         raise ConfigurationError(
@@ -358,8 +293,7 @@ def gru_step(x, h, params) -> Tensor:
                     params["br"]))
     cand = tanh(add(add(matmul(x, params["wh"]), matmul(mul(r, h), params["uh"])),
                     params["bh"]))
-    new_h = add(mul(sub(1.0, z), h), mul(z, cand))
-    return reshape(new_h, (-1,)) if squeeze else new_h
+    return add(mul(sub(1.0, z), h), mul(z, cand))
 
 
 def _check_attention_mask(mask: np.ndarray) -> np.ndarray:
@@ -374,14 +308,9 @@ def _check_attention_mask(mask: np.ndarray) -> np.ndarray:
 def dot_attention(decoder_state, encoder_states, mask=None):
     """Multiplicative attention: scores are dot products of the decoder
     state against each encoder state; masked positions get -inf before the
-    softmax. Returns (context, weights)."""
+    softmax. Takes a (B, d) decoder state, (B, T, d) encoder states and a
+    (B, T) mask; returns (context (B, d), weights (B, T))."""
     dec, enc = _coerce(decoder_state), _coerce(encoder_states)
-    squeeze = dec.data.ndim == 1
-    if squeeze:
-        dec = reshape(dec, (1, -1))
-        enc = reshape(enc, (1,) + enc.data.shape)
-        if mask is not None:
-            mask = np.asarray(mask)[None, :]
     if dec.data.shape[-1] != enc.data.shape[-1]:
         raise ConfigurationError(
             f"attention dims {dec.data.shape} vs {enc.data.shape}")
@@ -393,8 +322,6 @@ def dot_attention(decoder_state, encoder_states, mask=None):
     context = reshape(matmul(reshape(weights, (weights.data.shape[0], 1, -1)),
                              enc),
                       (enc.data.shape[0], enc.data.shape[-1]))
-    if squeeze:
-        return reshape(context, (-1,)), reshape(weights, (-1,))
     return context, weights
 
 
@@ -476,12 +403,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list:
         return sorted(self._params)

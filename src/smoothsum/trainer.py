@@ -112,14 +112,14 @@ def encode_corpus(corpus: Corpus, config: models.ModelConfig,
     code_rows, comment_rows, ast_rows = [], [], []
     for s in corpus.samples:
         code_rows.append(encode_sequence(s.code_tokens, src_vocab,
-                                         config.code_len, False).ids)
+                                         config.code_len, False))
         comment_rows.append(encode_sequence(s.comment_tokens, tgt_vocab,
-                                            config.comment_len, True).ids)
+                                            config.comment_len, True))
         if config.arch == "ast_attendgru":
             if ast_vocab is None:
                 raise ConfigurationError("ast_attendgru needs an AST vocabulary")
             ast_rows.append(encode_sequence(sbt_tokens_for_sample(s), ast_vocab,
-                                            config.ast_len, False).ids)
+                                            config.ast_len, False))
     # references are capped at the trainable content length so decode and
     # reference lengths stay commensurate
     max_content = config.comment_len - 2
@@ -271,16 +271,24 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"malformed checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     for key in ("train_config", "epoch", "val_accuracy"):
         if key not in payload:
             raise DataError(f"checkpoint {path} missing field {key!r}")
     model = models.model_from_dict(payload)
+    try:
+        epoch = int(payload["epoch"])
+        val_accuracy = float(payload["val_accuracy"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has a non-numeric epoch or "
+                        f"val_accuracy: {exc}") from exc
     return Checkpoint(
         model=model,
         train_config=models.config_from_dict(
             TrainConfig, payload["train_config"], "train_config"),
-        epoch=int(payload["epoch"]),
-        val_accuracy=float(payload["val_accuracy"]),
+        epoch=epoch,
+        val_accuracy=val_accuracy,
     )

@@ -118,11 +118,6 @@ class TestSbtFlatten:
             n = count_nodes(tree)
             assert flat.count("(") == n and flat.count(")") == n
 
-    def test_text_form_is_space_joined(self):
-        from smoothsum.astkit import sbt_text
-        tree = node("a", node("b"), node("c"))
-        assert sbt_text(tree) == "( a ( b ) b ( c ) c ) a"
-
     def test_every_label_survives(self):
         def labels(tree):
             out = {tree.label}

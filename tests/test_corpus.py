@@ -1,17 +1,22 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
                               SPECIAL_TOKENS, Vocabulary, build_vocabulary,
                               encode_sequence, extract_action_word,
                               filter_by_length_quantile, load_prepared_dir,
-                              read_corpus_jsonl, split_by_project,
+                              read_corpus_jsonl, read_split_jsonl,
+                              split_by_project,
                               tokenize_code, tokenize_comment,
                               write_prepared_dir)
 from smoothsum.errors import ConfigurationError, DataError
+from smoothsum.metrics import read_predictions
 from smoothsum.rng import Rng
 from smoothsum.stemming import porter_stem
 
@@ -96,20 +101,19 @@ class TestEncodeSequence:
     vocab = Vocabulary(list(SPECIAL_TOKENS) + ["a", "b", "c"])
 
     def test_unknown_markers_padding(self):
-        seq = encode_sequence(["foo"], self.vocab, 4, True)
-        assert seq.ids == [START, UNK, END, PAD] and not seq.truncated
+        assert encode_sequence(["foo"], self.vocab, 4, True) == \
+            [START, UNK, END, PAD]
 
     def test_truncation_keeps_end_marker(self):
-        seq = encode_sequence(["a", "b", "c"], self.vocab, 3, True)
-        assert seq.ids == [START, 4, END] and seq.truncated
+        assert encode_sequence(["a", "b", "c"], self.vocab, 3, True) == \
+            [START, 4, END]
 
     def test_empty_with_markers(self):
-        seq = encode_sequence([], self.vocab, 2, True)
-        assert seq.ids == [START, END]
+        assert encode_sequence([], self.vocab, 2, True) == [START, END]
 
     def test_without_markers(self):
-        seq = encode_sequence(["a", "b"], self.vocab, 4, False)
-        assert seq.ids == [4, 5, PAD, PAD] and not seq.truncated
+        assert encode_sequence(["a", "b"], self.vocab, 4, False) == \
+            [4, 5, PAD, PAD]
 
     def test_bounds_and_length_properties(self):
         rng = Rng(5)
@@ -118,10 +122,10 @@ class TestEncodeSequence:
             k = rng.randint(len(tokens) + 1)
             chosen = [tokens[rng.randint(len(tokens))] for _ in range(k)]
             max_len = 2 + rng.randint(6)
-            seq = encode_sequence(chosen, self.vocab, max_len,
+            ids = encode_sequence(chosen, self.vocab, max_len,
                                   add_markers=bool(rng.randint(2)))
-            assert len(seq.ids) == max_len
-            assert all(0 <= i < self.vocab.size for i in seq.ids)
+            assert len(ids) == max_len
+            assert all(0 <= i < self.vocab.size for i in ids)
 
     def test_max_len_too_small(self):
         with pytest.raises(ConfigurationError):
@@ -278,3 +282,96 @@ class TestCorpusFiles:
     def test_prepared_dir_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_prepared_dir(tmp_path / "nothing")
+
+
+# ---------------------------------------------------------------------------
+# property tests for the JSON-lines readers: any file either reads whole or
+# fails with a DataError naming the first bad line
+
+
+TOKENS = st.lists(st.text(max_size=4), max_size=4)
+NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(allow_nan=False), st.text(max_size=5),
+                       st.dictionaries(st.text(max_size=3), st.integers(),
+                                       max_size=2))
+RAW_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\r\n"),
+                   max_size=30)
+SPLIT_RECORD = st.fixed_dictionaries(
+    {"id": st.just(""), "project": st.one_of(st.text(max_size=5),
+                                             st.integers()),
+     "code_tokens": TOKENS, "comment_tokens": TOKENS,
+     "code_char_len": st.integers(0, 10**6)},
+    optional={"ast": st.one_of(st.none(), st.text(max_size=10))})
+PREDICTION_RECORD = st.fixed_dictionaries(
+    {"id": st.just(""), "ref": TOKENS, "pred": TOKENS})
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                             derandomize=True)
+
+
+def jsonl_lines(record, required, typed):
+    """Lists of (status, line) pairs, where a line is raw text or a JSON
+    value to dump: "ok" records, "blank" lines, and "bad" lines (raw text,
+    non-objects, a record missing a required field, or a record whose typed
+    field is not a list)."""
+    def tag(status):
+        return lambda value: (status, value)
+
+    missing = st.tuples(record, st.sampled_from(required)).map(
+        lambda t: {k: v for k, v in t[0].items() if k != t[1]})
+    mistyped = st.tuples(record, st.sampled_from(typed), NOT_A_LIST).map(
+        lambda t: {**t[0], t[1]: t[2]})
+    line = st.one_of(
+        record.map(tag("ok")),
+        RAW_TEXT.map(lambda s: ("bad" if s.strip() else "blank", s)),
+        st.one_of(st.integers(), st.text(max_size=5),
+                  st.lists(st.integers(), max_size=3))
+        .map(lambda v: ("bad", json.dumps(v))),
+        missing.map(tag("bad")),
+        mistyped.map(tag("bad")))
+    return st.lists(line, max_size=8)
+
+
+def check_reader(read, lines):
+    """Records get unique ids by line number; then read must return every
+    "ok" line or raise a DataError that starts with path:first-bad-line."""
+    texts = []
+    for lineno, (_, line) in enumerate(lines, start=1):
+        if isinstance(line, dict):
+            line = json.dumps({**line, "id": f"r{lineno}"} if "id" in line
+                              else line)
+        texts.append(line + "\n")
+    bad = [n for n, (status, _) in enumerate(lines, start=1) if status == "bad"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.jsonl"
+        path.write_text("".join(texts), encoding="utf-8")
+        if bad:
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value).startswith(f"{path}:{bad[0]}:")
+        else:
+            assert len(read(path)) == sum(s == "ok" for s, _ in lines)
+
+
+class TestReadJsonlProperties:
+    @PROPERTY_SETTINGS
+    @given(jsonl_lines(SPLIT_RECORD,
+                       ("id", "project", "code_tokens", "comment_tokens",
+                        "code_char_len"),
+                       ("code_tokens", "comment_tokens")))
+    @example([("bad", "[" * 100000)])
+    @example([("bad", "1" * 5000)])
+    def test_split_file(self, lines):
+        check_reader(lambda path: read_split_jsonl(path, "test"), lines)
+
+    @PROPERTY_SETTINGS
+    @given(jsonl_lines(PREDICTION_RECORD, ("id", "ref", "pred"),
+                       ("ref", "pred")))
+    def test_prediction_file(self, lines):
+        check_reader(read_predictions, lines)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"id": "a", "ref": [], "pred": []}\n"\xff"\n')
+        with pytest.raises(DataError, match=r"f\.jsonl:2: "):
+            read_predictions(path)

@@ -16,6 +16,9 @@ FAST_MODEL = ["--embed-dim", "16", "--hidden-dim", "16", "--code-len", "20",
               "--dropout", "0", "--heads", "2", "--layers", "1"]
 
 
+DELETE = object()  # marks a checkpoint field to remove
+
+
 def run_cli(*argv):
     return labcli.main(list(argv))
 
@@ -216,17 +219,58 @@ class TestTrainPredictScore:
                        str(checkpoint)) == 2
         assert "test.jsonl:2" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("section", ["config", "train_config"])
+    @pytest.mark.parametrize("keys, value, named", [
+        pytest.param(("config", "bogus"), 1, "config", id="config"),
+        pytest.param(("train_config", "bogus"), 1, "train_config",
+                     id="train_config"),
+        pytest.param(("params",), DELETE, "params", id="no-params"),
+        pytest.param(("params",), [], "params", id="params-list"),
+        pytest.param(("params", "out.b"), 3, "out.b", id="entry-number"),
+        pytest.param(("params", "out.b", "shape"), DELETE, "out.b",
+                     id="no-shape"),
+        pytest.param(("params", "out.b", "data"), DELETE, "out.b",
+                     id="no-data"),
+        pytest.param(("params", "out.b", "shape"), 5, "out.b",
+                     id="shape-number"),
+        pytest.param(("params", "out.b", "data"), {"x": 1}, "out.b",
+                     id="data-object"),
+        pytest.param(("params", "out.b", "data"), ["x"], "out.b",
+                     id="data-strings"),
+        pytest.param(("epoch",), "first", "epoch", id="epoch-text"),
+    ])
     def test_checkpoint_unknown_config_key_exits_2(
-            self, tmp_path, prepared_dir, checkpoint, capsys, section):
+            self, tmp_path, prepared_dir, checkpoint, capsys, keys, value,
+            named):
         payload = json.loads(checkpoint.read_text())
-        payload[section]["bogus"] = 1
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
         bad = tmp_path / "checkpoint.json"
         bad.write_text(json.dumps(payload))
         assert run_cli("predict", "--data", str(prepared_dir), "--out",
                        str(tmp_path / "p.jsonl"), "--checkpoint",
                        str(bad)) == 2
-        assert section in assert_one_line_error(capsys)
+        assert named in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag, missing", [
+        ("--checkpoint", "missing.json"), ("--tgt-vocab", "missing.txt")])
+    def test_predict_missing_file_exits_2(self, tmp_path, prepared_dir,
+                                          checkpoint, capsys, flag, missing):
+        # a repeated flag overrides the earlier one
+        assert run_cli("predict", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(checkpoint), flag, str(tmp_path / missing)) == 2
+        assert missing in assert_one_line_error(capsys)
+
+    def test_score_missing_predictions_exits_2(self, tmp_path, capsys):
+        assert run_cli("score", "--predictions",
+                       str(tmp_path / "nothere.jsonl"), "--out",
+                       str(tmp_path / "scores")) == 2
+        assert "nothere.jsonl" in assert_one_line_error(capsys)
 
     def test_non_finite_learning_rate_exits_2(self, tmp_path, prepared_dir,
                                               capsys):

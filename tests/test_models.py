@@ -3,6 +3,7 @@ import pytest
 
 from smoothsum import models as M
 from smoothsum import tensor as T
+from smoothsum import trainer as TR
 from smoothsum.corpus import PAD, START, END
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
@@ -181,50 +182,49 @@ class TestGreedyDecode:
         assert END not in result.content_ids
 
 
+def save_as_checkpoint(model, path):
+    TR.save_checkpoint(TR.Checkpoint(model=model, train_config=TR.TrainConfig(),
+                                     epoch=1, val_accuracy=0.0), path)
+
+
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("arch", ["attendgru", "transformer"])
     def test_bit_identical_forward(self, tmp_path, arch):
         model = M.build_model(tiny_config(arch), seed=8)
         path = tmp_path / "model.json"
-        M.save_model(model, path)
-        loaded = M.load_model(path)
+        save_as_checkpoint(model, path)
+        loaded = TR.load_checkpoint(path).model
         before = M.forward_step(model, CODE, None, COMMENTS[:, :-1])
         after = M.forward_step(loaded, CODE, None, COMMENTS[:, :-1])
         np.testing.assert_array_equal(before, after)
 
     def test_save_is_canonical(self, tmp_path):
         model = M.build_model(tiny_config("attendgru"), seed=8)
-        M.save_model(model, tmp_path / "a.json")
-        loaded = M.load_model(tmp_path / "a.json")
-        M.save_model(loaded, tmp_path / "b.json")
+        save_as_checkpoint(model, tmp_path / "a.json")
+        loaded = TR.load_checkpoint(tmp_path / "a.json").model
+        save_as_checkpoint(loaded, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == \
             (tmp_path / "b.json").read_bytes()
 
-    def test_corrupted_shape_rejected(self, tmp_path):
-        import json
+    def test_corrupted_shape_rejected(self):
         model = M.build_model(tiny_config("attendgru"), seed=8)
         payload = M.model_to_dict(model)
         payload["params"]["out.b"]["shape"] = [3]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
-            M.load_model(path)
+            M.model_from_dict(payload)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
+    def test_version_mismatch_rejected(self):
         model = M.build_model(tiny_config("attendgru"), seed=8)
         payload = M.model_to_dict(model)
         payload["format_version"] = 99
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
-            M.load_model(path)
+            M.model_from_dict(payload)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{broken")
         with pytest.raises(DataError):
-            M.load_model(path)
+            TR.load_checkpoint(path)
 
 
 class TestSequenceLoss:

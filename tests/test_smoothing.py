@@ -5,8 +5,7 @@ import pytest
 
 from smoothsum.errors import ConfigurationError
 from smoothsum.rng import Rng
-from smoothsum.smoothing import (SmoothingConfig, cross_entropy,
-                                 logits_gradient, loss_floor,
+from smoothsum.smoothing import (cross_entropy, loss_floor,
                                  smooth_target_matrix, smooth_targets)
 
 
@@ -134,48 +133,3 @@ class TestLossFloor:
             grid = np.linspace(0.0, top, 60)
             values = [loss_floor(e, n) for e in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestLogitsGradient:
-    def test_zero_when_prediction_matches(self):
-        t = smooth_targets(1, 6, 0.2)
-        logits = np.log(t.probs)
-        np.testing.assert_allclose(logits_gradient(logits, t),
-                                   np.zeros(6), atol=1e-12)
-
-    def test_sums_to_zero(self):
-        rng = Rng(7)
-        for _ in range(50):
-            n = 2 + rng.randint(30)
-            t = smooth_targets(rng.randint(n), n, rng.random())
-            logits = rng.uniform_array((n,)) * 8 - 4
-            assert abs(logits_gradient(logits, t).sum()) < 1e-12
-
-    def test_matches_finite_differences(self):
-        rng = Rng(8)
-        for _ in range(20):
-            n = 2 + rng.randint(10)
-            t = smooth_targets(rng.randint(n), n, rng.random())
-            logits = rng.uniform_array((n,)) * 4 - 2
-
-            def loss_at(z):
-                e = np.exp(z - z.max())
-                return cross_entropy(e / e.sum(), t)
-
-            grad = logits_gradient(logits, t)
-            h = 1e-6
-            for k in range(n):
-                bump = np.zeros(n)
-                bump[k] = h
-                numeric = (loss_at(logits + bump) - loss_at(logits - bump)) / (2 * h)
-                denom = max(1e-8, abs(grad[k]) + abs(numeric))
-                assert abs(grad[k] - numeric) / denom < 1e-6
-
-
-def test_smoothing_config_validation():
-    SmoothingConfig(0.0)
-    SmoothingConfig(1.0)
-    with pytest.raises(ConfigurationError):
-        SmoothingConfig(-0.1)
-    with pytest.raises(ConfigurationError):
-        SmoothingConfig(1.1)

@@ -75,16 +75,26 @@ class TestSoftmax:
             assert int(np.argmax(p)) == int(np.argmax(x))
 
 
+class TestSigmoid:
+    def test_matches_three_exp_expression_bitwise(self):
+        x = np.concatenate([Rng(18).uniform_array((10000,)) * 120 - 60,
+                            [0.0, -0.0, 60.0, -60.0]])
+        reference = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert np.array_equal(T.sigmoid(T.Tensor(x)).data, reference)
+
+
 class TestGruStep:
     def test_zero_params_halve_state(self):
         params = zero_gru_params(1, 1)
-        out = T.gru_step(T.Tensor([3.0]), T.Tensor([0.4]), params)
-        np.testing.assert_allclose(out.data, [0.2], atol=1e-15)
+        out = T.gru_step(T.Tensor([[3.0]]), T.Tensor([[0.4]]), params)
+        np.testing.assert_allclose(out.data, [[0.2]], atol=1e-15)
 
     def test_all_zero(self):
         params = zero_gru_params(2, 2)
-        out = T.gru_step(T.Tensor([0.0, 0.0]), T.Tensor([0.0, 0.0]), params)
-        np.testing.assert_array_equal(out.data, [0.0, 0.0])
+        out = T.gru_step(T.Tensor([[0.0, 0.0]]), T.Tensor([[0.0, 0.0]]),
+                         params)
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_output_bounded(self):
         rng = Rng(13)
@@ -96,8 +106,8 @@ class TestGruStep:
                 params[key] = T.Tensor(rng.uniform_array((rows, h)) * 4 - 2)
             for key in ("bz", "br", "bh"):
                 params[key] = T.Tensor(rng.uniform_array((h,)) * 2 - 1)
-            x = rng.uniform_array((d,)) * 6 - 3
-            state = rng.uniform_array((h,)) * 6 - 3
+            x = rng.uniform_array((1, d)) * 6 - 3
+            state = rng.uniform_array((1, h)) * 6 - 3
             out = T.gru_step(T.Tensor(x), T.Tensor(state), params).data
             bound = np.maximum(np.abs(state), 1.0)
             assert (np.abs(out) <= bound + 1e-12).all()
@@ -105,45 +115,46 @@ class TestGruStep:
     def test_dimension_mismatch(self):
         params = zero_gru_params(3, 2)
         with pytest.raises(ConfigurationError):
-            T.gru_step(T.Tensor([1.0]), T.Tensor([0.0, 0.0]), params)
+            T.gru_step(T.Tensor([[1.0]]), T.Tensor([[0.0, 0.0]]), params)
 
 
 class TestDotAttention:
     def test_identical_rows_uniform_weights(self):
-        enc = T.Tensor(np.tile([1.0, 2.0], (4, 1)))
-        ctx, weights = T.dot_attention(T.Tensor([0.3, -0.1]), enc)
-        np.testing.assert_allclose(weights.data, [0.25] * 4, atol=1e-12)
-        np.testing.assert_allclose(ctx.data, [1.0, 2.0], atol=1e-12)
+        enc = T.Tensor(np.tile([1.0, 2.0], (1, 4, 1)))
+        ctx, weights = T.dot_attention(T.Tensor([[0.3, -0.1]]), enc)
+        np.testing.assert_allclose(weights.data, [[0.25] * 4], atol=1e-12)
+        np.testing.assert_allclose(ctx.data, [[1.0, 2.0]], atol=1e-12)
 
     def test_sharp_scores_approach_one_hot(self):
-        enc = T.Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+        enc = T.Tensor(np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]]))
         previous_gap = 1.0
         for scale in (5.0, 10.0, 100.0):
-            _, weights = T.dot_attention(T.Tensor([scale, 0.0]), enc)
-            gap = 1.0 - weights.data[0]
+            _, weights = T.dot_attention(T.Tensor([[scale, 0.0]]), enc)
+            gap = 1.0 - weights.data[0, 0]
             assert gap <= previous_gap
             previous_gap = gap
         assert previous_gap < 1e-12
 
     def test_uniform_weights_give_row_mean(self):
         rng = Rng(14)
-        enc = rng.uniform_array((5, 3))
-        ctx, weights = T.dot_attention(T.Tensor(np.zeros(3)), T.Tensor(enc))
-        np.testing.assert_allclose(weights.data, [0.2] * 5, atol=1e-12)
-        np.testing.assert_allclose(ctx.data, enc.mean(axis=0), atol=1e-12)
+        enc = rng.uniform_array((1, 5, 3))
+        ctx, weights = T.dot_attention(T.Tensor(np.zeros((1, 3))),
+                                       T.Tensor(enc))
+        np.testing.assert_allclose(weights.data, [[0.2] * 5], atol=1e-12)
+        np.testing.assert_allclose(ctx.data, enc.mean(axis=1), atol=1e-12)
 
     def test_mask_excludes_positions(self):
-        enc = T.Tensor(np.array([[5.0, 0.0], [1.0, 1.0], [0.0, 5.0]]))
-        mask = np.array([True, True, False])
-        _, weights = T.dot_attention(T.Tensor([1.0, 1.0]), enc, mask=mask)
-        assert weights.data[2] == 0.0
+        enc = T.Tensor(np.array([[[5.0, 0.0], [1.0, 1.0], [0.0, 5.0]]]))
+        mask = np.array([[True, True, False]])
+        _, weights = T.dot_attention(T.Tensor([[1.0, 1.0]]), enc, mask=mask)
+        assert weights.data[0, 2] == 0.0
         assert abs(weights.data.sum() - 1.0) < 1e-12
 
     def test_fully_masked_errors(self):
-        enc = T.Tensor(np.ones((3, 2)))
+        enc = T.Tensor(np.ones((1, 3, 2)))
         with pytest.raises(NumericError):
-            T.dot_attention(T.Tensor([1.0, 0.0]), enc,
-                            mask=np.array([False, False, False]))
+            T.dot_attention(T.Tensor([[1.0, 0.0]]), enc,
+                            mask=np.array([[False, False, False]]))
 
 
 class TestMultiHeadAttention:
@@ -161,8 +172,9 @@ class TestMultiHeadAttention:
                                      1, wq, wk, wv, wo).data
         for row in range(3):
             scaled_query = q[row] / math.sqrt(d)
-            ctx, _ = T.dot_attention(T.Tensor(scaled_query), T.Tensor(kv))
-            np.testing.assert_allclose(out[row], ctx.data, atol=1e-12)
+            ctx, _ = T.dot_attention(T.Tensor(scaled_query[None]),
+                                     T.Tensor(kv[None]))
+            np.testing.assert_allclose(out[row], ctx.data[0], atol=1e-12)
 
     def test_causal_mask_blocks_future(self):
         rng = Rng(16)
