@@ -239,6 +239,15 @@ def read_jsonl(path, fields, make) -> list:
     return out
 
 
+def _ast_field(rec) -> str | None:
+    """A record's optional ast field: an s-expression string or null."""
+    value = rec.get("ast")
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"ast must be a string or null, got "
+                        f"{type(value).__name__}")
+    return value
+
+
 def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
     """Read a raw corpus file and tokenize it.
 
@@ -246,7 +255,7 @@ def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
     carry no ast field and may return an s-expression (or None).
     """
     def make(rec):
-        ast_text = rec.get("ast")
+        ast_text = _ast_field(rec)
         if ast_text is None and derive_ast is not None:
             ast_text = derive_ast(rec["code"])
         return Sample(
@@ -286,7 +295,7 @@ def read_split_jsonl(path, split_tag: str) -> Corpus:
             project=str(rec["project"]),
             code_tokens=token_list(rec["code_tokens"]),
             comment_tokens=token_list(rec["comment_tokens"]),
-            ast_text=rec.get("ast"),
+            ast_text=_ast_field(rec),
             code_char_len=int(rec["code_char_len"]),
         )
 
@@ -295,16 +304,20 @@ def read_split_jsonl(path, split_tag: str) -> Corpus:
                "code_char_len"), make), split_tag=split_tag)
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass
 class PreparedData:
-    """Contents of a prepared split directory."""
+    """Contents of a prepared split directory; a split that was not loaded
+    is None."""
 
-    train: Corpus
-    val: Corpus
-    test: Corpus
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
     ast_vocab: Vocabulary | None = None
+    train: Corpus | None = None
+    val: Corpus | None = None
+    test: Corpus | None = None
 
 
 def write_prepared_dir(directory, train: Corpus, val: Corpus, test: Corpus,
@@ -321,18 +334,18 @@ def write_prepared_dir(directory, train: Corpus, val: Corpus, test: Corpus,
         ast_vocab.write(directory / "vocab.ast.txt")
 
 
-def load_prepared_dir(directory) -> PreparedData:
+def load_prepared_dir(directory, splits=SPLITS) -> PreparedData:
+    """The vocabularies plus the named splits of a prepared directory."""
     directory = Path(directory)
-    for name in ("train.jsonl", "val.jsonl", "test.jsonl",
-                 "vocab.src.txt", "vocab.tgt.txt"):
+    names = [f"{split}.jsonl" for split in splits]
+    for name in names + ["vocab.src.txt", "vocab.tgt.txt"]:
         if not (directory / name).exists():
             raise DataError(f"prepared directory {directory} missing {name}")
     ast_path = directory / "vocab.ast.txt"
     return PreparedData(
-        train=read_split_jsonl(directory / "train.jsonl", "train"),
-        val=read_split_jsonl(directory / "val.jsonl", "val"),
-        test=read_split_jsonl(directory / "test.jsonl", "test"),
         src_vocab=Vocabulary.read(directory / "vocab.src.txt"),
         tgt_vocab=Vocabulary.read(directory / "vocab.tgt.txt"),
         ast_vocab=Vocabulary.read(ast_path) if ast_path.exists() else None,
+        **{split: read_split_jsonl(directory / f"{split}.jsonl", split)
+           for split in splits},
     )

@@ -29,6 +29,9 @@ from .trainer import TrainConfig, encode_corpus, sbt_tokens_for_sample
 
 DEFAULT_SWEEP_GRID = (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
 ACTIONWORD_EPSILONS = (0.0, 0.1, 0.4)
+# Rows per batched decode or action-word forward pass; bounds the memory of
+# the per-step distributions a decode keeps.
+DECODE_CHUNK = 64
 
 
 @dataclass
@@ -186,16 +189,25 @@ def _train_config(args, epsilon: float, epochs: int) -> TrainConfig:
                        learning_rate=args.lr, seed=args.seed, epsilon=epsilon)
 
 
+def _chunks(count: int):
+    """Row slices of at most DECODE_CHUNK rows covering range(count)."""
+    return (slice(start, start + DECODE_CHUNK)
+            for start in range(0, count, DECODE_CHUNK))
+
+
 def decode_predictions(model: models.Model, dataset,
                        tgt_vocab: Vocabulary) -> metrics.PredictionSet:
-    """Greedy-decode every sample and pair it with its reference tokens."""
+    """Greedy-decode every sample, DECODE_CHUNK rows per batch, and pair
+    each decode with its reference tokens."""
     records = []
-    for i, sample_id in enumerate(dataset.sample_ids):
-        ast_row = dataset.ast[i] if dataset.ast is not None else None
-        result = models.greedy_decode(model, dataset.code[i], ast_row)
-        predicted = [tgt_vocab.decode_id(t) for t in result.content_ids]
-        records.append(metrics.PredictionRecord(
-            id=sample_id, reference=dataset.references[i], predicted=predicted))
+    for chunk in _chunks(len(dataset)):
+        ast = dataset.ast[chunk] if dataset.ast is not None else None
+        results = models.greedy_decode(model, dataset.code[chunk], ast)
+        for sample_id, reference, result in zip(
+                dataset.sample_ids[chunk], dataset.references[chunk], results):
+            predicted = [tgt_vocab.decode_id(t) for t in result.content_ids]
+            records.append(metrics.PredictionRecord(
+                id=sample_id, reference=reference, predicted=predicted))
     return metrics.PredictionSet(records=records)
 
 
@@ -285,7 +297,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    prepared = load_prepared_dir(args.data)
+    prepared = load_prepared_dir(args.data, splits=("train", "val"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _model_config(args, prepared.src_vocab.size,
@@ -306,7 +318,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    prepared = load_prepared_dir(args.data)
+    prepared = load_prepared_dir(args.data, splits=(args.split,))
     ckpt = trainer.load_checkpoint(args.checkpoint)
     config = ckpt.model.config
     tgt_vocab = prepared.tgt_vocab
@@ -326,10 +338,8 @@ def cmd_predict(args) -> int:
             raise DataError(
                 f"checkpoint AST vocabulary {config.ast_vocab} does not "
                 f"match data directory ({ast_size})")
-    split = {"train": prepared.train, "val": prepared.val,
-             "test": prepared.test}[args.split]
-    dataset = encode_corpus(split, config, prepared.src_vocab, tgt_vocab,
-                            prepared.ast_vocab)
+    dataset = encode_corpus(getattr(prepared, args.split), config,
+                            prepared.src_vocab, tgt_vocab, prepared.ast_vocab)
     preds = decode_predictions(ckpt.model, dataset, tgt_vocab)
     metrics.write_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -475,14 +485,13 @@ def cmd_actionword(args) -> int:
         ckpt, _ = trainer.train(model, train_set, val_set,
                                 _train_config(args, epsilon, args.epochs))
         predicted = []
-        prefix = np.array([[START]], dtype=np.int64)
-        for i in range(len(test_set)):
-            ast_row = (test_set.ast[i][None] if test_set.ast is not None
-                       else None)
-            probs = models.forward_step(ckpt.model, test_set.code[i][None],
-                                        ast_row, prefix)[0, 0]
-            word_id = 4 + int(np.argmax(probs[4:]))
-            predicted.append(label_vocab.decode_id(word_id))
+        for chunk in _chunks(len(test_set)):
+            code = test_set.code[chunk]
+            ast = test_set.ast[chunk] if test_set.ast is not None else None
+            prefix = np.full((len(code), 1), START, dtype=np.int64)
+            probs = models.forward_step(ckpt.model, code, ast, prefix)[:, 0]
+            predicted += [label_vocab.decode_id(4 + int(best))
+                          for best in probs[:, 4:].argmax(axis=-1)]
         report = metrics.classification_report(gold, predicted)
         unique_predicted = len(set(predicted))
         _log(f"actionword eps={_fmt_eps(epsilon)} micro_f1 "

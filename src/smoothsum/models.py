@@ -11,7 +11,8 @@ transformer    embeddings + sinusoidal positions, post-norm encoder blocks
                attention outputs.
 
 The decoder is wired for teacher forcing: a forward pass returns one
-next-token distribution per prefix position.
+next-token distribution per prefix position. Greedy decoding steps the same
+decoder code one position at a time over a batch, from encoders run once.
 """
 
 from dataclasses import dataclass, asdict
@@ -228,6 +229,10 @@ def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
         if ast_ids is None:
             raise DataError("ast_attendgru requires AST token ids")
         ast_ids = _validate_ids(ast_ids, cfg.ast_vocab, "ast")
+        if ast_ids.shape[:-1] != code_ids.shape[:-1]:
+            raise ConfigurationError(
+                f"AST ids {ast_ids.shape} and source ids {code_ids.shape} "
+                f"differ in batch size")
     return code_ids, ast_ids
 
 
@@ -249,14 +254,10 @@ def _transformer_ff(params: T.ParamStore, prefix: str, x: T.Tensor) -> T.Tensor:
                  params[f"{prefix}.b2"])
 
 
-def _forward_transformer(model: Model, code_ids, prefix_ids,
-                         training: bool, rng) -> T.Tensor:
+def _encode_transformer(model: Model, code_ids, drop):
+    """Encoder stack. Returns (memory (B, T, H), key mask (B, 1, T))."""
     cfg = model.config
     p = model.params
-
-    def drop(x):
-        return T.apply_dropout(x, cfg.dropout_rate, rng, training)
-
     src_pe = T.positional_encoding(code_ids.shape[1], cfg.hidden_dim)
     x = T.add(T.embedding(p["src_embed"], code_ids), src_pe)
     src_mask = (code_ids != PAD)[:, None, :]  # keys masked at PAD
@@ -268,25 +269,58 @@ def _forward_transformer(model: Model, code_ids, prefix_ids,
                          p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
         x = T.layer_norm(T.add(x, _transformer_ff(p, f"enc{i}.ff", x)),
                          p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
-    memory = x
+    return x, src_mask
 
+
+def _cross_kv(model: Model, i: int, memory: T.Tensor):
+    """Head-split keys and values of decoder layer i over the memory."""
+    p, heads = model.params, model.config.heads
+    return (T.split_heads(T.matmul(memory, p[f"dec{i}.cross.wk"]), heads),
+            T.split_heads(T.matmul(memory, p[f"dec{i}.cross.wv"]), heads))
+
+
+def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
+                   cross_kv, src_mask, drop):
+    """Decoder layer i over the positions of y. past holds the layer's
+    self-attention keys and values of earlier positions (None when y holds
+    the whole prefix); causal masks y's own positions. Returns (output,
+    self-attention keys and values through y's last position)."""
+    p, heads = model.params, model.config.heads
+    kh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wk"]), heads)
+    vh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wv"]), heads)
+    if past is not None:
+        kh = T.concat([past[0], kh], axis=-2)
+        vh = T.concat([past[1], vh], axis=-2)
+    qh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wq"]), heads)
+    self_attn = T.attend_projected(qh, kh, vh, p[f"dec{i}.self.wo"],
+                                   mask=causal)
+    y = T.layer_norm(T.add(y, drop(self_attn)),
+                     p[f"dec{i}.ln1.gain"], p[f"dec{i}.ln1.bias"])
+    qh = T.split_heads(T.matmul(y, p[f"dec{i}.cross.wq"]), heads)
+    cross = T.attend_projected(qh, *cross_kv, p[f"dec{i}.cross.wo"],
+                               mask=src_mask)
+    y = T.layer_norm(T.add(y, drop(cross)),
+                     p[f"dec{i}.ln2.gain"], p[f"dec{i}.ln2.bias"])
+    y = T.layer_norm(T.add(y, _transformer_ff(p, f"dec{i}.ff", y)),
+                     p[f"dec{i}.ln3.gain"], p[f"dec{i}.ln3.bias"])
+    return y, (kh, vh)
+
+
+def _forward_transformer(model: Model, code_ids, prefix_ids,
+                         training: bool, rng) -> T.Tensor:
+    cfg = model.config
+    p = model.params
+
+    def drop(x):
+        return T.apply_dropout(x, cfg.dropout_rate, rng, training)
+
+    memory, src_mask = _encode_transformer(model, code_ids, drop)
     tgt_pe = T.positional_encoding(prefix_ids.shape[1], cfg.hidden_dim)
     y = T.add(T.embedding(p["tgt_embed"], prefix_ids), tgt_pe)
     causal = T.causal_mask(prefix_ids.shape[1])
     for i in range(cfg.layers):
-        self_attn = T.multi_head_attention(
-            y, y, y, cfg.heads, p[f"dec{i}.self.wq"], p[f"dec{i}.self.wk"],
-            p[f"dec{i}.self.wv"], p[f"dec{i}.self.wo"], mask=causal)
-        y = T.layer_norm(T.add(y, drop(self_attn)),
-                         p[f"dec{i}.ln1.gain"], p[f"dec{i}.ln1.bias"])
-        cross = T.multi_head_attention(
-            y, memory, memory, cfg.heads, p[f"dec{i}.cross.wq"],
-            p[f"dec{i}.cross.wk"], p[f"dec{i}.cross.wv"],
-            p[f"dec{i}.cross.wo"], mask=src_mask)
-        y = T.layer_norm(T.add(y, drop(cross)),
-                         p[f"dec{i}.ln2.gain"], p[f"dec{i}.ln2.bias"])
-        y = T.layer_norm(T.add(y, _transformer_ff(p, f"dec{i}.ff", y)),
-                         p[f"dec{i}.ln3.gain"], p[f"dec{i}.ln3.bias"])
+        y, _ = _decoder_layer(model, i, y, None, causal,
+                              _cross_kv(model, i, memory), src_mask, drop)
     return T.add(T.matmul(y, p["out.w"]), p["out.b"])
 
 
@@ -307,8 +341,9 @@ def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
 
 def forward_step(model: Model, code_ids, ast_ids, comment_prefix_ids) -> np.ndarray:
     """Teacher-forcing inference: probability rows per prefix position."""
-    logits = forward_logits(model, code_ids, ast_ids, comment_prefix_ids)
-    return T.softmax(logits, axis=-1).data
+    with T.no_grad():
+        logits = forward_logits(model, code_ids, ast_ids, comment_prefix_ids)
+        return T.softmax(logits, axis=-1).data
 
 
 def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
@@ -335,53 +370,106 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
     return T.mul(total, -1.0 / count), count
 
 
+def _gru_stepper(model: Model, code_ids, ast_ids):
+    """Next-token distributions (B, V) of the recurrent decoders, one call
+    per step, from encoders run once."""
+    state, memories = _encode_gru(model, code_ids, ast_ids)
+    dec_gru = _gru_param_view(model.params, "dec_gru")
+
+    def step(tokens: np.ndarray) -> np.ndarray:
+        nonlocal state
+        logits, state = _gru_decoder_step(model.params, dec_gru, memories,
+                                          tokens, state)
+        return T.softmax(logits, axis=-1).data
+
+    return step
+
+
+def _transformer_stepper(model: Model, code_ids, max_len: int):
+    """Next-token distributions (B, V) of the transformer, one call per
+    step. The encoder runs once and each layer's cross-attention keys and
+    values are projected once; each step extends every layer's
+    self-attention key/value cache by one position, which is exact for a
+    causal post-norm decoder."""
+    cfg = model.config
+    p = model.params
+    if max_len > cfg.comment_len - 1:
+        raise ConfigurationError(
+            "transformer decode length exceeds the position table")
+
+    def keep(x):
+        return x
+
+    memory, src_mask = _encode_transformer(model, code_ids, keep)
+    cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
+    cache = [None] * cfg.layers
+    pe = T.positional_encoding(max_len, cfg.hidden_dim)
+    position = 0
+
+    def step(tokens: np.ndarray) -> np.ndarray:
+        nonlocal position
+        y = T.add(T.embedding(p["tgt_embed"], tokens[:, None]),
+                  pe[position:position + 1])
+        position += 1
+        for i in range(cfg.layers):
+            y, cache[i] = _decoder_layer(model, i, y, cache[i], None,
+                                         cross[i], src_mask, keep)
+        logits = T.add(T.matmul(y, p["out.w"]), p["out.b"])
+        return T.softmax(logits, axis=-1).data[:, 0]
+
+    return step
+
+
 def greedy_decode(model: Model, code_ids, ast_ids=None,
-                  max_len: int | None = None) -> DecodeResult:
+                  max_len: int | None = None):
     """Argmax decoding from START until END or the length cap; ties break
-    toward the lowest index (np.argmax convention)."""
+    toward the lowest index (np.argmax convention).
+
+    code_ids is one (T,) row, which returns one DecodeResult, or a (B, T)
+    batch, which returns a list of B results (ast_ids shaped alike). A
+    batch runs until every row has emitted END; each row's result stops at
+    its own END.
+    """
     cfg = model.config
     if max_len is None:
         max_len = cfg.comment_len - 1
     if max_len < 1:
         raise ConfigurationError("max_len must be >= 1")
-    code_ids = np.asarray(code_ids, dtype=np.int64).reshape(1, -1)
-    if ast_ids is not None:
-        ast_ids = np.asarray(ast_ids, dtype=np.int64).reshape(1, -1)
+    code_ids = np.asarray(code_ids, dtype=np.int64)
+    single = code_ids.ndim == 1
+    if code_ids.ndim not in (1, 2):
+        raise ConfigurationError(
+            "greedy_decode expects a (length,) row or a (batch, length) array")
+    if single:
+        code_ids = code_ids[None]
+        if ast_ids is not None:
+            ast_ids = np.asarray(ast_ids, dtype=np.int64).reshape(1, -1)
+    code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
 
-    if cfg.arch == "transformer":
-        if max_len > cfg.comment_len - 1:
-            raise ConfigurationError(
-                "transformer decode length exceeds the position table")
-        prefix = []
+    with T.no_grad():
+        if cfg.arch == "transformer":
+            step = _transformer_stepper(model, code_ids, max_len)
+        else:
+            step = _gru_stepper(model, code_ids, ast_ids)
+        tokens = np.full(code_ids.shape[0], START, dtype=np.int64)
+        finished = np.zeros(code_ids.shape[0], dtype=bool)
+        emitted, distributions = [], []
+        for _ in range(max_len):
+            probs = step(tokens)
+            tokens = probs.argmax(axis=-1)
+            emitted.append(tokens)
+            distributions.append(probs)
+            finished |= tokens == END
+            if finished.all():
+                break
 
-        def next_distribution(token: int) -> np.ndarray:
-            prefix.append(token)
-            probs = forward_step(model, code_ids, None,
-                                 np.array([prefix], dtype=np.int64))
-            return probs[0, -1]
-    else:
-        # recurrent architectures decode incrementally from cached encoders
-        state, memories = _encode_gru(model,
-                                      *_validate_sources(cfg, code_ids, ast_ids))
-        dec_gru = _gru_param_view(model.params, "dec_gru")
-
-        def next_distribution(token: int) -> np.ndarray:
-            nonlocal state
-            logits, state = _gru_decoder_step(model.params, dec_gru, memories,
-                                              np.array([token]), state)
-            return T.softmax(logits, axis=-1).data[0]
-
-    out_ids = []
-    distributions = []
-    token = START
-    for _ in range(max_len):
-        dist = next_distribution(token)
-        token = int(np.argmax(dist))
-        distributions.append(dist)
-        out_ids.append(token)
-        if token == END:
-            break
-    return DecodeResult(ids=out_ids, distributions=distributions)
+    results = []
+    for row, ids in enumerate(np.stack(emitted, axis=1).tolist()):
+        length = ids.index(END) + 1 if END in ids else len(ids)
+        results.append(DecodeResult(
+            ids=ids[:length],
+            distributions=[probs[row] for probs in distributions[:length]]))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------

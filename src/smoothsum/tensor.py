@@ -4,8 +4,11 @@ Every differentiable building block the summarizers need lives here: the
 arithmetic primitives, GRU step, multiplicative and multi-head attention,
 sinusoidal position table, inverted dropout, and a finite-difference
 gradient checker. Graphs are taped per forward pass; backward() walks the
-tape once in reverse topological order.
+tape once in reverse topological order. Inside ``no_grad()`` nothing is
+taped.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,6 +17,22 @@ from .rng import Rng
 
 _NEG_INF = -1e30
 
+_taping = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Inference mode: tensors built inside the block keep no parents and
+    no backward closure, so nothing is taped. The previous mode is restored
+    on exit, also when the block raises."""
+    global _taping
+    previous = _taping
+    _taping = False
+    try:
+        yield
+    finally:
+        _taping = previous
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -21,9 +40,12 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents) if self.requires_grad else ()
-        self._backward_fn = backward_fn if self.requires_grad else None
+        if _taping:
+            requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad
+        taped = _taping and requires_grad
+        self._parents = tuple(parents) if taped else ()
+        self._backward_fn = backward_fn if taped else None
 
     @property
     def shape(self):
@@ -325,44 +347,50 @@ def dot_attention(decoder_state, encoder_states, mask=None):
     return context, weights
 
 
-def multi_head_attention(queries, keys, values, heads: int,
-                         wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                         mask=None) -> Tensor:
-    """Scaled dot-product attention per head (scale 1/sqrt(d/heads)), heads
-    concatenated and linearly projected. mask is boolean (attend = True),
-    broadcastable to (queries, keys) and applied before the softmax."""
-    q, k, v = _coerce(queries), _coerce(keys), _coerce(values)
-    d_model = q.data.shape[-1]
+def _swap_heads_and_positions(t: Tensor) -> Tensor:
+    """(..., length, heads, d) <-> (..., heads, length, d)."""
+    nd = t.data.ndim
+    return transpose(t, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+
+
+def split_heads(x, heads: int) -> Tensor:
+    """(..., length, d) -> (..., heads, length, d / heads)."""
+    x = _coerce(x)
+    d_model = x.data.shape[-1]
     if d_model % heads != 0:
         raise ConfigurationError(
             f"model dim {d_model} not divisible by {heads} heads")
-    d_head = d_model // heads
+    return _swap_heads_and_positions(
+        reshape(x, x.data.shape[:-1] + (heads, d_model // heads)))
 
-    def split_heads(t, length):
-        t = reshape(t, t.data.shape[:-1] + (heads, d_head))
-        axes = tuple(range(t.data.ndim - 3)) + (t.data.ndim - 2,
-                                                t.data.ndim - 3,
-                                                t.data.ndim - 1)
-        return transpose(t, axes)  # (..., heads, length, d_head)
 
-    qh = split_heads(matmul(q, wq), q.data.shape[-2])
-    kh = split_heads(matmul(k, wk), k.data.shape[-2])
-    vh = split_heads(matmul(v, wv), v.data.shape[-2])
-
-    kt = transpose(kh, tuple(range(kh.data.ndim - 2)) + (kh.data.ndim - 1,
-                                                         kh.data.ndim - 2))
+def attend_projected(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor,
+                     mask=None) -> Tensor:
+    """Scaled dot-product attention (scale 1/sqrt(d_head)) of head-split
+    queries over head-split keys and values, heads concatenated and
+    projected by wo. mask is boolean (attend = True), broadcastable to
+    (queries, keys) and applied before the softmax."""
+    d_head = qh.data.shape[-1]
+    nd = kh.data.ndim
+    kt = transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
     scores = mul(matmul(qh, kt), 1.0 / np.sqrt(d_head))
     if mask is not None:
         additive = _check_attention_mask(mask)
         scores = add(scores, np.expand_dims(additive, axis=-3))
     weights = softmax(scores, axis=-1)
-    ctx = matmul(weights, vh)  # (..., heads, Tq, d_head)
-    axes = tuple(range(ctx.data.ndim - 3)) + (ctx.data.ndim - 2,
-                                              ctx.data.ndim - 3,
-                                              ctx.data.ndim - 1)
-    ctx = transpose(ctx, axes)
-    ctx = reshape(ctx, ctx.data.shape[:-2] + (d_model,))
+    ctx = _swap_heads_and_positions(matmul(weights, vh))  # (.., Tq, heads, dh)
+    ctx = reshape(ctx, ctx.data.shape[:-2] + (-1,))
     return matmul(ctx, wo)
+
+
+def multi_head_attention(queries, keys, values, heads: int,
+                         wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                         mask=None) -> Tensor:
+    """Queries, keys and values projected by wq, wk, wv and split into
+    heads, then attend_projected."""
+    return attend_projected(split_heads(matmul(queries, wq), heads),
+                            split_heads(matmul(keys, wk), heads),
+                            split_heads(matmul(values, wv), heads), wo, mask)
 
 
 def causal_mask(length: int) -> np.ndarray:

@@ -283,6 +283,33 @@ class TestCorpusFiles:
         with pytest.raises(DataError):
             load_prepared_dir(tmp_path / "nothing")
 
+    def test_prepared_dir_reads_only_requested_splits(self, tmp_path):
+        vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
+        write_prepared_dir(tmp_path, Corpus([make_sample(1, "p1")]),
+                           Corpus([make_sample(2, "p2")]),
+                           Corpus([make_sample(3, "p3")]), vocab, vocab)
+        (tmp_path / "test.jsonl").unlink()
+        prepared = load_prepared_dir(tmp_path, splits=("train", "val"))
+        assert [s.id for s in prepared.val.samples] == ["s2"]
+        assert prepared.test is None
+        for splits in (("test",), ("train", "val", "test")):
+            with pytest.raises(DataError, match="test.jsonl"):
+                load_prepared_dir(tmp_path, splits=splits)
+
+    @pytest.mark.parametrize("ast", [5, ["(f)"], {"f": 1}, True])
+    def test_non_string_ast_names_line(self, tmp_path, ast):
+        raw = {"id": "a", "project": "p", "code": "int f(){}", "comment": "c"}
+        split = {"id": "a", "project": "p", "code_tokens": ["f"],
+                 "comment_tokens": ["c"], "code_char_len": 9}
+        for record, read in ((raw, read_corpus_jsonl),
+                             (split, lambda p: read_split_jsonl(p, "test"))):
+            path = tmp_path / "c.jsonl"
+            path.write_text(json.dumps({**record, "ast": None}) + "\n"
+                            + json.dumps({**record, "id": "b", "ast": ast})
+                            + "\n")
+            with pytest.raises(DataError, match=r"c\.jsonl:2: .*ast"):
+                read(path)
+
 
 # ---------------------------------------------------------------------------
 # property tests for the JSON-lines readers: any file either reads whole or

@@ -160,6 +160,17 @@ class TestPrepare:
                        str(tmp_path / "r"), "--ratios", "a,b,c") == 2
         assert "--ratios" in assert_one_line_error(capsys)
 
+    def test_non_string_ast_exits_2(self, tmp_path, corpus_file, capsys):
+        lines = corpus_file.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["ast"] = 5
+        lines[4] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep")) == 2
+        assert "bad.jsonl:5" in assert_one_line_error(capsys)
+
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
         assert run_cli("not-a-command") == 1
@@ -202,6 +213,24 @@ class TestTrainPredictScore:
                        str(tmp_path / "p.jsonl"), "--checkpoint",
                        str(run_dir / "checkpoint.json"), "--seed", "3") == 2
 
+
+    def test_train_and_predict_read_only_their_splits(
+            self, tmp_path, prepared_dir, capsys):
+        partial = tmp_path / "prep"
+        partial.mkdir()
+        for path in prepared_dir.iterdir():
+            if path.name != "test.jsonl":
+                (partial / path.name).write_bytes(path.read_bytes())
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--data", str(partial), "--out", str(run_dir),
+                       "--epochs", "1", *FAST_MODEL) == 0
+        predict = ["predict", "--data", str(partial), "--out",
+                   str(tmp_path / "p.jsonl"), "--checkpoint",
+                   str(run_dir / "checkpoint.json")]
+        assert run_cli(*predict, "--split", "val") == 0
+        capsys.readouterr()
+        assert run_cli(*predict) == 2
+        assert "test.jsonl" in assert_one_line_error(capsys)
 
     def test_split_record_without_code_tokens_exits_2(
             self, tmp_path, prepared_dir, checkpoint, capsys):

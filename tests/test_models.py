@@ -157,12 +157,14 @@ class TestGreedyDecode:
         shifted = M.greedy_decode(model, CODE[0])
         assert baseline.ids == shifted.ids
 
-    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru"])
+    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru",
+                                      "transformer"])
     def test_gru_steps_match_teacher_forcing(self, arch):
-        # greedy decoding and forward_step share one GRU decoder step, so
-        # each decoded distribution equals the teacher-forced row for the
-        # decoded prefix
-        model = M.build_model(tiny_config(arch), seed=7)
+        # greedy decoding and forward_step share one GRU decoder step (the
+        # transformer: one decoder layer, fed from per-layer key/value
+        # caches), so each decoded distribution equals the teacher-forced
+        # row for the decoded prefix
+        model = M.build_model(tiny_config(arch, comment_len=9), seed=7)
         model.params["out.b"].data[END] -= 50.0  # decode the full length
         ast = AST[:1] if arch == "ast_attendgru" else None
         result = M.greedy_decode(model, CODE[0], ast, max_len=8)
@@ -180,6 +182,59 @@ class TestGreedyDecode:
             assert result.ids[-1] == END
         assert len(result.ids) <= 4
         assert END not in result.content_ids
+
+
+BATCH_CODE = np.array([[10, 9, 8, 0, 0], [4, 4, 4, 0, 0], [9, 11, 8, 0, 11],
+                       [9, 9, 8, 8, 11], [6, 10, 9, 0, 7], [10, 8, 4, 10, 0],
+                       [10, 5, 4, 0, 4], [8, 4, 6, 7, 7]])
+BATCH_AST = np.array([[5, 11, 7, 6, 4, 9], [8, 10, 4, 5, 11, 6],
+                      [4, 7, 9, 10, 5, 8], [6, 6, 11, 4, 7, 10],
+                      [9, 5, 8, 11, 6, 4], [7, 4, 10, 9, 8, 5],
+                      [11, 8, 5, 7, 9, 6], [10, 9, 6, 8, 4, 7]])
+
+
+class TestBatchedDecode:
+    # seed and END bias chosen so that the rows stop at different steps
+    @pytest.mark.parametrize("arch, seed, end_bias", [
+        ("attendgru", 2, 0.0), ("ast_attendgru", 2, 0.0),
+        ("transformer", 0, 0.25)])
+    def test_batch_matches_single_rows(self, arch, seed, end_bias):
+        model = M.build_model(tiny_config(arch, comment_len=9), seed=seed)
+        model.params["out.b"].data[END] += end_bias
+        ast = BATCH_AST if arch == "ast_attendgru" else None
+        batch = M.greedy_decode(model, BATCH_CODE, ast)
+        singles = [M.greedy_decode(model, BATCH_CODE[i],
+                                   None if ast is None else ast[i])
+                   for i in range(len(BATCH_CODE))]
+        assert len({len(r.ids) for r in singles}) >= 3
+        assert isinstance(batch, list) and len(batch) == len(singles)
+        assert all(isinstance(r, M.DecodeResult) for r in singles + batch)
+        for got, want in zip(batch, singles):
+            assert got.ids == want.ids
+            assert len(got.distributions) == len(want.ids)
+            for a, b in zip(got.distributions, want.distributions):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_bad_shapes_rejected(self):
+        model = M.build_model(tiny_config("ast_attendgru"), seed=1)
+        with pytest.raises(ConfigurationError):
+            M.greedy_decode(model, CODE[None], AST[None])
+        with pytest.raises(ConfigurationError):
+            M.greedy_decode(model, CODE, AST[:1])
+
+    def test_decode_records_no_tape(self, monkeypatch):
+        model = M.build_model(tiny_config("transformer"), seed=1)
+        built = []
+        original = T.Tensor.__init__
+
+        def recording_init(obj, *args, **kwargs):
+            original(obj, *args, **kwargs)
+            built.append(obj)
+
+        monkeypatch.setattr(T.Tensor, "__init__", recording_init)
+        M.greedy_decode(model, CODE)
+        assert built
+        assert not any(t.requires_grad or t._parents for t in built)
 
 
 def save_as_checkpoint(model, path):

@@ -314,6 +314,55 @@ class TestBackward:
         assert T.grad_check(loss_fn, store) < 1e-5
 
 
+class TestNoGrad:
+    @staticmethod
+    def _model():
+        rng = Rng(4)
+        store = T.ParamStore()
+        w = store.add("w", T.glorot_uniform(rng, (3, 4)))
+        gain = store.add("gain", np.ones(4))
+        bias = store.add("bias", np.zeros(4))
+        x = rng.uniform_array((2, 3))
+
+        def loss():
+            h = T.layer_norm(T.tanh(T.matmul(T.Tensor(x), w)), gain, bias)
+            return T.tensor_sum(T.log_softmax(h, axis=-1))
+
+        return store, loss
+
+    def test_tensors_inside_record_no_tape(self):
+        store, loss = self._model()
+        with T.no_grad():
+            out = loss()
+            chained = T.mul(store["w"], 2.0)
+        for t in (out, chained):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward_fn is None
+        assert T.mul(store["w"], 2.0).requires_grad  # taping resumes
+
+    def test_mode_restored_after_exception(self):
+        store, _ = self._model()
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        out = T.mul(store["w"], 2.0)
+        assert out.requires_grad and out._parents
+
+    def test_backward_after_block_unchanged(self):
+        store, loss = self._model()
+        store.zero_grads()
+        T.backward(loss(), store)
+        plain = {n: t.grad.copy() for n, t in store.items()}
+        taped_before = loss()
+        with T.no_grad():
+            loss()
+        for taped in (taped_before, loss()):
+            store.zero_grads()
+            T.backward(taped, store)
+            for name, t in store.items():
+                np.testing.assert_array_equal(t.grad, plain[name])
+
+
 class TestParamStore:
     def test_duplicate_name(self):
         store = T.ParamStore()
