@@ -65,6 +65,10 @@ class AstPath:
 _SYMBOLS = set("(){};,=+-*/")
 _KEYWORDS = {"if", "else", "while", "return"}
 
+# Deepest tree or bracket nesting the parsers accept; deeper input is a
+# MiniParseError, so recursive parses and tree walks stay in Python's limit.
+MAX_DEPTH = 200
+
 
 @dataclass
 class _Token:
@@ -77,7 +81,7 @@ class _Token:
 def _lex(source: str):
     tokens = []
     line, col = 1, 1
-    i = 0
+    i = depth = 0
     while i < len(source):
         ch = source[i]
         if ch == "\n":
@@ -90,6 +94,10 @@ def _lex(source: str):
             i += 1
             continue
         if ch in _SYMBOLS:
+            depth += (ch in "({") - (ch in ")}")
+            if depth > MAX_DEPTH:
+                raise MiniParseError(f"brackets deeper than {MAX_DEPTH} levels",
+                                     line, col)
             tokens.append(_Token("symbol", ch, line, col))
             col += 1
             i += 1
@@ -271,7 +279,13 @@ class _Parser:
 
 
 def parse_mini_function(source: str) -> AstNode:
-    return _Parser(source).parse_function()
+    tree = _Parser(source).parse_function()
+    depth, level = 0, [tree]
+    while level:  # operator chains deepen the tree without nesting
+        depth, level = depth + 1, [c for n in level for c in n.children]
+    if depth > MAX_DEPTH:
+        raise MiniParseError(f"tree deeper than {MAX_DEPTH} levels")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +296,15 @@ def import_sexpr(text: str) -> AstNode:
     """Parse "(label child child ...)"; children may be nested lists or
     bare atoms (read as leaves)."""
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch in "()":
+            depth += 1 if ch == "(" else -1
+            if depth > MAX_DEPTH:
+                raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
             tokens.append(ch)
             i += 1
         else:

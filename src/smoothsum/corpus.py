@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigurationError, DataError
+from .astkit import parse_mini_function, render_sexpr
+from .errors import ConfigurationError, DataError, MiniParseError
 from .rng import Rng
 from .stemming import porter_stem
 
@@ -100,7 +101,10 @@ class Vocabulary:
 
     @classmethod
     def read(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"vocabulary file {path} is not UTF-8") from exc
         if lines[:4] != list(SPECIAL_TOKENS):
             raise DataError(f"vocabulary file {path} lacks the special tokens")
         return cls(lines)
@@ -248,16 +252,17 @@ def _ast_field(rec) -> str | None:
     return value
 
 
-def read_corpus_jsonl(path, derive_ast=None) -> Corpus:
-    """Read a raw corpus file and tokenize it.
-
-    derive_ast, when given, is called with the raw code of samples that
-    carry no ast field and may return an s-expression (or None).
-    """
+def read_corpus_jsonl(path) -> Corpus:
+    """Read a raw corpus file and tokenize it. A sample with no ast field
+    gets the s-expression the mini-language parser derives from its code,
+    or none when the code does not parse."""
     def make(rec):
         ast_text = _ast_field(rec)
-        if ast_text is None and derive_ast is not None:
-            ast_text = derive_ast(rec["code"])
+        if ast_text is None:
+            try:
+                ast_text = render_sexpr(parse_mini_function(rec["code"]))
+            except MiniParseError:
+                pass
         return Sample(
             id=str(rec["id"]),
             project=str(rec["project"]),

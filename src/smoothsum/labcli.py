@@ -18,19 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .astkit import parse_mini_function, render_sexpr
 from .corpus import (START, END, Corpus, PreparedData, Vocabulary,
                      build_token_vocabulary, build_vocabulary,
                      extract_action_word, filter_by_length_quantile,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
                      write_prepared_dir)
-from .errors import ConfigurationError, DataError, MiniParseError, NumericError
+from .errors import ConfigurationError, DataError, NumericError
 from .trainer import TrainConfig, encode_corpus, sbt_tokens_for_sample
 
 DEFAULT_SWEEP_GRID = (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
 ACTIONWORD_EPSILONS = (0.0, 0.1, 0.4)
 # Rows per batched decode or action-word forward pass; bounds the memory of
-# the per-step distributions a decode keeps.
+# one batch's encoder states and the transformer's key/value caches.
 DECODE_CHUNK = 64
 
 
@@ -267,13 +266,7 @@ def _comparison_row(epsilon: float, report: metrics.MetricReport,
 
 
 def cmd_prepare(args) -> int:
-    def derive_ast(code: str):
-        try:
-            return render_sexpr(parse_mini_function(code))
-        except MiniParseError:
-            return None
-
-    raw = read_corpus_jsonl(args.data, derive_ast=derive_ast)
+    raw = read_corpus_jsonl(args.data)
     kept = [s for s in raw.samples if s.comment_tokens and s.code_tokens]
     dropped = len(raw.samples) - len(kept)
     corpus = Corpus(samples=kept)

@@ -21,6 +21,7 @@ from .rng import Rng, stable_token_seed
 from .stemming import porter_stem
 
 _EXCLUDED_FROM_DIVERSITY = {SPECIAL_TOKENS[i] for i in (0, 1, 2)}  # PAD/START/END
+BLEU_MAX_ORDER = 4
 
 
 @dataclass
@@ -118,19 +119,19 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(preds: PredictionSet, max_order: int = 4) -> float:
-    """Corpus-level BLEU with uniform 1/max_order weights and brevity
+def corpus_bleu(preds: PredictionSet) -> float:
+    """Corpus-level BLEU with uniform 1/BLEU_MAX_ORDER weights and brevity
     penalty min(1, e^(1 - r/c)) over aggregate lengths."""
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
-    clipped = [0] * max_order
-    totals = [0] * max_order
+    clipped = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
     candidate_len = 0
     reference_len = 0
     for record in preds.records:
         candidate_len += len(record.predicted)
         reference_len += len(record.reference)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_MAX_ORDER + 1):
             pred_counts = _ngram_counts(record.predicted, n)
             ref_counts = _ngram_counts(record.reference, n)
             totals[n - 1] += sum(pred_counts.values())
@@ -142,7 +143,7 @@ def corpus_bleu(preds: PredictionSet, max_order: int = 4) -> float:
     if any(p == 0.0 for p in precisions):
         return 0.0
     brevity = min(1.0, math.exp(1.0 - reference_len / candidate_len))
-    return brevity * math.exp(sum(math.log(p) for p in precisions) / max_order)
+    return brevity * math.exp(sum(map(math.log, precisions)) / BLEU_MAX_ORDER)
 
 
 # ---------------------------------------------------------------------------

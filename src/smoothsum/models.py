@@ -86,7 +86,6 @@ class DecodeResult:
     """Greedy decode output: ids exclude START; include END when emitted."""
 
     ids: list
-    distributions: list | None = None
 
     @property
     def content_ids(self) -> list:
@@ -385,7 +384,7 @@ def _gru_stepper(model: Model, code_ids, ast_ids):
     return step
 
 
-def _transformer_stepper(model: Model, code_ids, max_len: int):
+def _transformer_stepper(model: Model, code_ids):
     """Next-token distributions (B, V) of the transformer, one call per
     step. The encoder runs once and each layer's cross-attention keys and
     values are projected once; each step extends every layer's
@@ -393,9 +392,6 @@ def _transformer_stepper(model: Model, code_ids, max_len: int):
     causal post-norm decoder."""
     cfg = model.config
     p = model.params
-    if max_len > cfg.comment_len - 1:
-        raise ConfigurationError(
-            "transformer decode length exceeds the position table")
 
     def keep(x):
         return x
@@ -403,7 +399,7 @@ def _transformer_stepper(model: Model, code_ids, max_len: int):
     memory, src_mask = _encode_transformer(model, code_ids, keep)
     cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
     cache = [None] * cfg.layers
-    pe = T.positional_encoding(max_len, cfg.hidden_dim)
+    pe = T.positional_encoding(cfg.comment_len - 1, cfg.hidden_dim)
     position = 0
 
     def step(tokens: np.ndarray) -> np.ndarray:
@@ -420,10 +416,9 @@ def _transformer_stepper(model: Model, code_ids, max_len: int):
     return step
 
 
-def greedy_decode(model: Model, code_ids, ast_ids=None,
-                  max_len: int | None = None):
-    """Argmax decoding from START until END or the length cap; ties break
-    toward the lowest index (np.argmax convention).
+def greedy_decode(model: Model, code_ids, ast_ids=None):
+    """Argmax decoding from START until END or comment_len - 1 tokens; ties
+    break toward the lowest index (np.argmax convention).
 
     code_ids is one (T,) row, which returns one DecodeResult, or a (B, T)
     batch, which returns a list of B results (ast_ids shaped alike). A
@@ -431,10 +426,6 @@ def greedy_decode(model: Model, code_ids, ast_ids=None,
     its own END.
     """
     cfg = model.config
-    if max_len is None:
-        max_len = cfg.comment_len - 1
-    if max_len < 1:
-        raise ConfigurationError("max_len must be >= 1")
     code_ids = np.asarray(code_ids, dtype=np.int64)
     single = code_ids.ndim == 1
     if code_ids.ndim not in (1, 2):
@@ -448,27 +439,21 @@ def greedy_decode(model: Model, code_ids, ast_ids=None,
 
     with T.no_grad():
         if cfg.arch == "transformer":
-            step = _transformer_stepper(model, code_ids, max_len)
+            step = _transformer_stepper(model, code_ids)
         else:
             step = _gru_stepper(model, code_ids, ast_ids)
         tokens = np.full(code_ids.shape[0], START, dtype=np.int64)
         finished = np.zeros(code_ids.shape[0], dtype=bool)
-        emitted, distributions = [], []
-        for _ in range(max_len):
-            probs = step(tokens)
-            tokens = probs.argmax(axis=-1)
+        emitted = []
+        for _ in range(cfg.comment_len - 1):
+            tokens = step(tokens).argmax(axis=-1)
             emitted.append(tokens)
-            distributions.append(probs)
             finished |= tokens == END
             if finished.all():
                 break
 
-    results = []
-    for row, ids in enumerate(np.stack(emitted, axis=1).tolist()):
-        length = ids.index(END) + 1 if END in ids else len(ids)
-        results.append(DecodeResult(
-            ids=ids[:length],
-            distributions=[probs[row] for probs in distributions[:length]]))
+    results = [DecodeResult(ids[:ids.index(END) + 1] if END in ids else ids)
+               for ids in np.stack(emitted, axis=1).tolist()]
     return results[0] if single else results
 
 
@@ -531,8 +516,7 @@ def model_from_dict(payload: dict) -> Model:
     return Model(config=config, params=params)
 
 
-def grad_check_model(model: Model, code_ids, ast_ids, comment_ids,
-                     step: float = 1e-5) -> float:
+def grad_check_model(model: Model, code_ids, ast_ids, comment_ids) -> float:
     """Finite-difference check of the full training loss (dropout off)."""
 
     def loss_fn():
@@ -540,4 +524,4 @@ def grad_check_model(model: Model, code_ids, ast_ids, comment_ids,
                                 training=False)
         return loss
 
-    return T.grad_check(loss_fn, model.params, step=step)
+    return T.grad_check(loss_fn, model.params)

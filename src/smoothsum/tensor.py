@@ -16,6 +16,7 @@ from .errors import ConfigurationError, NumericError
 from .rng import Rng
 
 _NEG_INF = -1e30
+GRAD_CHECK_STEP = 1e-5  # half-width of grad_check's central differences
 
 _taping = True  # False inside no_grad()
 
@@ -505,7 +506,7 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> None:
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
 
 
-def grad_check(loss_fn, params: ParamStore, step: float = 1e-5) -> float:
+def grad_check(loss_fn, params: ParamStore) -> float:
     """Central finite differences against analytic gradients over every
     parameter element; returns the max relative error
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|)."""
@@ -518,12 +519,12 @@ def grad_check(loss_fn, params: ParamStore, step: float = 1e-5) -> float:
         ana = analytic[name].reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + GRAD_CHECK_STEP
             plus = float(loss_fn().data)
-            flat[i] = original - step
+            flat[i] = original - GRAD_CHECK_STEP
             minus = float(loss_fn().data)
             flat[i] = original
-            numeric = (plus - minus) / (2.0 * step)
+            numeric = (plus - minus) / (2.0 * GRAD_CHECK_STEP)
             rel = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
             worst = max(worst, rel)
     return worst

@@ -63,9 +63,6 @@ class EpochRecord:
 class TrainHistory:
     records: list = field(default_factory=list)
 
-    def best_epoch(self) -> EpochRecord:
-        return max(self.records, key=lambda r: (r.val_accuracy, -r.epoch))
-
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("epoch,loss_nats,val_acc,seconds\n")
@@ -190,7 +187,9 @@ def train(model: models.Model, train_set: EncodedDataset,
           val_set: EncodedDataset, config: TrainConfig):
     """Returns (best Checkpoint, TrainHistory).
 
-    The epoch-mean training loss is checked against the analytic smoothed
+    On return, model holds the parameters of its best epoch, restored from
+    the values saved at that epoch, and is the checkpoint's model. The
+    epoch-mean training loss is checked against the analytic smoothed
     floor every epoch; a violation indicates a numeric defect.
     """
     if model.config.epsilon != config.epsilon:
@@ -246,11 +245,9 @@ def train(model: models.Model, train_set: EncodedDataset,
             best_epoch = epoch
             best_values = model.params.copy_values()
 
-    best_model = models.build_model(model.config, seed=0)
-    best_model.params.load_values(best_values)
-    checkpoint = Checkpoint(model=best_model, train_config=config,
-                            epoch=best_epoch, val_accuracy=best_accuracy)
-    return checkpoint, history
+    model.params.load_values(best_values)
+    return Checkpoint(model=model, train_config=config, epoch=best_epoch,
+                      val_accuracy=best_accuracy), history
 
 
 # ---------------------------------------------------------------------------

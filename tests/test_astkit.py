@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smoothsum.astkit import (AstNode, AstPath, enumerate_leaf_paths,
-                              import_sexpr, node, parse_mini_function,
-                              render_sexpr, sample_paths, sbt_flatten)
-from smoothsum.errors import ConfigurationError, MiniParseError
+from smoothsum.astkit import (MAX_DEPTH, AstNode, AstPath,
+                              enumerate_leaf_paths, import_sexpr, node,
+                              parse_mini_function, render_sexpr, sample_paths,
+                              sbt_flatten)
+from smoothsum.errors import ConfigurationError, DataError, MiniParseError
 from smoothsum.rng import Rng
 
 from conftest import random_tree
@@ -89,6 +91,65 @@ class TestSexpr:
         for _ in range(60):
             tree = random_tree(rng, 25)
             assert import_sexpr(render_sexpr(tree)) == tree
+
+
+def chain(terms):
+    """A function returning x + x + ...; its tree is terms + 3 levels
+    deep (function, body, return, then one level per operator)."""
+    return "int f(){return " + " + ".join(["x"] * terms) + ";}"
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("source", [
+        "int f(){" + "if (x) {" * 170 + "}" * 170 + "}",
+        "int f(){return " + "(" * 450 + "x" + ")" * 450 + ";}",
+        chain(MAX_DEPTH - 2),
+    ], ids=["nested-ifs", "nested-parens", "operator-chain"])
+    def test_deep_code_rejected(self, source):
+        with pytest.raises(MiniParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse_mini_function(source)
+
+    def test_deepest_tree_round_trips(self):
+        tree = parse_mini_function(chain(MAX_DEPTH - 3))
+        assert import_sexpr(render_sexpr(tree)) == tree
+        assert len(sbt_flatten(tree)) == 4 * count_nodes(tree)
+
+    def test_deep_sexpr_rejected(self):
+        with pytest.raises(MiniParseError, match=f"deeper than {MAX_DEPTH}"):
+            import_sexpr("(a " * 3000 + ")" * 3000)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                             derandomize=True)
+MINI_TOKENS = st.lists(st.sampled_from(
+    ["int", "x", "f", "1", "(", ")", "{", "}", ";", ",", "=", "+", "*",
+     "if", "else", "while", "return"]), max_size=40).map(" ".join)
+LABELS = st.sampled_from(["a", "b"])
+SEXPRS = st.recursive(LABELS, lambda inner: st.tuples(
+    LABELS, st.lists(inner, max_size=3)).map(
+        lambda t: "(" + " ".join([t[0], *t[1]]) + ")"))
+
+
+class TestParserProperties:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.text(max_size=40),
+                     st.text(alphabet="() ab", max_size=40), SEXPRS))
+    def test_import_sexpr_returns_or_raises_data_error(self, text):
+        try:
+            tree = import_sexpr(text)
+        except DataError:
+            return
+        sbt_flatten(tree)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.text(max_size=40),
+                     MINI_TOKENS.map(lambda body: "int f(){" + body + "}")))
+    def test_parsed_trees_render_and_reimport(self, source):
+        try:
+            tree = parse_mini_function(source)
+        except DataError:
+            return
+        assert import_sexpr(render_sexpr(tree)) == tree
 
 
 def count_nodes(tree):

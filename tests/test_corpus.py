@@ -254,6 +254,18 @@ class TestCorpusFiles:
         assert corpus.samples[1].ast_text == "(function (name (f)))"
         assert corpus.samples[0].code_char_len == len(rows[0]["code"])
 
+    def test_missing_ast_derived_from_code(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [{"id": "a", "project": "p", "code": "int f(){return 1;}",
+                 "comment": "c"},
+                {"id": "b", "project": "p", "code": "int f(){return",
+                 "comment": "c"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        derived, unparsed = read_corpus_jsonl(path).samples
+        assert derived.ast_text == \
+            "(function (type (int)) (name (f)) (params) (body (return (1))))"
+        assert unparsed.ast_text is None
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("{not json}\n")
@@ -396,6 +408,23 @@ class TestReadJsonlProperties:
                        ("ref", "pred")))
     def test_prediction_file(self, lines):
         check_reader(read_predictions, lines)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.binary(max_size=40),
+                     st.binary(max_size=10).map(
+                         lambda tail: "\n".join(SPECIAL_TOKENS).encode()
+                         + b"\n" + tail)))
+    @example("\n".join(SPECIAL_TOKENS).encode() + b"\nx\xff\n")
+    def test_vocabulary_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            path.write_bytes(data)
+            try:
+                vocab = Vocabulary.read(path)
+            except DataError as exc:
+                assert str(path) in str(exc)
+                return
+        assert vocab.tokens[:4] == list(SPECIAL_TOKENS)
 
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "f.jsonl"

@@ -54,6 +54,13 @@ def assert_one_line_error(capsys):
     return err
 
 
+def copy_prepared(prepared_dir, target):
+    target.mkdir()
+    for path in prepared_dir.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
 def tree_digest(directory):
     digest = {}
     for path in sorted(Path(directory).rglob("*")):
@@ -171,6 +178,32 @@ class TestPrepare:
                        str(tmp_path / "prep")) == 2
         assert "bad.jsonl:5" in assert_one_line_error(capsys)
 
+    def test_deeply_nested_code_keeps_no_ast(self, tmp_path, corpus_file):
+        lines = corpus_file.read_text().splitlines()
+        record = json.loads(lines[4])
+        del record["ast"]
+        record["code"] = ("int f(){" + "if (x) {" * 170 + "return 1;"
+                          + "}" * 170 + "}")
+        lines[4] = json.dumps(record)
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "prep"
+        assert run_cli("prepare", "--data", str(deep), "--out", str(out)) == 0
+        split_records = [json.loads(line) for split in ("train", "val", "test")
+                         for line in (out / f"{split}.jsonl").open()]
+        [kept] = [r for r in split_records if r["id"] == record["id"]]
+        assert kept["ast"] is None
+
+    def test_deep_ast_exits_2(self, tmp_path, corpus_file, capsys):
+        deep_ast = "(a " * 3000 + ")" * 3000
+        records = [{**json.loads(line), "ast": deep_ast}
+                   for line in corpus_file.read_text().splitlines()]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep")) == 2
+        assert "deeper than" in assert_one_line_error(capsys)
+
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
         assert run_cli("not-a-command") == 1
@@ -234,10 +267,7 @@ class TestTrainPredictScore:
 
     def test_split_record_without_code_tokens_exits_2(
             self, tmp_path, prepared_dir, checkpoint, capsys):
-        bad = tmp_path / "prep"
-        bad.mkdir()
-        for path in prepared_dir.iterdir():
-            (bad / path.name).write_bytes(path.read_bytes())
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
         lines = (bad / "test.jsonl").read_text().splitlines()
         record = json.loads(lines[1])
         del record["code_tokens"]
@@ -294,6 +324,37 @@ class TestTrainPredictScore:
                        str(tmp_path / "p.jsonl"), "--checkpoint",
                        str(checkpoint), flag, str(tmp_path / missing)) == 2
         assert missing in assert_one_line_error(capsys)
+
+    def test_deep_val_ast_exits_2(self, tmp_path, prepared_dir, capsys):
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "val.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]),
+                               "ast": "(a " * 3000 + ")" * 3000})
+        (bad / "val.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_cli("train", "--data", str(bad), "--out",
+                       str(tmp_path / "run"), "--arch", "ast-attendgru",
+                       "--epochs", "1", *FAST_MODEL) == 2
+        assert "deeper than" in assert_one_line_error(capsys)
+
+    def test_non_utf8_source_vocabulary_exits_2(self, tmp_path, prepared_dir,
+                                                 capsys):
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        with open(bad / "vocab.src.txt", "ab") as fh:
+            fh.write(b"\xff\n")
+        assert run_cli("train", "--data", str(bad), "--out",
+                       str(tmp_path / "run"), "--epochs", "1",
+                       *FAST_MODEL) == 2
+        assert "vocab.src.txt" in assert_one_line_error(capsys)
+
+    def test_non_utf8_target_vocabulary_exits_2(self, tmp_path, prepared_dir,
+                                                 checkpoint, capsys):
+        vocab = tmp_path / "tgt.txt"
+        vocab.write_bytes((prepared_dir / "vocab.tgt.txt").read_bytes()
+                          + b"\xff\n")
+        assert run_cli("predict", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(checkpoint), "--tgt-vocab", str(vocab)) == 2
+        assert "tgt.txt" in assert_one_line_error(capsys)
 
     def test_score_missing_predictions_exits_2(self, tmp_path, capsys):
         assert run_cli("score", "--predictions",

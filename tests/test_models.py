@@ -131,10 +131,26 @@ class TestForward:
             M.forward_step(model, CODE, None, COMMENTS[:, :-1])
 
 
+def stepper_rows(model, code_ids, ast_ids, ids):
+    """The decoder stepper's next-token rows (B, L, V) when fed START and
+    then ids[:, :-1], the path greedy decoding takes to emit ids (B, L)."""
+    with T.no_grad():
+        if model.config.arch == "transformer":
+            step = M._transformer_stepper(model, code_ids)
+        else:
+            step = M._gru_stepper(model, code_ids, ast_ids)
+        tokens = np.full(len(code_ids), START)
+        rows = []
+        for t in range(ids.shape[1]):
+            rows.append(step(tokens))
+            tokens = ids[:, t]
+    return np.stack(rows, axis=1)
+
+
 class TestGreedyDecode:
     def test_max_len_one(self):
-        model = M.build_model(tiny_config("attendgru"), seed=3)
-        result = M.greedy_decode(model, CODE[0], max_len=1)
+        model = M.build_model(tiny_config("attendgru", comment_len=2), seed=3)
+        result = M.greedy_decode(model, CODE[0])
         assert len(result.ids) == 1
 
     def test_deterministic(self):
@@ -144,10 +160,10 @@ class TestGreedyDecode:
         assert a.ids == b.ids
 
     def test_ties_break_to_lowest_index(self):
-        model = M.build_model(tiny_config("attendgru"), seed=0)
+        model = M.build_model(tiny_config("attendgru", comment_len=3), seed=0)
         for name, tensor in model.params.items():
             tensor.data[:] = 0.0
-        result = M.greedy_decode(model, CODE[0], max_len=2)
+        result = M.greedy_decode(model, CODE[0])
         assert result.ids == [PAD, PAD]  # uniform rows tie toward index 0
 
     def test_logit_shift_invariance(self):
@@ -167,17 +183,17 @@ class TestGreedyDecode:
         model = M.build_model(tiny_config(arch, comment_len=9), seed=7)
         model.params["out.b"].data[END] -= 50.0  # decode the full length
         ast = AST[:1] if arch == "ast_attendgru" else None
-        result = M.greedy_decode(model, CODE[0], ast, max_len=8)
+        result = M.greedy_decode(model, CODE[0], ast)
         assert len(result.ids) == 8
         prefix = np.array([[START] + result.ids[:-1]])
         probs = M.forward_step(model, CODE[:1], ast, prefix)[0]
-        for step, dist in enumerate(result.distributions):
-            np.testing.assert_allclose(dist, probs[step], rtol=0, atol=1e-12)
-            assert result.ids[step] == int(np.argmax(probs[step]))
+        decoded = stepper_rows(model, CODE[:1], ast, np.array([result.ids]))[0]
+        np.testing.assert_allclose(decoded, probs, rtol=0, atol=1e-12)
+        assert result.ids == probs.argmax(axis=-1).tolist()
 
     def test_respects_end_token(self):
         model = M.build_model(tiny_config("attendgru"), seed=5)
-        result = M.greedy_decode(model, CODE[0], max_len=4)
+        result = M.greedy_decode(model, CODE[0])
         if END in result.ids:
             assert result.ids[-1] == END
         assert len(result.ids) <= 4
@@ -209,11 +225,20 @@ class TestBatchedDecode:
         assert len({len(r.ids) for r in singles}) >= 3
         assert isinstance(batch, list) and len(batch) == len(singles)
         assert all(isinstance(r, M.DecodeResult) for r in singles + batch)
-        for got, want in zip(batch, singles):
+        padded = np.full((len(singles), model.config.comment_len - 1), PAD)
+        for row, want in enumerate(singles):
+            padded[row, :len(want.ids)] = want.ids
+        batch_rows = stepper_rows(model, BATCH_CODE, ast, padded)
+        for row, (got, want) in enumerate(zip(batch, singles)):
             assert got.ids == want.ids
-            assert len(got.distributions) == len(want.ids)
-            for a, b in zip(got.distributions, want.distributions):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            length = len(want.ids)
+            single_rows = stepper_rows(
+                model, BATCH_CODE[row:row + 1],
+                None if ast is None else ast[row:row + 1],
+                padded[row:row + 1, :length])[0]
+            assert want.ids == single_rows.argmax(axis=-1).tolist()
+            np.testing.assert_allclose(batch_rows[row, :length], single_rows,
+                                       rtol=0, atol=1e-12)
 
     def test_bad_shapes_rejected(self):
         model = M.build_model(tiny_config("ast_attendgru"), seed=1)

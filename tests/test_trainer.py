@@ -158,6 +158,25 @@ class TestTrainingLoop:
         assert ckpt.val_accuracy == best
         assert ckpt.epoch == accuracies.index(best) + 1
 
+    def test_checkpoint_holds_best_epoch_parameters(self):
+        corpus = small_corpus()
+        config, dataset, _, _ = build_setup(corpus)
+
+        def run(epochs):
+            tc = TR.TrainConfig(epochs=epochs, batch_size=8,
+                                learning_rate=5e-3, seed=2, epsilon=0.0)
+            return TR.train(M.build_model(config, seed=2), dataset, dataset,
+                            tc)[0]
+
+        ckpt = run(6)
+        assert ckpt.epoch < 6
+        shorter = run(ckpt.epoch)
+        for name in ckpt.model.params.names():
+            np.testing.assert_array_equal(ckpt.model.params[name].data,
+                                          shorter.model.params[name].data)
+        assert TR.validation_token_accuracy(ckpt.model, dataset) == \
+            ckpt.val_accuracy
+
 
 class TestValidationAccuracy:
     def test_untrained_near_chance(self):
