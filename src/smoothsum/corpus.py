@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .astkit import parse_mini_function, render_sexpr
+from .astkit import import_sexpr, parse_mini_function, render_sexpr
 from .errors import ConfigurationError, DataError, MiniParseError
 from .rng import Rng
 from .stemming import porter_stem
@@ -253,9 +253,10 @@ def _ast_field(rec) -> str | None:
 
 
 def read_corpus_jsonl(path) -> Corpus:
-    """Read a raw corpus file and tokenize it. A sample with no ast field
-    gets the s-expression the mini-language parser derives from its code,
-    or none when the code does not parse."""
+    """Read a raw corpus file and tokenize it. A given non-empty ast field
+    must import as an s-expression, whichever split its record lands in.
+    A sample with no ast field gets the s-expression the mini-language
+    parser derives from its code, or none when the code does not parse."""
     def make(rec):
         ast_text = _ast_field(rec)
         if ast_text is None:
@@ -263,6 +264,11 @@ def read_corpus_jsonl(path) -> Corpus:
                 ast_text = render_sexpr(parse_mini_function(rec["code"]))
             except MiniParseError:
                 pass
+        elif ast_text:
+            try:
+                import_sexpr(ast_text)
+            except MiniParseError as exc:
+                raise ValueError(f"invalid ast: {exc}") from exc
         return Sample(
             id=str(rec["id"]),
             project=str(rec["project"]),

@@ -15,7 +15,7 @@ next-token distribution per prefix position. Greedy decoding steps the same
 decoder code one position at a time over a batch, from encoders run once.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -92,12 +92,9 @@ class DecodeResult:
         return [i for i in self.ids if i not in (PAD, START, END)]
 
 
-_GRU_KEYS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-
-
 def _gru_shapes(prefix: str, in_dim: int, hid: int) -> dict:
     shapes = {}
-    for key in _GRU_KEYS:
+    for key in T.GRU_KEYS:
         if key.startswith("w"):
             shapes[f"{prefix}.{key}"] = (in_dim, hid)
         elif key.startswith("u"):
@@ -170,22 +167,17 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
-def _gru_param_view(params: T.ParamStore, prefix: str) -> dict:
-    return {key: params[f"{prefix}.{key}"] for key in _GRU_KEYS}
+def _gru_weights(params: T.ParamStore, prefix: str) -> T.GruWeights:
+    return T.GruWeights({key: params[f"{prefix}.{key}"] for key in T.GRU_KEYS})
 
 
 def _run_gru_encoder(model: Model, prefix: str, embed_name: str,
                      ids: np.ndarray):
-    """Returns (stacked states (B, T, H), final state (B, H))."""
-    table = model.params[embed_name]
-    gru = _gru_param_view(model.params, prefix)
-    batch = ids.shape[0]
-    state = T.Tensor(np.zeros((batch, model.config.hidden_dim)))
-    states = []
-    for t in range(ids.shape[1]):
-        state = T.gru_step(T.embedding(table, ids[:, t]), state, gru)
-        states.append(state)
-    return T.stack(states, axis=1), state
+    """Returns (states (B, T, H), final state (B, H))."""
+    start = T.Tensor(np.zeros((ids.shape[0], model.config.hidden_dim)))
+    states = T.gru_sequence(T.embedding(model.params[embed_name], ids), start,
+                            _gru_weights(model.params, prefix))
+    return states, T.select(states, ids.shape[1] - 1, axis=1)
 
 
 def _validate_ids(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
@@ -207,17 +199,17 @@ def _encode_gru(model: Model, code_ids, ast_ids):
     return state, memories
 
 
-def _gru_decoder_step(params: T.ParamStore, dec_gru: dict, memories,
-                      token_ids: np.ndarray, state: T.Tensor):
-    """One decoder step for a batch of previous tokens: the GRU update,
-    one attention context per memory, and the output projection of
-    [contexts..., state]. Returns (logits (B, V), new state)."""
-    state = T.gru_step(T.embedding(params["tgt_embed"], token_ids), state,
-                       dec_gru)
-    contexts = [T.dot_attention(state, states, mask=mask)[0]
-                for states, mask in memories]
-    features = T.concat(contexts + [state], axis=-1)
-    return T.add(T.matmul(features, params["out.w"]), params["out.b"]), state
+def _gru_logits(params: T.ParamStore, states: T.Tensor, memories) -> T.Tensor:
+    """Logits (B, L, V) for decoder states (B, L, H): one attention
+    context per memory, and the output projection of [contexts..., state]
+    as one (B*L, kH) @ (kH, V) matmul."""
+    contexts = [T.dot_attention(states, memory, mask=mask)[0]
+                for memory, mask in memories]
+    features = T.concat(contexts + [states], axis=-1)
+    batch, length, width = features.data.shape
+    logits = T.add(T.matmul(T.reshape(features, (batch * length, width)),
+                            params["out.w"]), params["out.b"])
+    return T.reshape(logits, (batch, length, logits.data.shape[-1]))
 
 
 def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
@@ -236,14 +228,14 @@ def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
 
 
 def _forward_gru(model: Model, code_ids, ast_ids, prefix_ids) -> T.Tensor:
+    """The decoder GRU reads only the previous token and state, and
+    attention follows the update, so under teacher forcing the whole
+    prefix runs as one sequence from the final source state."""
     state, memories = _encode_gru(model, code_ids, ast_ids)
-    dec_gru = _gru_param_view(model.params, "dec_gru")
-    logits = []
-    for t in range(prefix_ids.shape[1]):
-        step_logits, state = _gru_decoder_step(model.params, dec_gru, memories,
-                                               prefix_ids[:, t], state)
-        logits.append(step_logits)
-    return T.stack(logits, axis=1)
+    p = model.params
+    states = T.gru_sequence(T.embedding(p["tgt_embed"], prefix_ids), state,
+                            _gru_weights(p, "dec_gru"))
+    return _gru_logits(p, states, memories)
 
 
 def _transformer_ff(params: T.ParamStore, prefix: str, x: T.Tensor) -> T.Tensor:
@@ -373,13 +365,15 @@ def _gru_stepper(model: Model, code_ids, ast_ids):
     """Next-token distributions (B, V) of the recurrent decoders, one call
     per step, from encoders run once."""
     state, memories = _encode_gru(model, code_ids, ast_ids)
-    dec_gru = _gru_param_view(model.params, "dec_gru")
+    p = model.params
+    dec_gru = _gru_weights(p, "dec_gru")
 
     def step(tokens: np.ndarray) -> np.ndarray:
         nonlocal state
-        logits, state = _gru_decoder_step(model.params, dec_gru, memories,
-                                          tokens, state)
-        return T.softmax(logits, axis=-1).data
+        state = T.gru_step(T.embedding(p["tgt_embed"], tokens), state, dec_gru)
+        logits = _gru_logits(p, T.reshape(state, (len(tokens), 1, -1)),
+                             memories)
+        return T.softmax(logits, axis=-1).data[:, 0]
 
     return step
 
@@ -474,10 +468,20 @@ def model_to_dict(model: Model) -> dict:
 
 def config_from_dict(cls, values, what: str):
     """cls(**values) for a config read from a checkpoint; a missing,
-    unknown or mistyped field is a DataError."""
+    unknown, mistyped or out-of-range field is a DataError. A float field
+    also takes a JSON integer; no field takes a boolean."""
+    if not isinstance(values, dict):
+        raise DataError(f"checkpoint {what} is not an object")
+    for f in fields(cls):
+        allowed = (int, float) if f.type is float else f.type
+        value = values.get(f.name)
+        if f.name in values and (isinstance(value, bool)
+                                 or not isinstance(value, allowed)):
+            raise DataError(f"checkpoint {what} field {f.name!r} is not "
+                            f"of type {f.type.__name__}")
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise DataError(f"checkpoint {what} is invalid: {exc}") from exc
 
 
@@ -507,7 +511,7 @@ def model_from_dict(payload: dict) -> Model:
                 f"template {template[name]}")
         try:
             data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"checkpoint data for {name!r} is not numeric: "
                             f"{exc}") from exc
         if data.size != int(np.prod(shape)):

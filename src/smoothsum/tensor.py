@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every differentiable building block the summarizers need lives here: the
-arithmetic primitives, GRU step, multiplicative and multi-head attention,
-sinusoidal position table, inverted dropout, and a finite-difference
-gradient checker. Graphs are taped per forward pass; backward() walks the
-tape once in reverse topological order. Inside ``no_grad()`` nothing is
-taped.
+arithmetic primitives, a whole-sequence GRU kernel, multiplicative and
+multi-head attention, sinusoidal position table, inverted dropout, and a
+finite-difference gradient checker. Graphs are taped per forward pass;
+backward() walks the tape once in reverse topological order. Inside
+``no_grad()`` nothing is taped.
 """
 
 from contextlib import contextmanager
@@ -175,15 +175,18 @@ def concat(tensors, axis=-1) -> Tensor:
                   parents=tuple(tensors), backward_fn=bw)
 
 
-def stack(tensors, axis=0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
+def select(a, index: int, axis: int) -> Tensor:
+    """The slice at index along a non-negative axis, that axis dropped;
+    the gradient fills that slice and leaves zeros elsewhere."""
+    a = _coerce(a)
+    key = (slice(None),) * axis + (index,)
 
     def bw(g):
-        for i, t in enumerate(tensors):
-            _accumulate(t, np.take(g, i, axis=axis))
+        full = np.zeros_like(a.data)
+        full[key] = g
+        _accumulate(a, full)
 
-    return Tensor(np.stack([t.data for t in tensors], axis=axis),
-                  parents=tuple(tensors), backward_fn=bw)
+    return Tensor(a.data[key], parents=(a,), backward_fn=bw)
 
 
 def tanh(a) -> Tensor:
@@ -196,11 +199,17 @@ def tanh(a) -> Tensor:
     return Tensor(y, parents=(a,), backward_fn=bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp of a non-positive value
+    only."""
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
+
+
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(a.data)
 
     def bw(g):
         _accumulate(a, g * y * (1.0 - y))
@@ -296,27 +305,108 @@ def apply_dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
 # recurrent and attention blocks
 
 
-def gru_step(x, h, params) -> Tensor:
-    """One GRU update: h' = (1 - z) * h + z * h_tilde with
+GRU_KEYS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+
+
+class GruWeights:
+    """The nine parameters of one GRU (GRU_KEYS) for gru_sequence, with the
+    input weights of the three gates packed side by side: w = [wz|wr|wh]
+    (E, 3H). Packing copies them, so pack again after the parameters
+    change."""
+
+    __slots__ = ("tensors", "w")
+
+    def __init__(self, params):
+        self.tensors = tuple(params[key] for key in GRU_KEYS)
+        self.w = np.concatenate([params[key].data for key in ("wz", "wr", "wh")],
+                                axis=1)
+
+
+def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
+    """A GRU run over every position of x (batch, steps, E) from the
+    state h0 (batch, H); returns the states (batch, steps, H) as one tape
+    node. Each step is h' = (1 - z) * h + z * h_tilde with
 
         z = sigma(x Wz + h Uz + bz)
         r = sigma(x Wr + h Ur + br)
         h_tilde = tanh(x Wh + (r * h) Uh + bh)
 
-    x and h are (batch, dim) matrices.
-    """
-    x, h = _coerce(x), _coerce(h)
-    wz, uz = params["wz"], params["uz"]
-    if x.data.shape[-1] != wz.data.shape[0] or h.data.shape[-1] != uz.data.shape[0]:
+    with one x [Wz|Wr|Wh] matmul per step. The backward pass runs
+    backpropagation through time in one closure (Appleyard et al. 2016).
+    Every matmul, forward and backward, covers one position: a product
+    over all batch * steps rows is large enough for OpenBLAS to split it
+    over threads, and on a 2-core host its waiting pool thread made a
+    small model's training about twice as slow and its time vary from
+    run to run. Only the bias gradients are summed over all positions
+    after the loop."""
+    x, h0 = _coerce(x), _coerce(h0)
+    _, uz, bz, _, ur, br, _, uh, bh = (t.data for t in weights.tensors)
+    w, hid = weights.w, uh.shape[0]
+    if (x.data.ndim != 3 or x.data.shape[-1] != w.shape[0]
+            or h0.data.shape != (x.data.shape[0], hid)):
         raise ConfigurationError(
-            f"gru_step dims {x.data.shape}/{h.data.shape} do not match params")
-    z = sigmoid(add(add(matmul(x, params["wz"]), matmul(h, params["uz"])),
-                    params["bz"]))
-    r = sigmoid(add(add(matmul(x, params["wr"]), matmul(h, params["ur"])),
-                    params["br"]))
-    cand = tanh(add(add(matmul(x, params["wh"]), matmul(mul(r, h), params["uh"])),
-                    params["bh"]))
-    return add(mul(sub(1.0, z), h), mul(z, cand))
+            f"gru dims {x.data.shape}/{h0.data.shape} do not match params")
+    batch, steps, _ = x.data.shape
+    parents = (x, h0) + weights.tensors
+    keep = _taping and any(p.requires_grad for p in parents)
+    states = [h0.data]  # states[t] is the state before step t
+    gates = []  # per step (z, r, r * h, h_tilde), kept for the backward pass
+    for t in range(steps):
+        h = states[t]
+        xw = x.data[:, t] @ w
+        z = _sigmoid(xw[:, :hid] + h @ uz + bz)
+        r = _sigmoid(xw[:, hid:2 * hid] + h @ ur + br)
+        rh = r * h
+        cand = np.tanh(xw[:, 2 * hid:] + rh @ uh + bh)
+        states.append((1.0 - z) * h + z * cand)
+        if keep:
+            gates.append((z, r, rh, cand))
+
+    def bw(g):
+        da = np.empty((steps, batch, 3 * hid))  # pre-activation gradients
+        d_w, d_zr = np.zeros_like(w), np.zeros((hid, 2 * hid))
+        d_uh = np.zeros_like(uh)
+        dx = np.empty_like(x.data)
+        dh = np.zeros((batch, hid))
+        for t in reversed(range(steps)):
+            z, r, rh, cand = gates[t]
+            h = states[t]
+            dh = dh + g[:, t]
+            da_z, da_r, da_cand = (da[t, :, i * hid:(i + 1) * hid]
+                                   for i in range(3))
+            np.multiply(dh * z, 1.0 - cand * cand, out=da_cand)
+            d_rh = da_cand @ uh.T
+            np.multiply(dh * (cand - h), z * (1.0 - z), out=da_z)
+            np.multiply(d_rh * h, r * (1.0 - r), out=da_r)
+            dh = dh * (1.0 - z) + d_rh * r + da_z @ uz.T + da_r @ ur.T
+            d_w += x.data[:, t].T @ da[t]
+            d_zr += h.T @ da[t, :, :2 * hid]
+            d_uh += rh.T @ da_cand
+            dx[:, t] = da[t] @ w.T
+        d_b = da.sum(axis=(0, 1))
+        grads = []  # GRU_KEYS order: w, u, b of the gates z, r and h
+        for i, d_u in enumerate((d_zr[:, :hid], d_zr[:, hid:], d_uh)):
+            cols = slice(i * hid, (i + 1) * hid)
+            grads += [d_w[:, cols], d_u, d_b[cols]]
+        for tensor, grad in zip(weights.tensors, grads):
+            _accumulate(tensor, grad)
+        _accumulate(x, dx)
+        _accumulate(h0, dh)
+
+    return Tensor(np.stack(states[1:], axis=1), parents=parents,
+                  backward_fn=bw)
+
+
+def gru_step(x, h, weights: GruWeights) -> Tensor:
+    """One GRU update of the states h (batch, H) from the inputs x
+    (batch, E): gru_sequence over a single position."""
+    x = _coerce(x)
+    if x.data.ndim != 2:
+        raise ConfigurationError(f"gru_step input {x.data.shape} is not "
+                                 f"(batch, dim)")
+    batch = x.data.shape[0]
+    states = gru_sequence(reshape(x, (batch, 1, x.data.shape[1])), h, weights)
+    return reshape(states, (batch, states.data.shape[-1]))
 
 
 def _check_attention_mask(mask: np.ndarray) -> np.ndarray:
@@ -328,24 +418,21 @@ def _check_attention_mask(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, _NEG_INF)
 
 
-def dot_attention(decoder_state, encoder_states, mask=None):
-    """Multiplicative attention: scores are dot products of the decoder
-    state against each encoder state; masked positions get -inf before the
-    softmax. Takes a (B, d) decoder state, (B, T, d) encoder states and a
-    (B, T) mask; returns (context (B, d), weights (B, T))."""
-    dec, enc = _coerce(decoder_state), _coerce(encoder_states)
-    if dec.data.shape[-1] != enc.data.shape[-1]:
+def dot_attention(queries, memory, mask=None):
+    """Multiplicative attention of every query position over a memory:
+    scores are dot products of (B, L, d) queries against (B, T, d) memory
+    states, and positions where the (B, T) mask is False get -inf before
+    the softmax. Returns (context (B, L, d), weights (B, L, T))."""
+    q, mem = _coerce(queries), _coerce(memory)
+    if (q.data.ndim != 3 or mem.data.ndim != 3
+            or q.data.shape[-1] != mem.data.shape[-1]):
         raise ConfigurationError(
-            f"attention dims {dec.data.shape} vs {enc.data.shape}")
-    scores = reshape(matmul(enc, reshape(dec, dec.data.shape + (1,))),
-                     enc.data.shape[:-1])           # (B, T)
+            f"attention dims {q.data.shape} vs {mem.data.shape}")
+    scores = matmul(q, transpose(mem, (0, 2, 1)))  # (B, L, T)
     if mask is not None:
-        scores = add(scores, _check_attention_mask(mask))
+        scores = add(scores, _check_attention_mask(mask)[:, None, :])
     weights = softmax(scores, axis=-1)
-    context = reshape(matmul(reshape(weights, (weights.data.shape[0], 1, -1)),
-                             enc),
-                      (enc.data.shape[0], enc.data.shape[-1]))
-    return context, weights
+    return matmul(weights, mem), weights
 
 
 def _swap_heads_and_positions(t: Tensor) -> Tensor:

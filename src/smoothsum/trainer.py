@@ -16,7 +16,7 @@ import numpy as np
 
 from . import astkit, models, tensor as T
 from .corpus import PAD, Corpus, Vocabulary, encode_sequence
-from .errors import ConfigurationError, DataError, NumericError
+from .errors import ConfigurationError, DataError, MiniParseError, NumericError
 from .rng import Rng
 from .smoothing import loss_floor
 
@@ -96,7 +96,12 @@ class EncodedDataset:
 def sbt_tokens_for_sample(sample) -> list:
     if not sample.ast_text:
         raise DataError(f"sample {sample.id!r} has no AST")
-    return astkit.sbt_flatten(astkit.import_sexpr(sample.ast_text))
+    try:
+        tree = astkit.import_sexpr(sample.ast_text)
+    except MiniParseError as exc:
+        raise DataError(f"sample {sample.id!r} has an invalid AST: {exc}") \
+            from exc
+    return astkit.sbt_flatten(tree)
 
 
 def encode_corpus(corpus: Corpus, config: models.ModelConfig,
@@ -279,7 +284,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         epoch = int(payload["epoch"])
         val_accuracy = float(payload["val_accuracy"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"checkpoint {path} has a non-numeric epoch or "
                         f"val_accuracy: {exc}") from exc
     return Checkpoint(

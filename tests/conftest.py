@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from smoothsum import tensor as T
 from smoothsum.astkit import AstNode
 from smoothsum.corpus import Corpus, Sample, tokenize_code, tokenize_comment
+from smoothsum.errors import ConfigurationError
 from smoothsum.rng import Rng
 from smoothsum.synthetic import generate_samples
 
@@ -43,3 +45,35 @@ def random_tree(rng: Rng, max_nodes: int) -> AstNode:
         return AstNode(label, tuple(children))
 
     return build(budget)
+
+
+def reference_gru_step(x, h, params):
+    """One GRU update composed of per-op tape nodes, from a mapping of the
+    nine GRU parameters: the reference that gru_step and gru_sequence are
+    pinned to. x and h are (batch, dim) matrices."""
+    x, h = T._coerce(x), T._coerce(h)
+    wz, uz = params["wz"], params["uz"]
+    if (x.data.shape[-1] != wz.data.shape[0]
+            or h.data.shape[-1] != uz.data.shape[0]):
+        raise ConfigurationError(
+            f"gru_step dims {x.data.shape}/{h.data.shape} do not match params")
+    z = T.sigmoid(T.add(T.add(T.matmul(x, params["wz"]),
+                              T.matmul(h, params["uz"])), params["bz"]))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, params["wr"]),
+                              T.matmul(h, params["ur"])), params["br"]))
+    cand = T.tanh(T.add(T.add(T.matmul(x, params["wh"]),
+                              T.matmul(T.mul(r, h), params["uh"])),
+                        params["bh"]))
+    return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
+
+
+def reference_dot_attention(state, states, mask):
+    """Context (B, d) of one (B, d) decoder state over (B, T, d) states,
+    composed of per-op tape nodes."""
+    query = T.reshape(state, state.data.shape + (1,))
+    scores = T.reshape(T.matmul(states, query), states.data.shape[:-1])
+    scores = T.add(scores, np.where(mask, 0.0, -1e30))
+    weights = T.reshape(T.softmax(scores, axis=-1),
+                        (states.data.shape[0], 1, -1))
+    return T.reshape(T.matmul(weights, states),
+                     (states.data.shape[0], states.data.shape[-1]))

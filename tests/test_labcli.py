@@ -204,6 +204,26 @@ class TestPrepare:
                        str(tmp_path / "prep")) == 2
         assert "deeper than" in assert_one_line_error(capsys)
 
+    def test_deep_val_bound_ast_exits_2(self, tmp_path, corpus_file, capsys):
+        # prepare flattens only train ASTs; a val-bound one is checked too
+        prep = tmp_path / "prep"
+        assert run_cli("prepare", "--data", str(corpus_file), "--out",
+                       str(prep)) == 0
+        val_line = (prep / "val.jsonl").read_text().splitlines()[0]
+        val_id = json.loads(val_line)["id"]
+        lines = corpus_file.read_text().splitlines()
+        [row] = [i for i, line in enumerate(lines)
+                 if json.loads(line)["id"] == val_id]
+        lines[row] = json.dumps({**json.loads(lines[row]),
+                                 "ast": "(a " * 3000 + ")" * 3000})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep2")) == 2
+        err = assert_one_line_error(capsys)
+        assert f"bad.jsonl:{row + 1}" in err and "deeper than" in err
+
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
         assert run_cli("not-a-command") == 1

@@ -8,6 +8,8 @@ from smoothsum.corpus import PAD, START, END
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 
+from conftest import reference_dot_attention, reference_gru_step
+
 
 def tiny_config(arch, **overrides):
     base = dict(arch=arch, src_vocab=12, tgt_vocab=11, embed_dim=6,
@@ -305,6 +307,89 @@ class TestCheckpointRoundTrip:
         path.write_text("{broken")
         with pytest.raises(DataError):
             TR.load_checkpoint(path)
+
+
+def reference_forward_gru(model, code_ids, ast_ids, prefix_ids):
+    """The GRU models as a composition of per-op tape nodes, one GRU step
+    per position in each encoder and in the decoder, and attention and the
+    output projection per decoder step: the reference that the sequence
+    kernel path is pinned to."""
+    p = model.params
+    batch = code_ids.shape[0]
+
+    def encode(prefix, embed_name, ids):
+        gru = {key: p[f"{prefix}.{key}"] for key in T.GRU_KEYS}
+        state = T.Tensor(np.zeros((batch, model.config.hidden_dim)))
+        states = []
+        for t in range(ids.shape[1]):
+            state = reference_gru_step(T.embedding(p[embed_name], ids[:, t]),
+                                       state, gru)
+            states.append(T.reshape(state, (batch, 1, -1)))
+        return T.concat(states, axis=1), state
+
+    src_states, state = encode("enc_gru", "src_embed", code_ids)
+    memories = [(src_states, code_ids != PAD)]
+    if model.config.arch == "ast_attendgru":
+        memories.append((encode("ast_gru", "ast_embed", ast_ids)[0],
+                         ast_ids != PAD))
+    dec_gru = {key: p[f"dec_gru.{key}"] for key in T.GRU_KEYS}
+    logits = []
+    for t in range(prefix_ids.shape[1]):
+        embedded = T.embedding(p["tgt_embed"], prefix_ids[:, t])
+        state = reference_gru_step(embedded, state, dec_gru)
+        contexts = [reference_dot_attention(state, states, mask)
+                    for states, mask in memories]
+        step = T.add(T.matmul(T.concat(contexts + [state], axis=-1),
+                              p["out.w"]), p["out.b"])
+        logits.append(T.reshape(step, (batch, 1, -1)))
+    return T.concat(logits, axis=1)
+
+
+class TestGruSequencePath:
+    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru"])
+    def test_loss_and_gradients_match_per_op_reference(self, arch,
+                                                       monkeypatch):
+        model = M.build_model(tiny_config(arch, epsilon=0.1, embed_dim=8,
+                                          hidden_dim=8), seed=11)
+        ast = AST if arch == "ast_attendgru" else None
+        results = []
+        for forward in (reference_forward_gru, M._forward_gru):
+            monkeypatch.setattr(M, "_forward_gru", forward)
+            model.params.zero_grads()
+            loss, _ = M.sequence_loss(model, CODE, ast, COMMENTS)
+            T.backward(loss, model.params)
+            results.append((float(loss.data), {
+                n: t.grad.copy() for n, t in model.params.items()}))
+        (ref_loss, ref_grads), (loss, grads) = results
+        assert loss == ref_loss
+        for name in model.params.names():
+            scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+            assert np.abs(grads[name] - ref_grads[name]).max() \
+                <= 1e-12 * scale, name
+
+    def test_forward_tape_has_no_per_step_nodes(self, monkeypatch):
+        # the tape of a training forward pass does not grow with the code
+        # or comment length
+        built = []
+        original = T.Tensor.__init__
+
+        def recording_init(obj, *args, **kwargs):
+            original(obj, *args, **kwargs)
+            if obj._parents:
+                built.append(obj)
+
+        monkeypatch.setattr(T.Tensor, "__init__", recording_init)
+        counts = []
+        for length in (5, 13):
+            model = M.build_model(tiny_config("attendgru", code_len=length,
+                                              comment_len=length), seed=1)
+            code = np.full((2, length), 4)
+            comments = np.full((2, length), 5)
+            comments[:, 0], comments[:, -1] = START, END
+            built.clear()
+            M.sequence_loss(model, code, None, comments)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 class TestSequenceLoss:

@@ -7,6 +7,8 @@ from smoothsum import tensor as T
 from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng
 
+from conftest import reference_gru_step
+
 
 def zero_gru_params(in_dim, hid):
     params = {}
@@ -15,7 +17,18 @@ def zero_gru_params(in_dim, hid):
         params[key] = T.Tensor(np.zeros((rows, hid)))
     for key in ("bz", "br", "bh"):
         params[key] = T.Tensor(np.zeros(hid))
-    return params
+    return T.GruWeights(params)
+
+
+def random_gru_store(rng, in_dim, hid, scale=1.0):
+    """A ParamStore holding the nine GRU parameters, drawn uniformly from
+    [-scale, scale)."""
+    store = T.ParamStore()
+    for key in T.GRU_KEYS:
+        shape = ((in_dim if key.startswith("w") else hid, hid)
+                 if key[0] in "wu" else (hid,))
+        store.add(key, (rng.uniform_array(shape) * 2 - 1) * scale)
+    return store
 
 
 class TestRng:
@@ -108,7 +121,8 @@ class TestGruStep:
                 params[key] = T.Tensor(rng.uniform_array((h,)) * 2 - 1)
             x = rng.uniform_array((1, d)) * 6 - 3
             state = rng.uniform_array((1, h)) * 6 - 3
-            out = T.gru_step(T.Tensor(x), T.Tensor(state), params).data
+            out = T.gru_step(T.Tensor(x), T.Tensor(state),
+                             T.GruWeights(params)).data
             bound = np.maximum(np.abs(state), 1.0)
             assert (np.abs(out) <= bound + 1e-12).all()
 
@@ -117,20 +131,94 @@ class TestGruStep:
         with pytest.raises(ConfigurationError):
             T.gru_step(T.Tensor([[1.0]]), T.Tensor([[0.0, 0.0]]), params)
 
+    @pytest.mark.parametrize("x_shape, h_shape", [((4, 2), (4, 3)),
+                                                  ((4, 3), (4, 2))])
+    def test_mismatch_rejected_like_per_op_step(self, x_shape, h_shape):
+        store = random_gru_store(Rng(20), 3, 3)
+        x, h = T.Tensor(np.ones(x_shape)), T.Tensor(np.ones(h_shape))
+        with pytest.raises(ConfigurationError):
+            reference_gru_step(x, h, dict(store.items()))
+        with pytest.raises(ConfigurationError):
+            T.gru_step(x, h, T.GruWeights(dict(store.items())))
+
+    @pytest.mark.parametrize("x_shape, h_shape", [((4, 3), (5, 3)),
+                                                  ((4, 1, 3), (4, 3))])
+    def test_batch_or_rank_mismatch_rejected(self, x_shape, h_shape):
+        weights = T.GruWeights(dict(random_gru_store(Rng(20), 3, 3).items()))
+        with pytest.raises(ConfigurationError):
+            T.gru_step(T.Tensor(np.ones(x_shape)), T.Tensor(np.ones(h_shape)),
+                       weights)
+
+    def test_matches_per_op_step(self):
+        # the old composition of per-op nodes is the reference: states and
+        # the gradients of x, h and all nine parameters agree to 1e-12
+        rng = Rng(21)
+        for batch, in_dim, hid in ((1, 1, 1), (3, 5, 4), (7, 4, 6)):
+            store = random_gru_store(rng, in_dim, hid, scale=2.0)
+            store.add("x", rng.uniform_array((batch, in_dim)) * 6 - 3)
+            store.add("h", rng.uniform_array((batch, hid)) * 2 - 1)
+            mix = rng.uniform_array((batch, hid)) - 0.5
+            results = []
+            for step in (reference_gru_step, T.gru_step):
+                params = dict(store.items())
+                weights = (params if step is reference_gru_step
+                           else T.GruWeights(params))
+                store.zero_grads()
+                out = step(store["x"], store["h"], weights)
+                T.backward(T.tensor_sum(T.mul(out, mix)), store)
+                results.append((out.data, {n: t.grad.copy()
+                                           for n, t in store.items()}))
+            (ref, ref_grads), (got, got_grads) = results
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+            for name in store.names():
+                scale = max(np.abs(ref_grads[name]).max(), 1e-300)
+                assert np.abs(got_grads[name] - ref_grads[name]).max() \
+                    <= 1e-12 * scale, name
+
+
+class TestGruSequence:
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_gradients_match_finite_differences(self, steps):
+        # x, h0 and all nine parameters, against the C2 bound
+        rng = Rng(22 + steps)
+        store = random_gru_store(rng, 3, 4)
+        store.add("x", rng.uniform_array((2, steps, 3)) * 2 - 1)
+        store.add("h0", rng.uniform_array((2, 4)) * 2 - 1)
+        mix = rng.uniform_array((2, steps, 4)) - 0.5
+
+        def loss_fn():
+            states = T.gru_sequence(store["x"], store["h0"],
+                                    T.GruWeights(dict(store.items())))
+            return T.tensor_sum(T.mul(states, mix))
+
+        assert T.grad_check(loss_fn, store) < 1e-4
+
+    def test_matches_stepping(self):
+        # every state of the sequence equals gru_step applied in turn
+        rng = Rng(23)
+        weights = T.GruWeights(dict(random_gru_store(rng, 3, 4).items()))
+        x = rng.uniform_array((2, 6, 3)) * 2 - 1
+        state = T.Tensor(rng.uniform_array((2, 4)))
+        states = T.gru_sequence(T.Tensor(x), state, weights).data
+        for t in range(6):
+            state = T.gru_step(T.Tensor(x[:, t]), state, weights)
+            np.testing.assert_allclose(states[:, t], state.data, rtol=0,
+                                       atol=1e-15)
+
 
 class TestDotAttention:
     def test_identical_rows_uniform_weights(self):
         enc = T.Tensor(np.tile([1.0, 2.0], (1, 4, 1)))
-        ctx, weights = T.dot_attention(T.Tensor([[0.3, -0.1]]), enc)
-        np.testing.assert_allclose(weights.data, [[0.25] * 4], atol=1e-12)
-        np.testing.assert_allclose(ctx.data, [[1.0, 2.0]], atol=1e-12)
+        ctx, weights = T.dot_attention(T.Tensor([[[0.3, -0.1]]]), enc)
+        np.testing.assert_allclose(weights.data, [[[0.25] * 4]], atol=1e-12)
+        np.testing.assert_allclose(ctx.data, [[[1.0, 2.0]]], atol=1e-12)
 
     def test_sharp_scores_approach_one_hot(self):
         enc = T.Tensor(np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]]))
         previous_gap = 1.0
         for scale in (5.0, 10.0, 100.0):
-            _, weights = T.dot_attention(T.Tensor([[scale, 0.0]]), enc)
-            gap = 1.0 - weights.data[0, 0]
+            _, weights = T.dot_attention(T.Tensor([[[scale, 0.0]]]), enc)
+            gap = 1.0 - weights.data[0, 0, 0]
             assert gap <= previous_gap
             previous_gap = gap
         assert previous_gap < 1e-12
@@ -138,22 +226,45 @@ class TestDotAttention:
     def test_uniform_weights_give_row_mean(self):
         rng = Rng(14)
         enc = rng.uniform_array((1, 5, 3))
-        ctx, weights = T.dot_attention(T.Tensor(np.zeros((1, 3))),
+        ctx, weights = T.dot_attention(T.Tensor(np.zeros((1, 1, 3))),
                                        T.Tensor(enc))
-        np.testing.assert_allclose(weights.data, [[0.2] * 5], atol=1e-12)
-        np.testing.assert_allclose(ctx.data, enc.mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(weights.data, [[[0.2] * 5]], atol=1e-12)
+        np.testing.assert_allclose(ctx.data[:, 0], enc.mean(axis=1),
+                                   atol=1e-12)
 
     def test_mask_excludes_positions(self):
         enc = T.Tensor(np.array([[[5.0, 0.0], [1.0, 1.0], [0.0, 5.0]]]))
         mask = np.array([[True, True, False]])
-        _, weights = T.dot_attention(T.Tensor([[1.0, 1.0]]), enc, mask=mask)
-        assert weights.data[0, 2] == 0.0
+        _, weights = T.dot_attention(T.Tensor([[[1.0, 1.0]]]), enc, mask=mask)
+        assert weights.data[0, 0, 2] == 0.0
         assert abs(weights.data.sum() - 1.0) < 1e-12
+
+    def test_query_positions_attend_independently(self):
+        # each of L query rows gets the context and weights it would get
+        # alone, under the same per-batch mask
+        rng = Rng(24)
+        queries = rng.uniform_array((2, 4, 3)) * 2 - 1
+        enc = T.Tensor(rng.uniform_array((2, 5, 3)) * 2 - 1)
+        mask = np.array([[True, True, True, False, False], [True] * 5])
+        ctx, weights = T.dot_attention(T.Tensor(queries), enc, mask=mask)
+        for row in range(4):
+            one_ctx, one_weights = T.dot_attention(
+                T.Tensor(queries[:, row:row + 1]), enc, mask=mask)
+            np.testing.assert_allclose(ctx.data[:, row:row + 1], one_ctx.data,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights.data[:, row:row + 1],
+                                       one_weights.data, rtol=0, atol=1e-15)
+        assert (weights.data[0, :, 3:] == 0.0).all()
+
+    def test_two_dim_queries_rejected(self):
+        enc = T.Tensor(np.ones((2, 3, 2)))
+        with pytest.raises(ConfigurationError):
+            T.dot_attention(T.Tensor(np.ones((2, 2))), enc)
 
     def test_fully_masked_errors(self):
         enc = T.Tensor(np.ones((1, 3, 2)))
         with pytest.raises(NumericError):
-            T.dot_attention(T.Tensor([[1.0, 0.0]]), enc,
+            T.dot_attention(T.Tensor([[[1.0, 0.0]]]), enc,
                             mask=np.array([[False, False, False]]))
 
 
@@ -172,9 +283,9 @@ class TestMultiHeadAttention:
                                      1, wq, wk, wv, wo).data
         for row in range(3):
             scaled_query = q[row] / math.sqrt(d)
-            ctx, _ = T.dot_attention(T.Tensor(scaled_query[None]),
+            ctx, _ = T.dot_attention(T.Tensor(scaled_query[None, None]),
                                      T.Tensor(kv[None]))
-            np.testing.assert_allclose(out[row], ctx.data[0], atol=1e-12)
+            np.testing.assert_allclose(out[row], ctx.data[0, 0], atol=1e-12)
 
     def test_causal_mask_blocks_future(self):
         rng = Rng(16)

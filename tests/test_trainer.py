@@ -1,5 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import models as M
 from smoothsum import trainer as TR
@@ -48,6 +53,13 @@ class TestEncodeCorpus:
         config, dataset, _, _ = build_setup(corpus, arch="ast_attendgru")
         assert dataset.ast is not None
         assert dataset.ast.shape == (len(corpus), 40)
+
+    def test_invalid_ast_names_sample(self):
+        sample = Sample(id="s7", project="p", code_tokens=["a"],
+                        comment_tokens=["b"], ast_text="(a " * 300 + ")" * 300,
+                        code_char_len=1)
+        with pytest.raises(DataError, match=r"sample 's7'.*deeper than"):
+            TR.sbt_tokens_for_sample(sample)
 
     def test_missing_ast_rejected(self):
         sample = Sample(id="x", project="p", code_tokens=["a"],
@@ -281,3 +293,92 @@ def test_train_config_validation():
         TR.TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigurationError):
         TR.TrainConfig(optimizer="sgd")
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                             derandomize=True)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+def valid_checkpoint_payload():
+    config = M.ModelConfig("attendgru", src_vocab=6, tgt_vocab=6, embed_dim=2,
+                           hidden_dim=2, code_len=3, comment_len=3)
+    ckpt = TR.Checkpoint(model=M.build_model(config, seed=0),
+                         train_config=TR.TrainConfig(), epoch=1,
+                         val_accuracy=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        TR.save_checkpoint(ckpt, Path(tmp) / "c.json")
+        return json.loads((Path(tmp) / "c.json").read_text())
+
+
+VALID_PAYLOAD = valid_checkpoint_payload()
+
+
+def edited(path, value):
+    """The valid payload with the field at path replaced by value."""
+    payload = json.loads(json.dumps(VALID_PAYLOAD))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+def edited_payloads():
+    """The valid payload with one field replaced by arbitrary JSON: a
+    top-level field, a config or train_config field, or a parameter
+    entry, its shape or its data."""
+    paths = ([(k,) for k in VALID_PAYLOAD if k != "format_version"]
+             + [(k, f) for k in ("config", "train_config")
+                for f in VALID_PAYLOAD[k]]
+             + [("params", n, f) for n in VALID_PAYLOAD["params"]
+                for f in ("shape", "data")]
+             + [("params", n) for n in VALID_PAYLOAD["params"]])
+    return st.builds(edited, st.sampled_from(paths), JSON_VALUES)
+
+
+def load_or_data_error(payload_bytes):
+    """load_checkpoint either loads the file or raises DataError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        path.write_bytes(payload_bytes)
+        try:
+            return TR.load_checkpoint(path)
+        except DataError as exc:
+            assert str(exc)
+            return None
+
+
+class TestLoadCheckpointProperties:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.text(max_size=60).map(str.encode),
+                     st.binary(max_size=40)))
+    @example(b"[" * 100000)
+    @example(b"\xff{}")
+    def test_arbitrary_text(self, data):
+        load_or_data_error(data)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(
+        st.dictionaries(st.sampled_from(sorted(VALID_PAYLOAD)) | st.text(
+            max_size=6), JSON_VALUES, max_size=6),
+        edited_payloads()))
+    @example(edited(("epoch",), float("inf")))
+    @example(edited(("config", "hidden_dim"), 2.0))
+    @example(edited(("config", "code_len"), 2.5))
+    @example(edited(("train_config", "epochs"), True))
+    @example(edited(("params", "out.b", "data"), [10 ** 400] * 6))
+    def test_arbitrary_objects_with_valid_version(self, payload):
+        payload = {**payload, "format_version": M.CHECKPOINT_FORMAT_VERSION}
+        loaded = load_or_data_error(json.dumps(payload).encode())
+        if loaded is not None:
+            assert loaded.model.params.names() == sorted(payload["params"])
+
+    def test_valid_payload_loads(self):
+        loaded = load_or_data_error(json.dumps(VALID_PAYLOAD).encode())
+        assert loaded is not None and loaded.epoch == 1
