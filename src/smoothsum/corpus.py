@@ -9,8 +9,10 @@ one token per line (line number = index).
 
 import json
 import math
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,7 +99,8 @@ class Vocabulary:
         return self.tokens[idx]
 
     def write(self, path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def read(cls, path) -> "Vocabulary":
@@ -206,6 +209,22 @@ def extract_action_word(comment_tokens) -> str:
 # file formats
 
 
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text handle on a temporary file beside path, which replaces
+    path when the block ends. If the block raises, the temporary file is
+    removed and path keeps its previous contents (or stays absent)."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def token_list(value) -> list:
     """A record's token field: a JSON list, its items as strings."""
     if not isinstance(value, list):
@@ -218,8 +237,8 @@ def read_jsonl(path, fields, make) -> list:
 
     A line that is not UTF-8 JSON (nesting too deep included), a line that
     is not an object, a record lacking one of fields, or a
-    KeyError/TypeError/ValueError raised by make becomes a DataError naming
-    path:line.
+    KeyError/TypeError/ValueError/OverflowError raised by make becomes a
+    DataError naming path:line.
     """
     out = []
     with open(path, "rb") as fh:
@@ -238,7 +257,7 @@ def read_jsonl(path, fields, make) -> list:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
             try:
                 out.append(make(rec))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record: {exc!r}") from exc
     return out
 
@@ -294,7 +313,7 @@ def _sample_to_record(s: Sample) -> dict:
 
 
 def write_split_jsonl(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in corpus.samples:
             fh.write(json.dumps(_sample_to_record(s), sort_keys=True) + "\n")
 

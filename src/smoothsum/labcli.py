@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics, models, trainer
 from .corpus import (START, END, Corpus, PreparedData, Vocabulary,
-                     build_token_vocabulary, build_vocabulary,
+                     atomic_write, build_token_vocabulary, build_vocabulary,
                      extract_action_word, filter_by_length_quantile,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
                      write_prepared_dir)
@@ -110,8 +110,9 @@ def render_report(table: ReportTable, fmt: str) -> str:
 
 
 def _write_table(rows, csv_path: Path, md_path: Path) -> None:
-    csv_path.write_text(render_table(rows, "csv"), encoding="utf-8")
-    md_path.write_text(render_table(rows, "markdown"), encoding="utf-8")
+    for path, fmt in ((csv_path, "csv"), (md_path, "markdown")):
+        with atomic_write(path) as fh:
+            fh.write(render_table(rows, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +184,9 @@ def _ast_size(args, prepared: PreparedData) -> int:
     return prepared.ast_vocab.size
 
 
-def _train_config(args, epsilon: float, epochs: int) -> TrainConfig:
-    return TrainConfig(epochs=epochs, batch_size=args.batch_size,
-                       learning_rate=args.lr, seed=args.seed, epsilon=epsilon)
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                       learning_rate=args.lr, seed=args.seed)
 
 
 def _chunks(count: int):
@@ -219,7 +220,7 @@ def _log(message: str) -> None:
 
 
 def _experiment_arms(args, prepared: PreparedData, epsilons,
-                     tgt_vocab: Vocabulary):
+                     tgt_vocab: Vocabulary, train_config: TrainConfig):
     """Train one arm per epsilon from the same seed and score its test
     decodes. Yields (epsilon tag, checkpoint, predictions, report row);
     every epsilon > 0 row is paired-tested against the epsilon = 0 row."""
@@ -234,7 +235,7 @@ def _experiment_arms(args, prepared: PreparedData, epsilons,
         config = replace(base, epsilon=epsilon)
         model = models.build_model(config, seed=args.seed)
         ckpt, history = trainer.train(model, train_set, val_set,
-                                      _train_config(args, epsilon, args.epochs))
+                                      train_config)
         _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
              f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
              f"final loss {history.records[-1].loss_nats:.4f}")
@@ -290,6 +291,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    train_config = _train_config(args)
     prepared = load_prepared_dir(args.data, splits=("train", "val"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +305,7 @@ def cmd_train(args) -> int:
     }
     model = models.build_model(config, seed=args.seed)
     ckpt, history = trainer.train(model, datasets["train"], datasets["val"],
-                                  _train_config(args, args.epsilon, args.epochs))
+                                  train_config)
     trainer.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     history.write_csv(out_dir / "history.csv")
     print(f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.6f}")
@@ -346,7 +348,7 @@ def cmd_score(args) -> int:
     payload["count"] = len(preds)
     out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{out_prefix}.json", "w", encoding="utf-8") as fh:
+    with atomic_write(f"{out_prefix}.json") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     md = render_table([["bleu", "meteor", "similarity", "count"],
@@ -354,7 +356,7 @@ def cmd_score(args) -> int:
                         _fmt_score(report.mean_meteor),
                         _fmt_score(report.mean_similarity), str(len(preds))]],
                       "markdown")
-    with open(f"{out_prefix}.md", "w", encoding="utf-8") as fh:
+    with atomic_write(f"{out_prefix}.md") as fh:
         fh.write(md)
     print(md, end="")
     return 0
@@ -366,12 +368,14 @@ def cmd_compare(args) -> int:
     sentence-level metrics (BLEU is corpus-level and gets no test)."""
     if not 0.0 <= args.epsilon <= 1.0:
         raise ConfigurationError(f"epsilon {args.epsilon} outside [0, 1]")
+    train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for tag, ckpt, preds, row in _experiment_arms(
-            args, prepared, (0.0, args.epsilon), prepared.tgt_vocab):
+            args, prepared, (0.0, args.epsilon), prepared.tgt_vocab,
+            train_config):
         trainer.save_checkpoint(ckpt, out_dir / f"checkpoint_eps{tag}.json")
         metrics.write_predictions(preds, out_dir / f"predictions_eps{tag}.jsonl")
         rows.append(row)
@@ -387,6 +391,7 @@ def cmd_sweep(args) -> int:
     same vocabulary size. A numeric failure still writes the rows done so
     far for its vocabulary size, then stops the sweep."""
     sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
+    train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,7 +402,8 @@ def cmd_sweep(args) -> int:
         failure = None
         try:
             for tag, _, preds, row in _experiment_arms(
-                    args, prepared, DEFAULT_SWEEP_GRID, tgt_vocab):
+                    args, prepared, DEFAULT_SWEEP_GRID, tgt_vocab,
+                    train_config):
                 metrics.write_predictions(
                     preds, out_dir / f"sweep_v{size}_eps{tag}.jsonl")
                 rows.append(row)
@@ -429,8 +435,10 @@ def cmd_diversity(args) -> int:
                      rep.unique_words - base.unique_words])
     if args.out:
         out = Path(args.out)
+        if not out.name:
+            raise ConfigurationError(f"--out {args.out!r} names no file")
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_table(rows, out, out.with_suffix(".md"))
+        _write_table(rows, out.with_suffix(".csv"), out.with_suffix(".md"))
     print(render_table(rows, "csv"), end="")
     return 0
 
@@ -454,6 +462,7 @@ def _action_word_dataset(split: Corpus, config: models.ModelConfig,
 def cmd_actionword(args) -> int:
     """Action-word study: single-step decoders trained per epsilon in
     {0, 0.1, 0.4}; reports precision/recall/F1 and unique-word counts."""
+    train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -475,8 +484,7 @@ def cmd_actionword(args) -> int:
         test_set, gold = _action_word_dataset(prepared.test, config, prepared,
                                               label_vocab)
         model = models.build_model(config, seed=args.seed)
-        ckpt, _ = trainer.train(model, train_set, val_set,
-                                _train_config(args, epsilon, args.epochs))
+        ckpt, _ = trainer.train(model, train_set, val_set, train_config)
         predicted = []
         for chunk in _chunks(len(test_set)):
             code = test_set.code[chunk]
@@ -557,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diversity", help="word diversity of prediction files")
     p.add_argument("--predictions", nargs="+", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None,
+                   help="table path; written with suffixes .csv and .md")
     p.set_defaults(func=cmd_diversity)
 
     p = sub.add_parser("actionword",

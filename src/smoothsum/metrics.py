@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import SPECIAL_TOKENS, read_jsonl, token_list
+from .corpus import SPECIAL_TOKENS, atomic_write, read_jsonl, token_list
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import Rng, stable_token_seed
 from .stemming import porter_stem
@@ -104,8 +104,6 @@ class ClassificationReport:
 
 class SentenceEmbedder:
     """Deterministic token-sequence -> fixed-length vector interface."""
-
-    dim: int
 
     def embed(self, tokens) -> np.ndarray:
         raise NotImplementedError
@@ -201,34 +199,31 @@ def sentence_meteor(pred, ref) -> float:
 # ---------------------------------------------------------------------------
 # embedding similarity
 
+EMBED_DIM = 64  # length of HashedBagEmbedder's token and sentence vectors
+
 
 class HashedBagEmbedder(SentenceEmbedder):
     """Stand-in for a pretrained sentence encoder: every token hashes to a
     fixed pseudo-random unit-variance vector, a sentence embeds as the
     mean of its token vectors. Deterministic across runs and platforms."""
 
-    def __init__(self, dim: int = 64):
-        self.dim = dim
+    def __init__(self):
         self._cache = {}
 
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._cache.get(token)
         if vec is None:
             rng = Rng(stable_token_seed("token-embed:" + token))
-            vec = (rng.uniform_array((self.dim,)) - 0.5) * math.sqrt(12.0)
+            vec = (rng.uniform_array((EMBED_DIM,)) - 0.5) * math.sqrt(12.0)
             self._cache[token] = vec
         return vec
 
     def embed(self, tokens) -> np.ndarray:
         if not tokens:
-            return np.zeros(self.dim)
+            return np.zeros(EMBED_DIM)
         # canonical accumulation order makes the mean exactly invariant
         # under token permutation
         return np.mean([self._token_vector(t) for t in sorted(tokens)], axis=0)
-
-
-def default_embedder() -> SentenceEmbedder:
-    return HashedBagEmbedder()
 
 
 def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
@@ -368,7 +363,7 @@ def classification_report(gold, predicted) -> ClassificationReport:
 
 
 def write_predictions(preds: PredictionSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in preds.records:
             fh.write(json.dumps(
                 {"id": r.id, "ref": r.reference, "pred": r.predicted},
@@ -387,7 +382,7 @@ def score_predictions(preds: PredictionSet) -> MetricReport:
     """All three metrics over one prediction set."""
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
-    embedder = default_embedder()
+    embedder = HashedBagEmbedder()
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),
         meteor_scores=[sentence_meteor(r.predicted, r.reference)

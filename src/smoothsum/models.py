@@ -26,7 +26,7 @@ from .rng import Rng
 from .smoothing import smooth_target_matrix
 
 ARCHITECTURES = ("attendgru", "transformer", "ast_attendgru")
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)

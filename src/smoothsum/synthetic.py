@@ -11,6 +11,7 @@ import argparse
 import json
 
 from .astkit import parse_mini_function, render_sexpr
+from .corpus import atomic_write
 from .rng import Rng
 
 VERBS = [
@@ -47,6 +48,11 @@ _TEMPLATES = [
 ]
 
 
+ZIPF_S = 1.2  # power-law exponent of the verb, noun and modifier ranks
+MODIFIER_RATE = 0.75  # share of comments that end in a modifier
+MODIFIER_NOISE = 0.3  # share of modifiers drawn at random, not from the code
+
+
 def _zipf_cumulative(n: int, s: float):
     weights = [1.0 / (r ** s) for r in range(1, n + 1)]
     total = sum(weights)
@@ -71,8 +77,6 @@ def _camel(verb: str, noun: str) -> str:
 
 
 def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
-                     zipf_s: float = 1.2, modifier_rate: float = 0.75,
-                     modifier_noise: float = 0.3,
                      unique_pairs: bool = False) -> list:
     """Raw corpus records (id/project/code/comment/ast dictionaries).
 
@@ -80,9 +84,9 @@ def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
     drops modifiers entirely, producing an unambiguous memorization set.
     """
     rng = Rng(seed).derive("synthetic-corpus")
-    verb_cum = _zipf_cumulative(len(VERBS), zipf_s)
-    noun_cum = _zipf_cumulative(len(NOUNS), zipf_s)
-    mod_cum = _zipf_cumulative(len(MODIFIERS), zipf_s)
+    verb_cum = _zipf_cumulative(len(VERBS), ZIPF_S)
+    noun_cum = _zipf_cumulative(len(NOUNS), ZIPF_S)
+    mod_cum = _zipf_cumulative(len(MODIFIERS), ZIPF_S)
 
     pair_queue = None
     if unique_pairs:
@@ -103,9 +107,9 @@ def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
         verb, noun = VERBS[vi], NOUNS[ni]
 
         comment = f"{verb} the {noun}"
-        if not unique_pairs and rng.random() < modifier_rate:
+        if not unique_pairs and rng.random() < MODIFIER_RATE:
             home = MODIFIERS[(vi * 7 + ni * 3) % len(MODIFIERS)]
-            if rng.random() < modifier_noise:
+            if rng.random() < MODIFIER_NOISE:
                 comment += " " + MODIFIERS[_zipf_draw(rng, mod_cum)]
             else:
                 comment += " " + home
@@ -125,7 +129,7 @@ def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
 
 
 def write_corpus_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -17,6 +17,7 @@ from .rng import Rng
 
 _NEG_INF = -1e30
 GRAD_CHECK_STEP = 1e-5  # half-width of grad_check's central differences
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 _taping = True  # False inside no_grad()
 
@@ -129,16 +130,15 @@ def matmul(a, b) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
 
 
-def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(a, axis=None) -> Tensor:
     a = _coerce(a)
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,),
-                  backward_fn=bw)
+    return Tensor(a.data.sum(axis=axis), parents=(a,), backward_fn=bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -268,12 +268,12 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor(table.data[ids], parents=(table,), backward_fn=bw)
 
 
-def layer_norm(x, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalization over the last axis with learned gain and bias."""
     x = _coerce(x)
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mean) * inv
 
     def bw(g):

@@ -15,12 +15,16 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import astkit, models, tensor as T
-from .corpus import PAD, Corpus, Vocabulary, encode_sequence
+from .corpus import PAD, Corpus, Vocabulary, atomic_write, encode_sequence
 from .errors import ConfigurationError, DataError, MiniParseError, NumericError
 from .rng import Rng
 from .smoothing import loss_floor
 
 GRAD_CLIP_NORM = 5.0
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,27 +32,16 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        for name in ("learning_rate", "beta1", "beta2", "adam_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.optimizer != "adam":
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError("epsilon must be in [0, 1]")
+        if not 0 < self.learning_rate < math.inf:  # rejects NaN
+            raise ConfigurationError(
+                "learning_rate must be positive and finite")
 
 
 @dataclass
@@ -64,7 +57,7 @@ class TrainHistory:
     records: list = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("epoch,loss_nats,val_acc,seconds\n")
             for r in self.records:
                 fh.write(f"{r.epoch},{r.loss_nats!r},{r.val_accuracy!r},"
@@ -136,18 +129,16 @@ def encode_corpus(corpus: Corpus, config: models.ModelConfig,
 
 
 class Adam:
-    def __init__(self, params: T.ParamStore, config: TrainConfig):
+    def __init__(self, params: T.ParamStore, learning_rate: float):
         self.params = params
-        self.lr = config.learning_rate
-        self.beta1, self.beta2 = config.beta1, config.beta2
-        self.eps = config.adam_eps
+        self.lr = learning_rate
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, t in self.params.items():
@@ -156,7 +147,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
-            t.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            t.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _batches(order, batch_size):
@@ -197,15 +188,11 @@ def train(model: models.Model, train_set: EncodedDataset,
     epoch-mean training loss is checked against the analytic smoothed
     floor every epoch; a violation indicates a numeric defect.
     """
-    if model.config.epsilon != config.epsilon:
-        raise ConfigurationError(
-            f"model epsilon {model.config.epsilon} does not match "
-            f"train epsilon {config.epsilon}")
     if len(train_set) == 0:
         raise DataError("empty training set")
-    optimizer = Adam(model.params, config)
+    optimizer = Adam(model.params, config.learning_rate)
     history = TrainHistory()
-    floor = loss_floor(config.epsilon, model.config.tgt_vocab)
+    floor = loss_floor(model.config.epsilon, model.config.tgt_vocab)
     best_values = None
     best_accuracy = -1.0
     best_epoch = -1
@@ -264,7 +251,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload["train_config"] = asdict(ckpt.train_config)
     payload["epoch"] = ckpt.epoch
     payload["val_accuracy"] = ckpt.val_accuracy
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"))
                  + "\n")
 

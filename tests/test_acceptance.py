@@ -89,7 +89,7 @@ def test_c3_loss_floor_law_single_sample_overfit():
         dataset = TR.encode_corpus(corpus, config, src_vocab, tgt_vocab)
         model = M.build_model(config, seed=1)
         train_config = TR.TrainConfig(epochs=300, batch_size=1,
-                                      learning_rate=1e-3, seed=2, epsilon=eps)
+                                      learning_rate=1e-3, seed=2)
         ckpt, history = TR.train(model, dataset, dataset, train_config)
         floor = loss_floor(eps, tgt_vocab.size)
         final = history.records[-1].loss_nats
@@ -182,7 +182,7 @@ def test_c6_sixty_four_pair_memorization():
     dataset = TR.encode_corpus(corpus, config, src_vocab, tgt_vocab)
     model = M.build_model(config, seed=3)
     train_config = TR.TrainConfig(epochs=200, batch_size=16,
-                                  learning_rate=1e-3, seed=4, epsilon=0.0)
+                                  learning_rate=1e-3, seed=4)
     ckpt, _ = TR.train(model, dataset, dataset, train_config)
     exact = 0
     for i in range(len(dataset)):
@@ -214,8 +214,7 @@ def test_c7_smoothing_reduces_unique_words():
         test_set = TR.encode_corpus(test, config, src_vocab, tgt_vocab)
         model = M.build_model(config, seed=seed)
         train_config = TR.TrainConfig(epochs=20, batch_size=32,
-                                      learning_rate=2e-3, seed=seed,
-                                      epsilon=eps)
+                                      learning_rate=2e-3, seed=seed)
         ckpt, _ = TR.train(model, train_set, val_set, train_config)
         records = []
         for i in range(len(test_set)):

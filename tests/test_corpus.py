@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
-                              SPECIAL_TOKENS, Vocabulary, build_vocabulary,
+                              SPECIAL_TOKENS, Vocabulary, atomic_write,
+                              build_vocabulary,
                               encode_sequence, extract_action_word,
                               filter_by_length_quantile, load_prepared_dir,
                               read_corpus_jsonl, read_split_jsonl,
@@ -16,7 +17,8 @@ from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
                               tokenize_code, tokenize_comment,
                               write_prepared_dir)
 from smoothsum.errors import ConfigurationError, DataError
-from smoothsum.metrics import read_predictions
+from smoothsum.metrics import (PredictionRecord, PredictionSet,
+                               read_predictions, write_predictions)
 from smoothsum.rng import Rng
 from smoothsum.stemming import porter_stem
 
@@ -344,6 +346,33 @@ SPLIT_RECORD = st.fixed_dictionaries(
     optional={"ast": st.one_of(st.none(), st.text(max_size=10))})
 PREDICTION_RECORD = st.fixed_dictionaries(
     {"id": st.just(""), "ref": TOKENS, "pred": TOKENS})
+class TestAtomicWrite:
+    def test_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failure_keeps_previous_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("previous\n")
+        records = [PredictionRecord("a", ["x"], ["x"]),
+                   PredictionRecord("b", ["y"], [object()])]
+        with pytest.raises(TypeError):
+            write_predictions(PredictionSet(records=records), path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
+
+    def test_failure_creates_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_write(tmp_path / "new.txt") as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
                              derandomize=True)
 
@@ -400,6 +429,10 @@ class TestReadJsonlProperties:
                        ("code_tokens", "comment_tokens")))
     @example([("bad", "[" * 100000)])
     @example([("bad", "1" * 5000)])
+    @example([("bad", {"id": "", "project": "p", "code_tokens": [],
+                       "comment_tokens": [], "code_char_len": math.inf})])
+    @example([("bad", '{"id": "a", "project": "p", "code_tokens": [], '
+                      '"comment_tokens": [], "code_char_len": 1e400}')])
     def test_split_file(self, lines):
         check_reader(lambda path: read_split_jsonl(path, "test"), lines)
 

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import labcli
 from smoothsum.errors import ConfigurationError
@@ -229,6 +233,72 @@ class TestPrepare:
         assert run_cli("not-a-command") == 1
 
 
+CORPUS_FIELDS = ("id", "project", "code", "comment", "ast")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+VALID_CORPUS = generate_samples(12, seed=3)
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                             derandomize=True)
+
+
+def edited_corpus(row, key, value):
+    """VALID_CORPUS with one field of one record replaced by value, or
+    removed when value is DELETE."""
+    records = [dict(r) for r in VALID_CORPUS]
+    records[row].pop(key)
+    if value is not DELETE:
+        records[row][key] = value
+    return records
+
+
+CORPUS_RECORDS = st.one_of(
+    st.lists(st.dictionaries(st.sampled_from(CORPUS_FIELDS), JSON_VALUES,
+                             max_size=5), max_size=8),
+    st.builds(edited_corpus, st.integers(0, len(VALID_CORPUS) - 1),
+              st.sampled_from(CORPUS_FIELDS),
+              st.just(DELETE) | JSON_VALUES))
+
+
+def prepare_exits_cleanly(data: bytes) -> None:
+    """prepare on a corpus file holding data exits 0 with nothing on
+    stderr, or exits 2 with exactly one error: line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.jsonl"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli("prepare", "--data", str(path), "--out",
+                           str(Path(tmp) / "prep"), "--src-vocab", "20",
+                           "--tgt-vocab", "20")
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+class TestPrepareProperties:
+    @PROPERTY_SETTINGS
+    @given(st.binary(max_size=80))
+    @example(b"\xff\n")
+    @example(b"[" * 100000)
+    def test_arbitrary_bytes(self, data):
+        prepare_exits_cleanly(data)
+
+    @PROPERTY_SETTINGS
+    @given(CORPUS_RECORDS)
+    @example(VALID_CORPUS)
+    def test_arbitrary_field_values(self, records):
+        prepare_exits_cleanly("".join(
+            json.dumps(r) + "\n" for r in records).encode())
+
+
 class TestTrainPredictScore:
     def test_full_chain(self, tmp_path, prepared_dir):
         run_dir = tmp_path / "run"
@@ -382,12 +452,53 @@ class TestTrainPredictScore:
                        str(tmp_path / "scores")) == 2
         assert "nothere.jsonl" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["Infinity", "1e400"])
+    def test_infinite_code_char_len_exits_2(self, tmp_path, prepared_dir,
+                                            capsys, value):
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "val.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["code_char_len"] = 0
+        lines[0] = json.dumps(record).replace('"code_char_len": 0',
+                                              f'"code_char_len": {value}')
+        (bad / "val.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_cli("train", "--data", str(bad), "--out",
+                       str(tmp_path / "run"), "--epochs", "1",
+                       *FAST_MODEL) == 2
+        assert "val.jsonl:1" in assert_one_line_error(capsys)
+
+    def test_checkpoint_of_format_1_exits_2(self, tmp_path, prepared_dir,
+                                            checkpoint, capsys):
+        payload = json.loads(checkpoint.read_text())
+        payload["format_version"] = 1
+        payload["train_config"].update(optimizer="adam", beta1=0.9,
+                                       beta2=0.999, adam_eps=1e-8,
+                                       epsilon=0.0)
+        old = tmp_path / "checkpoint.json"
+        old.write_text(json.dumps(payload))
+        assert run_cli("predict", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(old)) == 2
+        assert "format 1" in assert_one_line_error(capsys)
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_non_finite_learning_rate_exits_2(self, tmp_path, prepared_dir,
                                               capsys):
         assert run_cli("train", "--data", str(prepared_dir), "--out",
                        str(tmp_path / "run"), "--epochs", "1", *FAST_MODEL,
                        "--lr", "nan") == 2
         assert "learning_rate" in assert_one_line_error(capsys)
+
+
+    @pytest.mark.parametrize("command",
+                             ["train", "compare", "sweep", "actionword"])
+    def test_bad_epochs_exits_2_before_writing(self, tmp_path, prepared_dir,
+                                               capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(prepared_dir), "--out",
+                       str(out), "--epochs", "0", *FAST_MODEL) == 2
+        assert "epochs" in assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestCompare:
@@ -433,6 +544,28 @@ class TestDiversityCommand:
         assert lines[1].split(",")[4:] == ["0", "0"]
         assert lines[2].split(",")[4:] == ["0", "0"]
         assert (tmp_path / "div.md").read_text().startswith("| file")
+
+    @pytest.mark.parametrize("name", ["div.md", "div"])
+    def test_out_written_as_csv_and_md(self, tmp_path, name, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "a", "ref": ["x"],
+                                     "pred": ["x", "y"]}) + "\n")
+        assert run_cli("diversity", "--predictions", str(preds),
+                       "--out", str(tmp_path / name)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "div.csv", "div.md", "preds.jsonl"]
+        assert (tmp_path / "div.csv").read_text() == capsys.readouterr().out
+        assert (tmp_path / "div.md").read_text().startswith("| file")
+
+    def test_out_naming_no_file_exits_2(self, tmp_path, monkeypatch,
+                                        capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "a", "ref": [], "pred": []})
+                         + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("diversity", "--predictions", str(preds),
+                       "--out", ".") == 2
+        assert_one_line_error(capsys)
 
     def test_malformed_predictions_exit_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -81,8 +81,7 @@ class TestTrainingLoop:
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
-        tc = TR.TrainConfig(epochs=5, batch_size=8, learning_rate=2e-3,
-                            seed=2, epsilon=0.0)
+        tc = TR.TrainConfig(epochs=5, batch_size=8, learning_rate=2e-3, seed=2)
         ckpt, history = TR.train(model, dataset, dataset, tc)
         assert [r.epoch for r in history.records] == [1, 2, 3, 4, 5]
         assert history.records[-1].loss_nats < history.records[0].loss_nats
@@ -94,7 +93,7 @@ class TestTrainingLoop:
             config, dataset, _, _ = build_setup(corpus, epsilon=0.1)
             model = M.build_model(config, seed=7)
             tc = TR.TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3,
-                                seed=7, epsilon=0.1)
+                                seed=7)
             ckpt, history = TR.train(model, dataset, dataset, tc)
             outcomes.append((
                 tuple(r.loss_nats for r in history.records),
@@ -112,8 +111,7 @@ class TestTrainingLoop:
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus, epsilon=0.1)
         model = M.build_model(config, seed=4)
-        tc = TR.TrainConfig(epochs=4, batch_size=8, learning_rate=2e-3,
-                            seed=4, epsilon=0.1)
+        tc = TR.TrainConfig(epochs=4, batch_size=8, learning_rate=2e-3, seed=4)
         _, history = TR.train(model, dataset, dataset, tc)
         floor = loss_floor(0.1, config.tgt_vocab)
         for record in history.records:
@@ -139,20 +137,12 @@ class TestTrainingLoop:
         assert count_a == count_b
         assert abs(float(loss_a.data) - float(loss_b.data)) < 1e-12
 
-    def test_epsilon_mismatch_rejected(self):
-        corpus = small_corpus()
-        config, dataset, _, _ = build_setup(corpus, epsilon=0.1)
-        model = M.build_model(config, seed=1)
-        tc = TR.TrainConfig(epochs=1, batch_size=8, seed=1, epsilon=0.4)
-        with pytest.raises(ConfigurationError):
-            TR.train(model, dataset, dataset, tc)
-
     def test_divergence_names_batch(self):
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
         model.params["out.w"].data[0, 0] = np.inf
-        tc = TR.TrainConfig(epochs=1, batch_size=8, seed=1, epsilon=0.0)
+        tc = TR.TrainConfig(epochs=1, batch_size=8, seed=1)
         from smoothsum.errors import NumericError
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="batch"):
@@ -162,8 +152,7 @@ class TestTrainingLoop:
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=2)
-        tc = TR.TrainConfig(epochs=6, batch_size=8, learning_rate=2e-3,
-                            seed=2, epsilon=0.0)
+        tc = TR.TrainConfig(epochs=6, batch_size=8, learning_rate=2e-3, seed=2)
         ckpt, history = TR.train(model, dataset, dataset, tc)
         accuracies = [r.val_accuracy for r in history.records]
         best = max(accuracies)
@@ -176,7 +165,7 @@ class TestTrainingLoop:
 
         def run(epochs):
             tc = TR.TrainConfig(epochs=epochs, batch_size=8,
-                                learning_rate=5e-3, seed=2, epsilon=0.0)
+                                learning_rate=5e-3, seed=2)
             return TR.train(M.build_model(config, seed=2), dataset, dataset,
                             tc)[0]
 
@@ -234,8 +223,7 @@ class TestCheckpointFiles:
         corpus = small_corpus(n=12)
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
-        tc = TR.TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3,
-                            seed=1, epsilon=0.0)
+        tc = TR.TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=1)
         ckpt, _ = TR.train(model, dataset, dataset, tc)
         return ckpt, dataset
 
@@ -263,6 +251,15 @@ class TestCheckpointFiles:
             b = M.greedy_decode(loaded.model, dataset.code[i])
             assert a.ids == b.ids
 
+    def test_train_config_stored_once(self, tmp_path):
+        ckpt, _ = self._checkpoint()
+        TR.save_checkpoint(ckpt, tmp_path / "e.json")
+        payload = json.loads((tmp_path / "e.json").read_text())
+        assert payload["format_version"] == 2
+        assert payload["train_config"] == {
+            "epochs": 2, "batch_size": 8, "learning_rate": 1e-3, "seed": 1}
+        assert payload["config"]["epsilon"] == 0.0
+
     def test_missing_fields_rejected(self, tmp_path):
         ckpt, _ = self._checkpoint()
         import json
@@ -275,7 +272,7 @@ class TestCheckpointFiles:
         corpus = small_corpus(n=12)
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
-        tc = TR.TrainConfig(epochs=2, batch_size=8, seed=1, epsilon=0.0)
+        tc = TR.TrainConfig(epochs=2, batch_size=8, seed=1)
         _, history = TR.train(model, dataset, dataset, tc)
         history.write_csv(tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
@@ -291,8 +288,6 @@ def test_train_config_validation():
         TR.TrainConfig(batch_size=0)
     with pytest.raises(ConfigurationError):
         TR.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ConfigurationError):
-        TR.TrainConfig(optimizer="sgd")
 
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,

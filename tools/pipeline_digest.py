@@ -1,0 +1,108 @@
+"""Run one fixed CLI pipeline and print a SHA-256 digest of every file it
+writes.
+
+Usage: python3 tools/pipeline_digest.py OUT_DIR
+
+OUT_DIR must be new or empty. The pipeline runs the `smoothsum` commands
+of this checkout's `src/` in-process, inside OUT_DIR, on relative paths:
+
+- a 240-sample synthetic corpus with `ast` removed from every other
+  record, and `prepare`;
+- `compare` for each architecture (3 epochs), with both prediction files
+  `score`d;
+- `sweep --vocab-sizes 40,60 --epochs 1`;
+- `diversity` over the six compare prediction files, and
+  `actionword --epochs 1`;
+- ast-attendgru `train` (4 epochs), `predict` and `score`.
+
+Models use the acceptance suite's small C8/C9 shape. Standard output is
+one `sha256  path` line per file, sorted by path; command output goes to
+standard error. `history.csv` is digested without its `seconds` column,
+the only wall-clock value, so two runs print the same lines wherever they
+run, and two checkouts print the same lines when they write the same
+bytes.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from smoothsum import labcli  # noqa: E402
+from smoothsum.synthetic import generate_samples, write_corpus_jsonl  # noqa: E402
+
+FAST_MODEL = ("--embed-dim", "16", "--hidden-dim", "16", "--code-len", "20",
+              "--comment-len", "8", "--batch-size", "32", "--lr", "2e-3",
+              "--dropout", "0", "--heads", "2", "--layers", "1")
+ARCHS = ("attendgru", "transformer", "ast-attendgru")
+
+
+def run(*argv) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = labcli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"smoothsum {' '.join(argv)}: exit {code}")
+
+
+def pipeline() -> None:
+    records = generate_samples(240, seed=5)
+    for record in records[1::2]:
+        del record["ast"]
+    write_corpus_jsonl(records, "corpus.jsonl")
+    run("prepare", "--data", "corpus.jsonl", "--out", "prep", "--seed", "11")
+    predictions = []
+    for arch in ARCHS:
+        out = f"cmp_{arch}"
+        run("compare", "--data", "prep", "--out", out, "--arch", arch,
+            "--seed", "3", "--epochs", "3", *FAST_MODEL)
+        for tag in ("eps0", "eps0p1"):
+            preds = f"{out}/predictions_{tag}.jsonl"
+            run("score", "--predictions", preds, "--out",
+                f"{out}/scores_{tag}")
+            predictions.append(preds)
+    run("sweep", "--data", "prep", "--out", "sweep", "--seed", "3",
+        "--epochs", "1", "--vocab-sizes", "40,60", *FAST_MODEL)
+    run("diversity", "--predictions", *predictions, "--out", "diversity.csv")
+    run("actionword", "--data", "prep", "--out", "actionword", "--seed", "3",
+        "--epochs", "1", *FAST_MODEL)
+    run("train", "--data", "prep", "--out", "run_ast", "--arch",
+        "ast-attendgru", "--seed", "3", "--epochs", "4", *FAST_MODEL)
+    run("predict", "--data", "prep", "--checkpoint", "run_ast/checkpoint.json",
+        "--out", "run_ast/predictions.jsonl")
+    run("score", "--predictions", "run_ast/predictions.jsonl", "--out",
+        "run_ast/scores")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "history.csv":
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+        seconds = rows[0].index("seconds")
+        data = "".join(",".join(row[:seconds] + row[seconds + 1:]) + "\n"
+                       for row in rows).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"error: {out} is not empty", file=sys.stderr)
+        return 1
+    os.chdir(out)
+    pipeline()
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        print(f"{digest(path)}  {path.as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
