@@ -15,6 +15,7 @@ next-token distribution per prefix position. Greedy decoding steps the same
 decoder code one position at a time over a batch, from encoders run once.
 """
 
+import base64
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -26,7 +27,7 @@ from .rng import Rng
 from .smoothing import smooth_target_matrix
 
 ARCHITECTURES = ("attendgru", "transformer", "ast_attendgru")
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -456,11 +457,16 @@ def greedy_decode(model: Model, code_ids, ast_ids=None):
 
 
 def model_to_dict(model: Model) -> dict:
+    """The checkpoint form of a model. Each parameter's "data" is the
+    base64 text of its row-major little-endian float64 bytes, so values
+    round-trip bit-exactly."""
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
         "params": {
-            name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
+            name: {"shape": list(t.data.shape),
+                   "data": base64.b64encode(
+                       t.data.astype("<f8", copy=False).tobytes()).decode("ascii")}
             for name, t in model.params.items()
         },
     }
@@ -501,21 +507,27 @@ def model_from_dict(payload: dict) -> Model:
     for name in sorted(template):
         entry = stored[name]
         if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
-                and isinstance(entry.get("data"), list)):
-            raise DataError(f"checkpoint parameter {name!r} needs list "
-                            f"fields 'shape' and 'data'")
+                and isinstance(entry.get("data"), str)):
+            raise DataError(f"checkpoint parameter {name!r} needs a list "
+                            f"'shape' and a base64 string 'data'")
         shape = tuple(entry["shape"])
         if shape != template[name]:
             raise DataError(
                 f"checkpoint shape {shape} for {name!r} does not match "
                 f"template {template[name]}")
         try:
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"checkpoint data for {name!r} is not numeric: "
+            # validate=True: without it a bad character is skipped silently
+            raw = base64.b64decode(entry["data"], validate=True)
+        except ValueError as exc:
+            raise DataError(f"checkpoint data for {name!r} is not base64: "
                             f"{exc}") from exc
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"checkpoint data size mismatch for {name!r}")
+        size = int(np.prod(template[name]))
+        if len(raw) != 8 * size:
+            raise DataError(f"checkpoint data for {name!r} holds {len(raw)} "
+                            f"bytes, not the {8 * size} of {size} float64s")
+        data = np.frombuffer(raw, dtype="<f8")
+        if not np.isfinite(data).all():
+            raise DataError(f"checkpoint data for {name!r} is not finite")
         params.add(name, data.reshape(template[name]))
     return Model(config=config, params=params)
 

@@ -267,17 +267,19 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("train_config", "epoch", "val_accuracy"):
         if key not in payload:
             raise DataError(f"checkpoint {path} missing field {key!r}")
-    model = models.model_from_dict(payload)
-    try:
-        epoch = int(payload["epoch"])
-        val_accuracy = float(payload["val_accuracy"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"checkpoint {path} has a non-numeric epoch or "
-                        f"val_accuracy: {exc}") from exc
+    epoch, val_accuracy = payload["epoch"], payload["val_accuracy"]
+    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 1:
+        raise DataError(f"checkpoint {path} field 'epoch' is not an "
+                        f"integer >= 1")
+    if (isinstance(val_accuracy, bool)
+            or not isinstance(val_accuracy, (int, float))
+            or not 0.0 <= val_accuracy <= 1.0):
+        raise DataError(f"checkpoint {path} field 'val_accuracy' is not a "
+                        f"number in [0, 1]")
     return Checkpoint(
-        model=model,
+        model=models.model_from_dict(payload),
         train_config=models.config_from_dict(
             TrainConfig, payload["train_config"], "train_config"),
         epoch=epoch,
-        val_accuracy=val_accuracy,
+        val_accuracy=float(val_accuracy),
     )

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from smoothsum.corpus import Corpus, Sample, tokenize_code, tokenize_comment
 from smoothsum.errors import ConfigurationError
 from smoothsum.rng import Rng
 from smoothsum.synthetic import generate_samples
+
+
+def b64(raw: bytes) -> str:
+    """Checkpoint parameter data: the base64 text of raw float64 bytes."""
+    return base64.b64encode(raw).decode("ascii")
 
 
 def samples_from_records(records):

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,12 +17,26 @@ from smoothsum.errors import ConfigurationError
 from smoothsum.metrics import ComparisonResult, read_predictions
 from smoothsum.synthetic import generate_samples, write_corpus_jsonl
 
+from conftest import b64
+
 FAST_MODEL = ["--embed-dim", "16", "--hidden-dim", "16", "--code-len", "20",
               "--comment-len", "8", "--batch-size", "32", "--lr", "2e-3",
               "--dropout", "0", "--heads", "2", "--layers", "1"]
 
 
 DELETE = object()  # marks a checkpoint field to remove
+
+
+def edit_bytes(edit):
+    """A checkpoint data edit: edit the decoded bytes, encode again."""
+    return lambda data: b64(edit(base64.b64decode(data)))
+
+
+def dropped_pad(data):
+    """The data less one or two bytes, so that its base64 ends in a pad,
+    with the pad removed."""
+    raw = base64.b64decode(data)
+    return b64(raw[:-1] if (len(raw) - 1) % 3 else raw[:-2]).rstrip("=")
 
 
 def run_cli(*argv):
@@ -385,7 +401,30 @@ class TestTrainPredictScore:
                      id="data-object"),
         pytest.param(("params", "out.b", "data"), ["x"], "out.b",
                      id="data-strings"),
+        pytest.param(("params", "out.b", "data"), lambda d: "!" + d[1:],
+                     "out.b", id="data-bad-base64-character"),
+        pytest.param(("params", "out.b", "data"), dropped_pad, "out.b",
+                     id="data-dropped-pad"),
+        pytest.param(("params", "out.b", "data"),
+                     edit_bytes(lambda raw: raw[:-1]), "out.b",
+                     id="data-one-byte-short"),
+        pytest.param(("params", "out.b", "data"),
+                     edit_bytes(lambda raw: raw + bytes(8)), "out.b",
+                     id="data-one-float-extra"),
+        pytest.param(("params", "out.b", "data"),
+                     edit_bytes(lambda raw: np.float64("nan").tobytes()
+                                + raw[8:]), "out.b", id="data-nan"),
         pytest.param(("epoch",), "first", "epoch", id="epoch-text"),
+        pytest.param(("epoch",), True, "epoch", id="epoch-boolean"),
+        pytest.param(("epoch",), "3", "epoch", id="epoch-digits"),
+        pytest.param(("epoch",), 2.9, "epoch", id="epoch-fraction"),
+        pytest.param(("epoch",), -4, "epoch", id="epoch-negative"),
+        pytest.param(("val_accuracy",), "0.25", "val_accuracy",
+                     id="val-accuracy-text"),
+        pytest.param(("val_accuracy",), float("nan"), "val_accuracy",
+                     id="val-accuracy-nan"),
+        pytest.param(("val_accuracy",), 7.0, "val_accuracy",
+                     id="val-accuracy-above-1"),
     ])
     def test_checkpoint_unknown_config_key_exits_2(
             self, tmp_path, prepared_dir, checkpoint, capsys, keys, value,
@@ -396,6 +435,8 @@ class TestTrainPredictScore:
             target = target[key]
         if value is DELETE:
             del target[keys[-1]]
+        elif callable(value):
+            target[keys[-1]] = value(target[keys[-1]])
         else:
             target[keys[-1]] = value
         bad = tmp_path / "checkpoint.json"
@@ -480,6 +521,21 @@ class TestTrainPredictScore:
                        str(tmp_path / "p.jsonl"), "--checkpoint",
                        str(old)) == 2
         assert "format 1" in assert_one_line_error(capsys)
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_checkpoint_of_format_2_exits_2(self, tmp_path, prepared_dir,
+                                            checkpoint, capsys):
+        payload = json.loads(checkpoint.read_text())
+        payload["format_version"] = 2
+        for entry in payload["params"].values():
+            entry["data"] = np.frombuffer(base64.b64decode(entry["data"]),
+                                          "<f8").tolist()
+        old = tmp_path / "checkpoint.json"
+        old.write_text(json.dumps(payload))
+        assert run_cli("predict", "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(old)) == 2
+        assert "format 2" in assert_one_line_error(capsys)
         assert not (tmp_path / "p.jsonl").exists()
 
     def test_non_finite_learning_rate_exits_2(self, tmp_path, prepared_dir,

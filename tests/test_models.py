@@ -280,6 +280,19 @@ class TestCheckpointRoundTrip:
         after = M.forward_step(loaded, CODE, None, COMMENTS[:, :-1])
         np.testing.assert_array_equal(before, after)
 
+    def test_extreme_values_bit_identical(self, tmp_path):
+        model = M.build_model(tiny_config("attendgru"), seed=8)
+        values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072e-309,
+                           1.7976931348623157e308, -1.7976931348623157e308,
+                           1.0, -2.5, 1 / 3, 1e-300, 123456.789])
+        model.params["out.b"].data = values.copy()
+        save_as_checkpoint(model, tmp_path / "x.json")
+        loaded = TR.load_checkpoint(tmp_path / "x.json").model
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(
+                loaded.params[name].data.view(np.uint64),
+                tensor.data.view(np.uint64))
+
     def test_save_is_canonical(self, tmp_path):
         model = M.build_model(tiny_config("attendgru"), seed=8)
         save_as_checkpoint(model, tmp_path / "a.json")

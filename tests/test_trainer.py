@@ -15,7 +15,7 @@ from smoothsum.rng import Rng
 from smoothsum.smoothing import loss_floor
 from smoothsum.synthetic import generate_samples
 
-from conftest import samples_from_records
+from conftest import b64, samples_from_records
 
 
 def small_corpus(n=24, seed=3):
@@ -255,7 +255,7 @@ class TestCheckpointFiles:
         ckpt, _ = self._checkpoint()
         TR.save_checkpoint(ckpt, tmp_path / "e.json")
         payload = json.loads((tmp_path / "e.json").read_text())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert payload["train_config"] == {
             "epochs": 2, "batch_size": 8, "learning_rate": 1e-3, "seed": 1}
         assert payload["config"]["epsilon"] == 0.0
@@ -327,14 +327,23 @@ def edited(path, value):
 def edited_payloads():
     """The valid payload with one field replaced by arbitrary JSON: a
     top-level field, a config or train_config field, or a parameter
-    entry, its shape or its data."""
+    entry, its shape or its data; or a parameter's data replaced by the
+    base64 of arbitrary bytes."""
+    data_paths = [("params", n, "data") for n in VALID_PAYLOAD["params"]]
     paths = ([(k,) for k in VALID_PAYLOAD if k != "format_version"]
              + [(k, f) for k in ("config", "train_config")
                 for f in VALID_PAYLOAD[k]]
-             + [("params", n, f) for n in VALID_PAYLOAD["params"]
-                for f in ("shape", "data")]
+             + [("params", n, "shape") for n in VALID_PAYLOAD["params"]]
+             + data_paths
              + [("params", n) for n in VALID_PAYLOAD["params"]])
-    return st.builds(edited, st.sampled_from(paths), JSON_VALUES)
+    return st.one_of(
+        st.builds(edited, st.sampled_from(paths), JSON_VALUES),
+        st.builds(edited, st.sampled_from(data_paths),
+                  st.binary(max_size=64).map(b64)))
+
+
+INFINITE_OUT_B = edited(("params", "out.b", "data"),
+                        b64(np.full(6, np.inf).tobytes()))
 
 
 def load_or_data_error(payload_bytes):
@@ -367,7 +376,7 @@ class TestLoadCheckpointProperties:
     @example(edited(("config", "hidden_dim"), 2.0))
     @example(edited(("config", "code_len"), 2.5))
     @example(edited(("train_config", "epochs"), True))
-    @example(edited(("params", "out.b", "data"), [10 ** 400] * 6))
+    @example(INFINITE_OUT_B)
     def test_arbitrary_objects_with_valid_version(self, payload):
         payload = {**payload, "format_version": M.CHECKPOINT_FORMAT_VERSION}
         loaded = load_or_data_error(json.dumps(payload).encode())
@@ -377,3 +386,6 @@ class TestLoadCheckpointProperties:
     def test_valid_payload_loads(self):
         loaded = load_or_data_error(json.dumps(VALID_PAYLOAD).encode())
         assert loaded is not None and loaded.epoch == 1
+
+    def test_infinite_parameter_rejected(self):
+        assert load_or_data_error(json.dumps(INFINITE_OUT_B).encode()) is None
