@@ -24,7 +24,6 @@ from . import tensor as T
 from .corpus import PAD, START, END
 from .errors import ConfigurationError, DataError
 from .rng import Rng
-from .smoothing import smooth_target_matrix
 
 ARCHITECTURES = ("attendgru", "transformer", "ast_attendgru")
 CHECKPOINT_FORMAT_VERSION = 3
@@ -346,7 +345,7 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
     the teacher-forcing prefix and [1:] the prediction targets. Returns
     (loss Tensor, non-PAD token count).
     """
-    comment_ids = np.asarray(comment_ids, dtype=np.int64)
+    comment_ids = _validate_ids(comment_ids, model.config.tgt_vocab, "comment")
     prefix, targets = comment_ids[:, :-1], comment_ids[:, 1:]
     logits = forward_logits(model, code_ids, ast_ids, prefix,
                             training=training, rng=rng)
@@ -354,12 +353,8 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
     count = int(mask.sum())
     if count == 0:
         raise DataError("batch contains no non-PAD target positions")
-    smooth = smooth_target_matrix(targets, model.config.tgt_vocab,
-                                  model.config.epsilon)
-    log_probs = T.log_softmax(logits, axis=-1)
-    per_position = T.tensor_sum(T.mul(smooth, log_probs), axis=-1)
-    total = T.tensor_sum(T.mul(per_position, mask))
-    return T.mul(total, -1.0 / count), count
+    return T.smoothed_cross_entropy(logits, targets, model.config.epsilon,
+                                    mask), count
 
 
 def _gru_stepper(model: Model, code_ids, ast_ids):
@@ -511,6 +506,10 @@ def model_from_dict(payload: dict) -> Model:
             raise DataError(f"checkpoint parameter {name!r} needs a list "
                             f"'shape' and a base64 string 'data'")
         shape = tuple(entry["shape"])
+        if any(isinstance(size, bool) or not isinstance(size, int)
+               for size in shape):
+            raise DataError(f"checkpoint shape {list(shape)} for {name!r} "
+                            f"holds a size that is not an integer")
         if shape != template[name]:
             raise DataError(
                 f"checkpoint shape {shape} for {name!r} does not match "

@@ -2,10 +2,11 @@
 
 Every differentiable building block the summarizers need lives here: the
 arithmetic primitives, a whole-sequence GRU kernel, multiplicative and
-multi-head attention, sinusoidal position table, inverted dropout, and a
-finite-difference gradient checker. Graphs are taped per forward pass;
-backward() walks the tape once in reverse topological order. Inside
-``no_grad()`` nothing is taped.
+multi-head attention, the label-smoothed loss, sinusoidal position table,
+inverted dropout, and a finite-difference gradient checker. Graphs are taped
+per forward pass; backward() walks the tape once in reverse topological
+order and frees each node as it passes it. Inside ``no_grad()`` nothing is
+taped.
 """
 
 from contextlib import contextmanager
@@ -65,8 +66,10 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        # a copy: grad may be a view, or handed to two parents (add)
+        tensor.grad = np.array(grad, dtype=np.float64)
+    else:
+        tensor.grad += grad
 
 
 def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
@@ -93,16 +96,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-
-    def bw(g):
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(-g, b.data.shape))
-
-    return Tensor(a.data - b.data, parents=(a, b), backward_fn=bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
@@ -113,21 +106,46 @@ def mul(a, b) -> Tensor:
     return Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-D right operand of matmul: the sum over a's
+    leading items of a[i].T @ g[i] (a 2-D a is one item). One product per
+    item keeps each at the forward's own per-item size, where OpenBLAS
+    stays on one thread; a single product over the rows of every item is
+    large enough to be split over threads, and on a 2-core host that cost
+    more CPU than it saved (see gru_sequence). The batched np.matmul form
+    would build an (items, k, n) array and run outside BLAS."""
+    if a.ndim == 2:
+        return a.T @ g
+    a = a.reshape((-1,) + a.shape[-2:])
+    g = g.reshape((-1,) + g.shape[-2:])
+    total = a[0].T @ g[0]
+    for item in range(1, a.shape[0]):
+        total += a[item].T @ g[item]
+    return total
+
+
 def matmul(a, b) -> Tensor:
+    """a @ b. A right operand of more than two dimensions must have the
+    product's leading dimensions: only a 2-D b is broadcast."""
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ConfigurationError("matmul operands must have ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ConfigurationError(
             f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
+    out = np.matmul(a.data, b.data)
+    if b.data.ndim > 2 and b.data.shape[:-2] != out.shape[:-2]:
+        raise ConfigurationError(
+            f"matmul broadcasts a right operand {b.data.shape} of more than "
+            f"two dimensions to {out.shape}")
 
     def bw(g):
         _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
                                   a.data.shape))
-        _accumulate(b, _reduce_to(np.matmul(a.data.swapaxes(-1, -2), g),
-                                  b.data.shape))
+        _accumulate(b, _weight_grad(a.data, g) if b.data.ndim == 2
+                    else np.matmul(a.data.swapaxes(-1, -2), g))
 
-    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward_fn=bw)
+    return Tensor(out, parents=(a, b), backward_fn=bw)
 
 
 def tensor_sum(a, axis=None) -> Tensor:
@@ -136,7 +154,7 @@ def tensor_sum(a, axis=None) -> Tensor:
     def bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return Tensor(a.data.sum(axis=axis), parents=(a,), backward_fn=bw)
 
@@ -189,32 +207,12 @@ def select(a, index: int, axis: int) -> Tensor:
     return Tensor(a.data[key], parents=(a,), backward_fn=bw)
 
 
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    y = np.tanh(a.data)
-
-    def bw(g):
-        _accumulate(a, g * (1.0 - y * y))
-
-    return Tensor(y, parents=(a,), backward_fn=bw)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp of a non-positive value
     only."""
     e = np.exp(-np.abs(x))
     denominator = 1.0 + e
     return np.where(x >= 0, 1.0 / denominator, e / denominator)
-
-
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    y = _sigmoid(a.data)
-
-    def bw(g):
-        _accumulate(a, g * y * (1.0 - y))
-
-    return Tensor(y, parents=(a,), backward_fn=bw)
 
 
 def relu(a) -> Tensor:
@@ -251,6 +249,44 @@ def log_softmax(a, axis=-1) -> Tensor:
         _accumulate(a, g - p * g.sum(axis=axis, keepdims=True))
 
     return Tensor(y, parents=(a,), backward_fn=bw)
+
+
+def smoothed_cross_entropy(logits, targets, epsilon: float, mask) -> Tensor:
+    """Mean over the positions where mask is 1 of -sum_k t(k) log p(k),
+    with p the softmax of logits (..., V) and t the label-smoothed target of
+    smoothing.smooth_target_matrix: 1 - epsilon at the target id and
+    epsilon / (V - 1) at every other id. One tape node in closed form, as
+    fairseq's label_smoothed_nll_loss (Ott et al. 2019): sum_k t(k) log p(k)
+    is epsilon / (V - 1) * sum_k log p(k) + (1 - epsilon - epsilon / (V - 1))
+    * log p(target), so no (..., V) target matrix is built, and the gradient
+    with respect to the logits is (p - t) * mask / count."""
+    logits = _coerce(logits)
+    targets = np.asarray(targets, dtype=np.int64)[..., None]
+    mask = np.asarray(mask, dtype=np.float64)
+    vocab = logits.data.shape[-1]
+    off = epsilon / (vocab - 1)
+    gold_extra = 1.0 - epsilon - off
+    probs = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted_sum = probs.sum(axis=-1)
+    shifted_gold = np.take_along_axis(probs, targets, axis=-1)[..., 0]
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    lse = np.log(total[..., 0])
+    per_position = (off * (shifted_sum - vocab * lse)
+                    + gold_extra * (shifted_gold - lse))
+    scale = 1.0 / mask.sum()
+
+    def bw(g):
+        # probs becomes the gradient in place: the closure runs once
+        np.subtract(probs, off, out=probs)
+        gold = np.take_along_axis(probs, targets, axis=-1)
+        np.put_along_axis(probs, targets, gold - gold_extra, axis=-1)
+        np.multiply(probs, (mask * (scale * g))[..., None], out=probs)
+        _accumulate(logits, probs)
+
+    return Tensor((per_position * mask).sum() * -scale, parents=(logits,),
+                  backward_fn=bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -509,25 +545,24 @@ class ParamStore:
 
     def __init__(self):
         self._params = {}
+        self._items = ()  # (name, tensor) pairs sorted by name
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
         tensor = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self._params[name] = tensor
+        self._items = tuple(sorted(self._params.items()))
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
     def names(self) -> list:
-        return sorted(self._params)
+        return [name for name, _ in self._items]
 
-    def items(self):
-        return [(n, self._params[n]) for n in self.names()]
-
-    def total_size(self) -> int:
-        return sum(t.data.size for _, t in self.items())
+    def items(self) -> tuple:
+        return self._items
 
     def zero_grads(self) -> None:
         for _, t in self.items():
@@ -560,10 +595,26 @@ class ParamStore:
             self._params[name].data = data.copy()
 
 
+def _spent(g):
+    """The backward closure of a node that backward has already passed."""
+    raise ConfigurationError("backward over a graph that was already "
+                             "backpropagated; a graph can be backpropagated "
+                             "once")
+
+
 def backward(loss: Tensor, params: ParamStore | None = None) -> None:
-    """Reverse-mode accumulation from a scalar loss. When a ParamStore is
-    given, every parameter ends with a gradient of its own shape and
-    non-finite gradients raise NumericError naming the parameter."""
+    """Reverse-mode accumulation from a scalar loss.
+
+    A graph can be backpropagated once (PyTorch's retain_graph=False). As
+    the walk passes each taped node it frees it: the node's gradient (all
+    but the loss's), its closure and the arrays it captured, and its links
+    to its parents, so the tape's memory is returned during the walk.
+    Leaves keep their gradients. A second backward over a freed graph
+    raises ConfigurationError before any gradient changes.
+
+    When a ParamStore is given, every parameter ends with a gradient of its
+    own shape and non-finite gradients raise NumericError naming the
+    parameter."""
     if loss.data.size != 1:
         raise ConfigurationError("backward expects a scalar loss")
     order = []
@@ -576,15 +627,26 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> None:
             continue
         if id(tensor) in visited:
             continue
+        if tensor._backward_fn is _spent:
+            _spent(None)
         visited.add(id(tensor))
         stack.append((tensor, True))
         for parent in tensor._parents:
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for tensor in reversed(order):
-        if tensor._backward_fn is not None and tensor.grad is not None:
+    while order:
+        # popping drops the walk's reference, so a node whose consumers
+        # are all freed is released here
+        tensor = order.pop()
+        if tensor._backward_fn is None:
+            continue
+        if tensor.grad is not None:
             tensor._backward_fn(tensor.grad)
+        if tensor is not loss:
+            tensor.grad = None
+        tensor._backward_fn = _spent
+        tensor._parents = ()
     if params is not None:
         for name, t in params.items():
             if t.grad is None:

@@ -7,6 +7,7 @@ and the best epoch is picked by highest validation token accuracy with
 ties going to the earliest epoch.
 """
 
+import ctypes
 import json
 import math
 import time
@@ -25,6 +26,10 @@ GRAD_CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# glibc mallopt parameters (malloc.h), and the values train gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_MMAP_THRESHOLD = 32 << 20  # glibc's largest
+_HEAP_TRIM_THRESHOLD = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,29 @@ class Adam:
             t.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _keep_freed_heap() -> None:
+    """Ask glibc's malloc to keep freed memory in the process for reuse.
+
+    backward frees each step's tape as it goes, so every step ends with the
+    heap nearly empty. With glibc's default dynamic thresholds, malloc then
+    hands the top of the heap back to the system and the next step faults
+    every page in again: on a 2-vCPU x86-64 host an in-process
+    transformer-wide benchmark train took about 270k minor page faults
+    and 0.6-0.8 s of system time in 2.6 s, against 22k and 0.05 s with
+    these settings. Arrays below _HEAP_MMAP_THRESHOLD come from the heap,
+    and free memory at its top is kept up to _HEAP_TRIM_THRESHOLD, so the
+    heap stays at the high-water mark of one step. A C library without
+    mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+
+
 def _batches(order, batch_size):
     for start in range(0, len(order), batch_size):
         yield order[start:start + batch_size]
@@ -190,6 +218,7 @@ def train(model: models.Model, train_set: EncodedDataset,
     """
     if len(train_set) == 0:
         raise DataError("empty training set")
+    _keep_freed_heap()
     optimizer = Adam(model.params, config.learning_rate)
     history = TrainHistory()
     floor = loss_floor(model.config.epsilon, model.config.tgt_vocab)

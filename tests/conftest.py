@@ -8,6 +8,7 @@ from smoothsum.astkit import AstNode
 from smoothsum.corpus import Corpus, Sample, tokenize_code, tokenize_comment
 from smoothsum.errors import ConfigurationError
 from smoothsum.rng import Rng
+from smoothsum.smoothing import smooth_target_matrix
 from smoothsum.synthetic import generate_samples
 
 
@@ -54,6 +55,60 @@ def random_tree(rng: Rng, max_nodes: int) -> AstNode:
     return build(budget)
 
 
+def sub(a, b) -> T.Tensor:
+    a, b = T._coerce(a), T._coerce(b)
+
+    def bw(g):
+        T._accumulate(a, T._reduce_to(g, a.data.shape))
+        T._accumulate(b, T._reduce_to(-g, b.data.shape))
+
+    return T.Tensor(a.data - b.data, parents=(a, b), backward_fn=bw)
+
+
+def tanh(a) -> T.Tensor:
+    a = T._coerce(a)
+    y = np.tanh(a.data)
+
+    def bw(g):
+        T._accumulate(a, g * (1.0 - y * y))
+
+    return T.Tensor(y, parents=(a,), backward_fn=bw)
+
+
+def sigmoid(a) -> T.Tensor:
+    a = T._coerce(a)
+    y = T._sigmoid(a.data)
+
+    def bw(g):
+        T._accumulate(a, g * y * (1.0 - y))
+
+    return T.Tensor(y, parents=(a,), backward_fn=bw)
+
+
+def total_size(store: T.ParamStore) -> int:
+    """Number of scalar parameters in a store."""
+    return sum(t.data.size for _, t in store.items())
+
+
+def reference_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a 2-D right matmul operand as the batched product
+    a^T g over a's leading dimensions, summed down by T._reduce_to: the
+    reference that matmul's per-item weight gradient is pinned to."""
+    return T._reduce_to(np.matmul(a.swapaxes(-1, -2), g),
+                        (a.shape[-1], g.shape[-1]))
+
+
+def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:
+    """The label-smoothed loss composed of per-op tape nodes over the dense
+    target matrix: the reference that T.smoothed_cross_entropy is pinned
+    to."""
+    smooth = smooth_target_matrix(targets, logits.data.shape[-1], epsilon)
+    log_probs = T.log_softmax(logits, axis=-1)
+    per_position = T.tensor_sum(T.mul(smooth, log_probs), axis=-1)
+    total = T.tensor_sum(T.mul(per_position, mask))
+    return T.mul(total, -1.0 / mask.sum())
+
+
 def reference_gru_step(x, h, params):
     """One GRU update composed of per-op tape nodes, from a mapping of the
     nine GRU parameters: the reference that gru_step and gru_sequence are
@@ -64,14 +119,14 @@ def reference_gru_step(x, h, params):
             or h.data.shape[-1] != uz.data.shape[0]):
         raise ConfigurationError(
             f"gru_step dims {x.data.shape}/{h.data.shape} do not match params")
-    z = T.sigmoid(T.add(T.add(T.matmul(x, params["wz"]),
-                              T.matmul(h, params["uz"])), params["bz"]))
-    r = T.sigmoid(T.add(T.add(T.matmul(x, params["wr"]),
-                              T.matmul(h, params["ur"])), params["br"]))
-    cand = T.tanh(T.add(T.add(T.matmul(x, params["wh"]),
-                              T.matmul(T.mul(r, h), params["uh"])),
-                        params["bh"]))
-    return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
+    z = sigmoid(T.add(T.add(T.matmul(x, params["wz"]),
+                            T.matmul(h, params["uz"])), params["bz"]))
+    r = sigmoid(T.add(T.add(T.matmul(x, params["wr"]),
+                            T.matmul(h, params["ur"])), params["br"]))
+    cand = tanh(T.add(T.add(T.matmul(x, params["wh"]),
+                            T.matmul(T.mul(r, h), params["uh"])),
+                      params["bh"]))
+    return T.add(T.mul(sub(1.0, z), h), T.mul(z, cand))
 
 
 def reference_dot_attention(state, states, mask):

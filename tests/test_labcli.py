@@ -397,6 +397,9 @@ class TestTrainPredictScore:
                      id="no-data"),
         pytest.param(("params", "out.b", "shape"), 5, "out.b",
                      id="shape-number"),
+        pytest.param(("params", "out.b", "shape"),
+                     lambda shape: [float(size) for size in shape], "out.b",
+                     id="shape-float"),
         pytest.param(("params", "out.b", "data"), {"x": 1}, "out.b",
                      id="data-object"),
         pytest.param(("params", "out.b", "data"), ["x"], "out.b",

@@ -8,7 +8,7 @@ from smoothsum.corpus import PAD, START, END
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 
-from conftest import reference_dot_attention, reference_gru_step
+from conftest import reference_dot_attention, reference_gru_step, total_size
 
 
 def tiny_config(arch, **overrides):
@@ -35,7 +35,7 @@ class TestBuildModel:
                                comment_len=4)
         expected = 2 * 20 * 8 + 2 * (3 * 64 + 3 * 64 + 3 * 8) + 16 * 20 + 20
         model = M.build_model(config, seed=0)
-        assert model.params.total_size() == expected
+        assert total_size(model.params) == expected
 
     def test_transformer_parameter_count(self):
         # embeddings 2*(16*8); per layer the encoder has 4 attention mats
@@ -49,7 +49,7 @@ class TestBuildModel:
         dec = 8 * 64 + (8 * 32 + 32 + 32 * 8 + 8) + 3 * 16
         expected = 2 * 16 * 8 + 2 * (enc + dec) + 8 * 16 + 16
         model = M.build_model(config, seed=0)
-        assert model.params.total_size() == expected
+        assert total_size(model.params) == expected
 
     def test_same_seed_identical(self):
         a = M.build_model(tiny_config("attendgru"), seed=9)
@@ -405,6 +405,33 @@ class TestGruSequencePath:
         assert counts[0] == counts[1]
 
 
+class TestTapeFreed:
+    def test_backward_frees_every_node_of_a_transformer_step(self,
+                                                             monkeypatch):
+        taped = []
+        original = T.Tensor.__init__
+
+        def recording_init(obj, *args, **kwargs):
+            original(obj, *args, **kwargs)
+            if obj._backward_fn is not None:
+                taped.append(obj)
+
+        monkeypatch.setattr(T.Tensor, "__init__", recording_init)
+        model = M.build_model(tiny_config("transformer", dropout_rate=0.1,
+                                          epsilon=0.1), seed=4)
+        model.params.zero_grads()
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
+                                  rng=Rng(5))
+        T.backward(loss, model.params)
+        assert len(taped) > 50
+        for node in taped:
+            assert node._backward_fn is T._spent and node._parents == ()
+            assert node.grad is None or node is loss
+        assert loss.grad is not None
+        for name, t in model.params.items():
+            assert t.grad.shape == t.data.shape, name
+
+
 class TestSequenceLoss:
     def test_matches_manual_composition(self):
         from smoothsum.smoothing import cross_entropy, smooth_targets
@@ -425,3 +452,11 @@ class TestSequenceLoss:
     def test_gradients_match_finite_differences(self):
         model = M.build_model(tiny_config("attendgru", epsilon=0.1), seed=2)
         assert M.grad_check_model(model, CODE, None, COMMENTS) < 1e-4
+
+    def test_target_outside_vocabulary_rejected(self):
+        # the last position is a target only, never part of the prefix
+        comments = COMMENTS.copy()
+        comments[1, -1] = 11
+        model = M.build_model(tiny_config("attendgru"), seed=2)
+        with pytest.raises(DataError, match="comment id outside"):
+            M.sequence_loss(model, CODE, None, comments)

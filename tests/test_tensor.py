@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from smoothsum import tensor as T
+from smoothsum.corpus import PAD
 from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng
 
-from conftest import reference_gru_step
+from conftest import (reference_gru_step, reference_smoothed_loss,
+                      reference_weight_grad, tanh)
 
 
 def zero_gru_params(in_dim, hid):
@@ -94,7 +96,7 @@ class TestSigmoid:
                             [0.0, -0.0, 60.0, -60.0]])
         reference = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                              np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        assert np.array_equal(T.sigmoid(T.Tensor(x)).data, reference)
+        assert np.array_equal(T._sigmoid(x), reference)
 
 
 class TestGruStep:
@@ -418,11 +420,72 @@ class TestBackward:
         x = rng.uniform_array((2, 4))
 
         def loss_fn():
-            h = T.layer_norm(T.tanh(T.matmul(T.Tensor(x), w1)), gain, bias)
+            h = T.layer_norm(tanh(T.matmul(T.Tensor(x), w1)), gain, bias)
             p = T.log_softmax(T.matmul(h, w2), axis=-1)
             return T.mul(T.tensor_sum(p), -0.5)
 
         assert T.grad_check(loss_fn, store) < 1e-5
+
+    def test_gradient_handed_to_both_parents_is_not_shared(self):
+        # add hands one gradient to p and q; p then takes more from a
+        # second consumer, which must not reach q
+        p = T.Tensor(np.zeros(2), requires_grad=True)
+        q = T.Tensor(np.zeros(2), requires_grad=True)
+        T.backward(T.tensor_sum(T.add(T.add(p, q), T.mul(p, 3.0))))
+        np.testing.assert_array_equal(p.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(q.grad, [1.0, 1.0])
+
+    def test_second_backward_over_freed_graph_raises(self):
+        store = T.ParamStore()
+        w = store.add("w", np.array([3.0]))
+        shared = T.mul(w, 2.0)
+        loss = T.tensor_sum(shared)
+        T.backward(loss, store)
+        with pytest.raises(ConfigurationError, match="once"):
+            T.backward(loss, store)
+        # a second graph over a node the first backward freed, with a
+        # fresh branch into w: it raises before any gradient changes
+        with pytest.raises(ConfigurationError, match="once"):
+            T.backward(T.tensor_sum(T.add(T.mul(w, 7.0),
+                                          T.mul(shared, 5.0))), store)
+        np.testing.assert_array_equal(w.grad, [2.0])
+
+
+class TestMatmulBackward:
+    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_gradients_match_batched_reduction(self, a_shape):
+        rng = Rng(30)
+        a = T.Tensor(rng.uniform_array(a_shape) * 2 - 1, requires_grad=True)
+        b = T.Tensor(rng.uniform_array((4, 6)) * 2 - 1, requires_grad=True)
+        g = rng.uniform_array(a_shape[:-1] + (6,)) * 2 - 1
+        T.backward(T.tensor_sum(T.mul(T.matmul(a, b), g)))
+        for grad, reference in ((b.grad, reference_weight_grad(a.data, g)),
+                                (a.grad, np.matmul(g, b.data.T))):
+            assert grad.shape == reference.shape
+            assert np.abs(grad - reference).max() \
+                <= 1e-12 * np.abs(reference).max()
+
+    def test_broadcast_right_operand_of_three_dims_rejected(self):
+        with pytest.raises(ConfigurationError, match="broadcasts"):
+            T.matmul(np.ones((2, 3, 4, 5)), np.ones((3, 5, 6)))
+
+
+class TestSmoothedCrossEntropy:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_matches_dense_target_chain(self, epsilon):
+        logits_data = (Rng(31).uniform_array((3, 4, 9)) * 2 - 1) * 5
+        targets = np.array([[1, 4, 8, PAD], [2, 2, PAD, PAD], [5, 3, 7, 6]])
+        mask = (targets != PAD).astype(np.float64)
+        results = []
+        for loss_fn in (reference_smoothed_loss, T.smoothed_cross_entropy):
+            logits = T.Tensor(logits_data, requires_grad=True)
+            loss = loss_fn(logits, targets, epsilon, mask)
+            T.backward(loss)
+            results.append((float(loss.data), logits.grad))
+        (ref_loss, ref_grad), (loss, grad) = results
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert not grad[targets == PAD].any()
 
 
 class TestNoGrad:
@@ -436,7 +499,7 @@ class TestNoGrad:
         x = rng.uniform_array((2, 3))
 
         def loss():
-            h = T.layer_norm(T.tanh(T.matmul(T.Tensor(x), w)), gain, bias)
+            h = T.layer_norm(tanh(T.matmul(T.Tensor(x), w)), gain, bias)
             return T.tensor_sum(T.log_softmax(h, axis=-1))
 
         return store, loss
