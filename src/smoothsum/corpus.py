@@ -225,11 +225,17 @@ def atomic_write(path):
         raise
 
 
-def token_list(value) -> list:
-    """A record's token field: a JSON list, its items as strings."""
+def token_list(rec, key: str) -> list:
+    """A record's token field: a JSON list of strings."""
+    value = rec[key]
     if not isinstance(value, list):
-        raise TypeError(f"expected a token list, got {type(value).__name__}")
-    return [str(t) for t in value]
+        raise TypeError(f"{key} must be a token list, got "
+                        f"{type(value).__name__}")
+    for i, token in enumerate(value):
+        if not isinstance(token, str):
+            raise TypeError(f"{key} token {i} must be a string, got "
+                            f"{type(token).__name__}")
+    return value
 
 
 def read_jsonl(path, fields, make) -> list:
@@ -323,8 +329,8 @@ def read_split_jsonl(path, split_tag: str) -> Corpus:
         return Sample(
             id=str(rec["id"]),
             project=str(rec["project"]),
-            code_tokens=token_list(rec["code_tokens"]),
-            comment_tokens=token_list(rec["comment_tokens"]),
+            code_tokens=token_list(rec, "code_tokens"),
+            comment_tokens=token_list(rec, "comment_tokens"),
             ast_text=_ast_field(rec),
             code_char_len=int(rec["code_char_len"]),
         )

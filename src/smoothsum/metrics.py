@@ -3,9 +3,12 @@ similarity, paired t-tests, diversity counts and classification reports.
 
 BLEU is corpus-level (clipped n-gram counts pooled over the prediction
 set, uniform 0.25 weights for n = 1..4, hard zero when any order has no
-overlap). METEOR aligns unigrams in two passes, exact then stem, and
-applies the classic 10PR/(R+9P) harmonic mean with the 0.5*(chunks/m)^3
-fragmentation penalty; the synonym pass is deliberately out of scope.
+overlap). METEOR aligns unigrams in two passes: each unmatched pred token
+takes the leftmost unmatched ref token with an equal key, exact pass
+first, then stems. It applies the classic 10PR/(R+9P)
+harmonic mean with the 0.5*(chunks/m)^3 fragmentation penalty; the synonym
+pass is deliberately out of scope. score_predictions computes the stem and
+the similarity vector of each distinct token once per scored set.
 """
 
 import json
@@ -17,7 +20,7 @@ import numpy as np
 
 from .corpus import SPECIAL_TOKENS, atomic_write, read_jsonl, token_list
 from .errors import ConfigurationError, DataError, NumericError
-from .rng import Rng, stable_token_seed
+from .rng import stable_token_seed, uniform_rows
 from .stemming import porter_stem
 
 _EXCLUDED_FROM_DIVERSITY = {SPECIAL_TOKENS[i] for i in (0, 1, 2)}  # PAD/START/END
@@ -114,7 +117,7 @@ class SentenceEmbedder:
 
 
 def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def corpus_bleu(preds: PredictionSet) -> float:
@@ -127,14 +130,17 @@ def corpus_bleu(preds: PredictionSet) -> float:
     candidate_len = 0
     reference_len = 0
     for record in preds.records:
-        candidate_len += len(record.predicted)
-        reference_len += len(record.reference)
+        pred, ref = record.predicted, record.reference
+        candidate_len += len(pred)
+        reference_len += len(ref)
         for n in range(1, BLEU_MAX_ORDER + 1):
-            pred_counts = _ngram_counts(record.predicted, n)
-            ref_counts = _ngram_counts(record.reference, n)
-            totals[n - 1] += sum(pred_counts.values())
-            clipped[n - 1] += sum(min(count, ref_counts[gram])
-                                  for gram, count in pred_counts.items())
+            total = max(0, len(pred) - n + 1)
+            totals[n - 1] += total
+            if pred == ref:
+                clipped[n - 1] += total
+            elif total and len(ref) >= n:
+                clipped[n - 1] += sum((_ngram_counts(pred, n)
+                                       & _ngram_counts(ref, n)).values())
     if candidate_len == 0:
         return 0.0
     precisions = [c / t if t else 0.0 for c, t in zip(clipped, totals)]
@@ -149,21 +155,23 @@ def corpus_bleu(preds: PredictionSet) -> float:
 
 
 def _greedy_align(pred, ref, matched_pred, matched_ref, key):
-    """In-order greedy matching on the unmatched residue; each token is
-    used at most once."""
+    """In-order greedy matching on the unmatched residue: each unmatched
+    pred token takes the leftmost unmatched ref token with an equal key,
+    so each token is used at most once. key runs once per residue token."""
+    free = {}  # key -> unmatched ref positions, descending
+    for j in range(len(ref) - 1, -1, -1):
+        if j not in matched_ref:
+            free.setdefault(key(ref[j]), []).append(j)
     pairs = []
     for i, token in enumerate(pred):
         if i in matched_pred:
             continue
-        want = key(token)
-        for j, candidate in enumerate(ref):
-            if j in matched_ref:
-                continue
-            if key(candidate) == want:
-                pairs.append((i, j))
-                matched_pred.add(i)
-                matched_ref.add(j)
-                break
+        slots = free.get(key(token))
+        if slots:
+            j = slots.pop()
+            pairs.append((i, j))
+            matched_pred.add(i)
+            matched_ref.add(j)
     return pairs
 
 
@@ -178,14 +186,27 @@ def _count_chunks(pairs) -> int:
     return chunks
 
 
-def sentence_meteor(pred, ref) -> float:
+def sentence_meteor(pred, ref, stems=None) -> float:
     """Two-pass unigram METEOR: exact matches, then stem matches on the
-    residue; F = 10PR/(R+9P), penalty = 0.5*(chunks/matches)^3."""
+    residue; F = 10PR/(R+9P), penalty = 0.5*(chunks/matches)^3.
+
+    stems is a token -> stem memo, filled as tokens are stemmed; pass one
+    dict to a run of calls to stem each distinct token once."""
     if not pred or not ref:
         return 0.0
     matched_pred, matched_ref = set(), set()
     pairs = _greedy_align(pred, ref, matched_pred, matched_ref, lambda t: t)
-    pairs += _greedy_align(pred, ref, matched_pred, matched_ref, porter_stem)
+    if len(matched_pred) < len(pred) and len(matched_ref) < len(ref):
+        if stems is None:
+            stems = {}
+
+        def stem(token):
+            s = stems.get(token)
+            if s is None:
+                s = stems[token] = porter_stem(token)
+            return s
+
+        pairs += _greedy_align(pred, ref, matched_pred, matched_ref, stem)
     m = len(pairs)
     if m == 0:
         return 0.0
@@ -210,20 +231,21 @@ class HashedBagEmbedder(SentenceEmbedder):
     def __init__(self):
         self._cache = {}
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            rng = Rng(stable_token_seed("token-embed:" + token))
-            vec = (rng.uniform_array((EMBED_DIM,)) - 0.5) * math.sqrt(12.0)
-            self._cache[token] = vec
-        return vec
+    def add_tokens(self, tokens) -> None:
+        """Draw the vectors of every token not yet cached, in one block."""
+        new = list(set(tokens).difference(self._cache))
+        if new:
+            seeds = [stable_token_seed("token-embed:" + t) for t in new]
+            block = (uniform_rows(seeds, EMBED_DIM) - 0.5) * math.sqrt(12.0)
+            self._cache.update(zip(new, block))
 
     def embed(self, tokens) -> np.ndarray:
         if not tokens:
             return np.zeros(EMBED_DIM)
+        self.add_tokens(tokens)
         # canonical accumulation order makes the mean exactly invariant
         # under token permutation
-        return np.mean([self._token_vector(t) for t in sorted(tokens)], axis=0)
+        return np.mean([self._cache[t] for t in sorted(tokens)], axis=0)
 
 
 def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
@@ -374,18 +396,23 @@ def read_predictions(path) -> PredictionSet:
     return PredictionSet(records=read_jsonl(
         path, ("id", "ref", "pred"),
         lambda rec: PredictionRecord(id=str(rec["id"]),
-                                     reference=token_list(rec["ref"]),
-                                     predicted=token_list(rec["pred"]))))
+                                     reference=token_list(rec, "ref"),
+                                     predicted=token_list(rec, "pred"))))
 
 
 def score_predictions(preds: PredictionSet) -> MetricReport:
-    """All three metrics over one prediction set."""
+    """All three metrics over one prediction set. Stems and similarity
+    vectors are computed once per distinct token of the set, and kept
+    only for this call."""
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
+    stems = {}
     embedder = HashedBagEmbedder()
+    embedder.add_tokens(t for r in preds.records
+                        for t in (*r.predicted, *r.reference))
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),
-        meteor_scores=[sentence_meteor(r.predicted, r.reference)
+        meteor_scores=[sentence_meteor(r.predicted, r.reference, stems)
                        for r in preds.records],
         similarity_scores=[sentence_similarity(r.predicted, r.reference,
                                                embedder)

@@ -28,6 +28,19 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles from the top 53 bits of mix(z)."""
+    return (_mix_array(z) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) uniform [0, 1) draws in one block: row r equals
+    Rng(seeds[r]).uniform_array((n,)) bit for bit."""
+    keys = _mix_array(np.array([s & _MASK for s in seeds], dtype=np.uint64))
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    return _unit(keys[:, None] + idx * np.uint64(_GOLDEN))
+
+
 def stable_token_seed(text: str) -> int:
     """Platform-stable 64-bit seed for a string (sha256 prefix)."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -67,9 +80,8 @@ class Rng:
         n = int(np.prod(shape)) if shape else 1
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        raw = _mix_array(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
-        out = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        return out.reshape(shape)
+        raw = np.uint64(self._key) + idx * np.uint64(_GOLDEN)
+        return _unit(raw).reshape(shape)
 
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""

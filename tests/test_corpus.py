@@ -324,6 +324,24 @@ class TestCorpusFiles:
             with pytest.raises(DataError, match=r"c\.jsonl:2: .*ast"):
                 read(path)
 
+    @pytest.mark.parametrize("token", [None, 1.5, True, ["x"], {"k": 1}])
+    @pytest.mark.parametrize("field", ["code_tokens", "comment_tokens",
+                                       "ref", "pred"])
+    def test_non_string_token_names_line(self, tmp_path, field, token):
+        split = {"id": "a", "project": "p", "code_tokens": ["f"],
+                 "comment_tokens": ["c"], "code_char_len": 9}
+        record, read = ((split, lambda p: read_split_jsonl(p, "test"))
+                        if field in split else
+                        ({"id": "a", "ref": ["x"], "pred": ["x"]},
+                         read_predictions))
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record) + "\n"
+                        + json.dumps({**record, "id": "b",
+                                      field: ["ok", token]}) + "\n")
+        with pytest.raises(DataError,
+                           match=rf"c\.jsonl:2: .*{field} token 1 .*string"):
+            read(path)
+
 
 # ---------------------------------------------------------------------------
 # property tests for the JSON-lines readers: any file either reads whole or

@@ -496,6 +496,19 @@ class TestTrainPredictScore:
                        str(tmp_path / "scores")) == 2
         assert "nothere.jsonl" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("token", [None, 1.5, True, ["x"], {"k": 1}])
+    @pytest.mark.parametrize("command", ["score", "diversity"])
+    def test_non_string_prediction_token_exits_2(self, tmp_path, capsys,
+                                                 command, token):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps({"id": "a", "ref": ["x"], "pred": ["x"]})
+                        + "\n" + json.dumps({"id": "b", "ref": ["x"],
+                                              "pred": ["x", token]}) + "\n")
+        assert run_cli(command, "--predictions", str(path), "--out",
+                       str(tmp_path / "out")) == 2
+        assert "preds.jsonl:2:" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("value", ["Infinity", "1e400"])
     def test_infinite_code_char_len_exits_2(self, tmp_path, prepared_dir,
                                             capsys, value):

@@ -1,11 +1,16 @@
 import math
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import metrics as X
+from smoothsum import stemming
 from smoothsum.errors import ConfigurationError, DataError, NumericError
-from smoothsum.rng import Rng
+from smoothsum.rng import Rng, stable_token_seed
+from smoothsum.stemming import porter_stem
 
 
 def pset(*pairs):
@@ -184,6 +189,24 @@ class TestDefaultEmbedder:
                            / (np.linalg.norm(a) * np.linalg.norm(b)))
             assert cosine < 0.99
 
+    def test_block_drawn_vectors_equal_single_draws(self):
+        tokens = ["open", "file", "the", "deletes", "x", "\u00fcber"]
+
+        def drawn_alone(token):  # reference: one Rng per token
+            rng = Rng(stable_token_seed("token-embed:" + token))
+            return (rng.uniform_array((X.EMBED_DIM,)) - 0.5) * math.sqrt(12.0)
+
+        block = X.HashedBagEmbedder()
+        block.add_tokens(tokens)
+        one_at_a_time = X.HashedBagEmbedder()
+        for token in tokens:
+            alone = drawn_alone(token).tobytes()
+            assert block.embed([token]).tobytes() == alone
+            assert one_at_a_time.embed([token]).tobytes() == alone
+        sentence = ["file", "open", "file", "x"]
+        mean = np.mean([drawn_alone(t) for t in sorted(sentence)], axis=0)
+        assert block.embed(sentence).tobytes() == mean.tobytes()
+
 
 class TestPairedTTest:
     def test_equal_scores(self):
@@ -352,3 +375,135 @@ def test_score_predictions_bundles_metrics():
     assert report.meteor_scores[0] > 0.9
     payload = report.to_dict()
     assert set(payload) >= {"bleu", "meteor", "similarity"}
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of score_predictions, pinned to the forms they replaced
+
+
+def nested_align(pred, ref, matched_pred, matched_ref, key):
+    """The nested-scan alignment: every unmatched ref position is scanned,
+    and keyed, for every unmatched pred token."""
+    pairs = []
+    for i, token in enumerate(pred):
+        if i in matched_pred:
+            continue
+        want = key(token)
+        for j, candidate in enumerate(ref):
+            if j in matched_ref:
+                continue
+            if key(candidate) == want:
+                pairs.append((i, j))
+                matched_pred.add(i)
+                matched_ref.add(j)
+                break
+    return pairs
+
+
+def reference_alignment(pred, ref):
+    matched_pred, matched_ref = set(), set()
+    pairs = nested_align(pred, ref, matched_pred, matched_ref, lambda t: t)
+    pairs += nested_align(pred, ref, matched_pred, matched_ref, porter_stem)
+    return pairs
+
+
+def reference_meteor(pred, ref):
+    if not pred or not ref:
+        return 0.0
+    pairs = reference_alignment(pred, ref)
+    m = len(pairs)
+    if m == 0:
+        return 0.0
+    precision = m / len(pred)
+    recall = m / len(ref)
+    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    penalty = 0.5 * (X._count_chunks(pairs) / m) ** 3
+    return fmean * (1.0 - penalty)
+
+
+def reference_bleu(pairs):
+    """Corpus BLEU from a Counter of each record's n-grams per order, the
+    totals summed from the Counter and each count clipped one by one."""
+    def counts(tokens, n):
+        return Counter(tuple(tokens[i:i + n])
+                       for i in range(len(tokens) - n + 1))
+
+    clipped = [0] * X.BLEU_MAX_ORDER
+    totals = [0] * X.BLEU_MAX_ORDER
+    candidate_len = reference_len = 0
+    for pred, ref in pairs:
+        candidate_len += len(pred)
+        reference_len += len(ref)
+        for n in range(1, X.BLEU_MAX_ORDER + 1):
+            pred_counts, ref_counts = counts(pred, n), counts(ref, n)
+            totals[n - 1] += sum(pred_counts.values())
+            clipped[n - 1] += sum(min(count, ref_counts[gram])
+                                  for gram, count in pred_counts.items())
+    if candidate_len == 0:
+        return 0.0
+    precisions = [c / t if t else 0.0 for c, t in zip(clipped, totals)]
+    if any(p == 0.0 for p in precisions):
+        return 0.0
+    brevity = min(1.0, math.exp(1.0 - reference_len / candidate_len))
+    return brevity * math.exp(sum(map(math.log, precisions))
+                              / X.BLEU_MAX_ORDER)
+
+
+# inflection families the stem pass joins, words of at most two letters,
+# and few enough words that sentences repeat them
+WORDS = ("delete", "deletes", "deleted", "deleting", "set", "sets",
+         "setting", "file", "files", "a", "is", "of", "x", "the")
+SENTENCE = st.lists(st.sampled_from(WORDS), max_size=9)
+PAIR = st.one_of(st.tuples(SENTENCE, SENTENCE),
+                 SENTENCE.map(lambda s: (s, list(s))))
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(PAIR, min_size=1, max_size=6))
+    @example([([], ["a"]), (["a"], []), ([], [])])
+    @example([(["sets", "set", "deleting"], ["set", "deleted", "sets", "set"])])
+    def test_alignment_meteor_and_bleu(self, pairs):
+        stems = {}
+        for pred, ref in pairs:
+            matched_pred, matched_ref = set(), set()
+            keyed = X._greedy_align(pred, ref, matched_pred, matched_ref,
+                                    lambda t: t)
+            keyed += X._greedy_align(pred, ref, matched_pred, matched_ref,
+                                     porter_stem)
+            assert keyed == reference_alignment(pred, ref)
+            expected = reference_meteor(pred, ref)
+            assert X.sentence_meteor(pred, ref) == expected
+            assert X.sentence_meteor(pred, ref, stems) == expected
+        assert X.corpus_bleu(pset(*pairs)) == reference_bleu(pairs)
+
+
+class TestStemMemo:
+    PREDS = pset((["deleting", "files", "set"], ["deletes", "file", "sets"]),
+                 (["deleted", "file", "sets"], ["delete", "files", "set"]),
+                 (["deletes", "the", "files"], ["deleting", "a", "file"]))
+
+    def test_each_distinct_token_stemmed_once_per_call(self, monkeypatch):
+        calls = Counter()
+
+        def counting(token):
+            calls[token] += 1
+            return porter_stem(token)
+
+        monkeypatch.setattr(X, "porter_stem", counting)
+        report = X.score_predictions(self.PREDS)
+        assert report.meteor_scores == [reference_meteor(r.predicted,
+                                                         r.reference)
+                                        for r in self.PREDS.records]
+        assert calls and max(calls.values()) == 1
+        first = dict(calls)
+        calls.clear()
+        # a second call stems again: the memo lives for one call only
+        X.score_predictions(self.PREDS)
+        assert calls == first
+
+    def test_porter_stem_stays_a_plain_function(self):
+        # perfbench/tracer.py wraps only plain functions; a cache wrapper
+        # would drop porter_stem from every traced run's report
+        assert isinstance(stemming.porter_stem, types.FunctionType)

@@ -6,7 +6,7 @@ import pytest
 from smoothsum import tensor as T
 from smoothsum.corpus import PAD
 from smoothsum.errors import ConfigurationError, NumericError
-from smoothsum.rng import Rng
+from smoothsum.rng import Rng, stable_token_seed, uniform_rows
 
 from conftest import (reference_gru_step, reference_smoothed_loss,
                       reference_weight_grad, tanh)
@@ -44,6 +44,17 @@ class TestRng:
         scalars = [r1.random() for _ in range(33)]
         block = r2.uniform_array((33,))
         np.testing.assert_array_equal(scalars, block)
+
+    def test_uniform_rows_match_per_seed_streams_bitwise(self):
+        seeds = [0, 1, 42, -3, (1 << 64) - 1, 1 << 70,
+                 stable_token_seed("token-embed:file")]
+        for n in (1, 5, 64):
+            block = uniform_rows(seeds, n)
+            assert block.shape == (len(seeds), n)
+            for row, seed in zip(block, seeds):
+                assert (row.tobytes()
+                        == Rng(seed).uniform_array((n,)).tobytes())
+        assert uniform_rows([], 4).shape == (0, 4)
 
     def test_frozen_first_draws(self):
         # golden values pin the generator across platforms and releases
