@@ -225,8 +225,18 @@ def atomic_write(path):
         raise
 
 
+def _require_utf8(text: str, what: str) -> None:
+    """Refuse text holding a lone surrogate: a JSON escape such as
+    \\ud800 spells one, but UTF-8, in which every output is written, cannot
+    encode it. Callers skip ASCII text (str.isascii is O(1))."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{what} holds a lone surrogate") from exc
+
+
 def token_list(rec, key: str) -> list:
-    """A record's token field: a JSON list of strings."""
+    """A record's token field: a JSON list of UTF-8-encodable strings."""
     value = rec[key]
     if not isinstance(value, list):
         raise TypeError(f"{key} must be a token list, got "
@@ -235,6 +245,8 @@ def token_list(rec, key: str) -> list:
         if not isinstance(token, str):
             raise TypeError(f"{key} token {i} must be a string, got "
                             f"{type(token).__name__}")
+        if not token.isascii():
+            _require_utf8(token, f"{key} token {i}")
     return value
 
 
@@ -274,6 +286,8 @@ def _ast_field(rec) -> str | None:
     if value is not None and not isinstance(value, str):
         raise TypeError(f"ast must be a string or null, got "
                         f"{type(value).__name__}")
+    if value is not None and not value.isascii():
+        _require_utf8(value, "ast")
     return value
 
 
@@ -341,6 +355,7 @@ def read_split_jsonl(path, split_tag: str) -> Corpus:
 
 
 SPLITS = ("train", "val", "test")
+VOCAB_FILES = ("vocab.src.txt", "vocab.tgt.txt", "vocab.ast.txt")
 
 
 @dataclass
@@ -350,7 +365,7 @@ class PreparedData:
 
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    ast_vocab: Vocabulary | None = None
+    ast_vocab: Vocabulary
     train: Corpus | None = None
     val: Corpus | None = None
     test: Corpus | None = None
@@ -358,30 +373,24 @@ class PreparedData:
 
 def write_prepared_dir(directory, train: Corpus, val: Corpus, test: Corpus,
                        src_vocab: Vocabulary, tgt_vocab: Vocabulary,
-                       ast_vocab: Vocabulary | None = None) -> None:
+                       ast_vocab: Vocabulary) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_split_jsonl(train, directory / "train.jsonl")
-    write_split_jsonl(val, directory / "val.jsonl")
-    write_split_jsonl(test, directory / "test.jsonl")
-    src_vocab.write(directory / "vocab.src.txt")
-    tgt_vocab.write(directory / "vocab.tgt.txt")
-    if ast_vocab is not None:
-        ast_vocab.write(directory / "vocab.ast.txt")
+    for split, corpus in zip(SPLITS, (train, val, test)):
+        write_split_jsonl(corpus, directory / f"{split}.jsonl")
+    for name, vocab in zip(VOCAB_FILES, (src_vocab, tgt_vocab, ast_vocab)):
+        vocab.write(directory / name)
 
 
 def load_prepared_dir(directory, splits=SPLITS) -> PreparedData:
-    """The vocabularies plus the named splits of a prepared directory."""
+    """The three vocabularies plus the named splits of a prepared
+    directory; each of those files must exist."""
     directory = Path(directory)
-    names = [f"{split}.jsonl" for split in splits]
-    for name in names + ["vocab.src.txt", "vocab.tgt.txt"]:
+    for name in [f"{split}.jsonl" for split in splits] + list(VOCAB_FILES):
         if not (directory / name).exists():
             raise DataError(f"prepared directory {directory} missing {name}")
-    ast_path = directory / "vocab.ast.txt"
     return PreparedData(
-        src_vocab=Vocabulary.read(directory / "vocab.src.txt"),
-        tgt_vocab=Vocabulary.read(directory / "vocab.tgt.txt"),
-        ast_vocab=Vocabulary.read(ast_path) if ast_path.exists() else None,
+        *(Vocabulary.read(directory / name) for name in VOCAB_FILES),
         **{split: read_split_jsonl(directory / f"{split}.jsonl", split)
            for split in splits},
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .corpus import (START, END, Corpus, PreparedData, Vocabulary,
+from .corpus import (START, Corpus, PreparedData, Vocabulary,
                      atomic_write, build_token_vocabulary, build_vocabulary,
                      extract_action_word, filter_by_length_quantile,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
@@ -155,33 +155,25 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--lr", type=float, default=1e-3)
 
 
-def _model_config(args, src_size: int, tgt_size: int, epsilon: float,
-                  comment_len: int | None = None,
-                  ast_size: int = 0) -> models.ModelConfig:
+def _model_config(args, prepared: PreparedData, tgt_size: int,
+                  comment_len: int) -> models.ModelConfig:
+    """The --arch model over prepared's source and AST vocabularies, at
+    epsilon 0; _train_arms sets each arm's epsilon."""
     return models.ModelConfig(
         arch=_arch_internal(args.arch),
-        src_vocab=src_size,
+        src_vocab=prepared.src_vocab.size,
         tgt_vocab=tgt_size,
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
         code_len=args.code_len,
         ast_len=args.ast_len,
-        comment_len=comment_len if comment_len is not None else args.comment_len,
+        comment_len=comment_len,
         heads=args.heads,
         layers=args.layers,
         dropout_rate=args.dropout,
-        epsilon=epsilon,
-        ast_vocab=ast_size,
+        ast_vocab=(prepared.ast_vocab.size if args.arch == "ast-attendgru"
+                   else 0),
     )
-
-
-def _ast_size(args, prepared: PreparedData) -> int:
-    if _arch_internal(args.arch) != "ast_attendgru":
-        return 0
-    if prepared.ast_vocab is None:
-        raise DataError("ast-attendgru needs vocab.ast.txt in the data "
-                        "directory; rerun prepare")
-    return prepared.ast_vocab.size
 
 
 def _train_config(args) -> TrainConfig:
@@ -219,23 +211,37 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _encode(prepared: PreparedData, config: models.ModelConfig,
+            tgt_vocab: Vocabulary, *splits) -> list:
+    """Each split encoded against prepared's source and AST vocabularies
+    and tgt_vocab."""
+    return [encode_corpus(split, config, prepared.src_vocab, tgt_vocab,
+                          prepared.ast_vocab) for split in splits]
+
+
+def _train_arms(args, config: models.ModelConfig, train_set, val_set,
+                epsilons, train_config: TrainConfig):
+    """Train one model per epsilon, each built from --seed, on the same
+    encoded splits. Yields (epsilon, checkpoint, history)."""
+    for epsilon in epsilons:
+        model = models.build_model(replace(config, epsilon=epsilon),
+                                   seed=args.seed)
+        yield (epsilon, *trainer.train(model, train_set, val_set,
+                                       train_config))
+
+
 def _experiment_arms(args, prepared: PreparedData, epsilons,
                      tgt_vocab: Vocabulary, train_config: TrainConfig):
-    """Train one arm per epsilon from the same seed and score its test
-    decodes. Yields (epsilon tag, checkpoint, predictions, report row);
-    every epsilon > 0 row is paired-tested against the epsilon = 0 row."""
-    base = _model_config(args, prepared.src_vocab.size, tgt_vocab.size, 0.0,
-                         ast_size=_ast_size(args, prepared))
-    train_set, val_set, test_set = (
-        encode_corpus(split, base, prepared.src_vocab, tgt_vocab,
-                      prepared.ast_vocab)
-        for split in (prepared.train, prepared.val, prepared.test))
+    """Train one arm per epsilon and score its test decodes. Yields
+    (epsilon tag, checkpoint, predictions, report row); every
+    epsilon > 0 row is paired-tested against the epsilon = 0 row."""
+    config = _model_config(args, prepared, tgt_vocab.size, args.comment_len)
+    train_set, val_set, test_set = _encode(
+        prepared, config, tgt_vocab, prepared.train, prepared.val,
+        prepared.test)
     baseline = None
-    for epsilon in epsilons:
-        config = replace(base, epsilon=epsilon)
-        model = models.build_model(config, seed=args.seed)
-        ckpt, history = trainer.train(model, train_set, val_set,
-                                      train_config)
+    for epsilon, ckpt, history in _train_arms(args, config, train_set,
+                                              val_set, epsilons, train_config):
         _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
              f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
              f"final loss {history.records[-1].loss_nats:.4f}")
@@ -295,17 +301,12 @@ def cmd_train(args) -> int:
     prepared = load_prepared_dir(args.data, splits=("train", "val"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _model_config(args, prepared.src_vocab.size,
-                           prepared.tgt_vocab.size, args.epsilon,
-                           ast_size=_ast_size(args, prepared))
-    datasets = {
-        name: encode_corpus(split, config, prepared.src_vocab,
-                            prepared.tgt_vocab, prepared.ast_vocab)
-        for name, split in (("train", prepared.train), ("val", prepared.val))
-    }
-    model = models.build_model(config, seed=args.seed)
-    ckpt, history = trainer.train(model, datasets["train"], datasets["val"],
-                                  train_config)
+    config = _model_config(args, prepared, prepared.tgt_vocab.size,
+                           args.comment_len)
+    train_set, val_set = _encode(prepared, config, prepared.tgt_vocab,
+                                 prepared.train, prepared.val)
+    [(_, ckpt, history)] = _train_arms(args, config, train_set, val_set,
+                                       (args.epsilon,), train_config)
     trainer.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     history.write_csv(out_dir / "history.csv")
     print(f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.6f}")
@@ -316,26 +317,17 @@ def cmd_predict(args) -> int:
     prepared = load_prepared_dir(args.data, splits=(args.split,))
     ckpt = trainer.load_checkpoint(args.checkpoint)
     config = ckpt.model.config
-    tgt_vocab = prepared.tgt_vocab
-    if args.tgt_vocab is not None:
-        tgt_vocab = Vocabulary.read(args.tgt_vocab)
-    if config.src_vocab != prepared.src_vocab.size:
-        raise DataError(
-            f"checkpoint source vocabulary {config.src_vocab} does not match "
-            f"data directory ({prepared.src_vocab.size})")
-    if config.tgt_vocab != tgt_vocab.size:
-        raise DataError(
-            f"checkpoint target vocabulary {config.tgt_vocab} does not match "
-            f"{tgt_vocab.size}; pass the matching --tgt-vocab file")
+    sizes = [("source", config.src_vocab, prepared.src_vocab),
+             ("target", config.tgt_vocab, prepared.tgt_vocab)]
     if config.arch == "ast_attendgru":
-        ast_size = prepared.ast_vocab.size if prepared.ast_vocab else 0
-        if config.ast_vocab != ast_size:
-            raise DataError(
-                f"checkpoint AST vocabulary {config.ast_vocab} does not "
-                f"match data directory ({ast_size})")
-    dataset = encode_corpus(getattr(prepared, args.split), config,
-                            prepared.src_vocab, tgt_vocab, prepared.ast_vocab)
-    preds = decode_predictions(ckpt.model, dataset, tgt_vocab)
+        sizes.append(("AST", config.ast_vocab, prepared.ast_vocab))
+    for name, size, vocab in sizes:
+        if size != vocab.size:
+            raise DataError(f"checkpoint {name} vocabulary {size} does not "
+                            f"match data directory ({vocab.size})")
+    [dataset] = _encode(prepared, config, prepared.tgt_vocab,
+                        getattr(prepared, args.split))
+    preds = decode_predictions(ckpt.model, dataset, prepared.tgt_vocab)
     metrics.write_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -366,8 +358,8 @@ def cmd_compare(args) -> int:
     """Paired run: train once without and once with label smoothing from
     identical seeds, score the test decodes, and t-test the two
     sentence-level metrics (BLEU is corpus-level and gets no test)."""
-    if not 0.0 <= args.epsilon <= 1.0:
-        raise ConfigurationError(f"epsilon {args.epsilon} outside [0, 1]")
+    if not 0.0 < args.epsilon <= 1.0:
+        raise ConfigurationError(f"epsilon {args.epsilon} outside (0, 1]")
     train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
@@ -443,20 +435,11 @@ def cmd_diversity(args) -> int:
     return 0
 
 
-def _action_word_dataset(split: Corpus, config: models.ModelConfig,
-                         prepared: PreparedData, label_vocab: Vocabulary):
-    """Encoded dataset whose comments are [START, action word, END]."""
-    dataset = encode_corpus(split, config, prepared.src_vocab, label_vocab,
-                            prepared.ast_vocab)
-    labels = []
-    rows = []
-    for s in split.samples:
-        word = extract_action_word(s.comment_tokens)
-        labels.append(word)
-        rows.append([START, label_vocab.encode_token(word), END])
-    dataset.comments = np.array(rows, dtype=np.int64)
-    dataset.references = [[w] for w in labels]
-    return dataset, labels
+def _action_word_corpus(split: Corpus) -> Corpus:
+    """split with each comment replaced by its action word, which a
+    comment_len of 3 encodes as [START, action word, END]."""
+    return Corpus([replace(s, comment_tokens=[extract_action_word(
+        s.comment_tokens)]) for s in split.samples])
 
 
 def cmd_actionword(args) -> int:
@@ -466,25 +449,19 @@ def cmd_actionword(args) -> int:
     prepared = load_prepared_dir(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_labels = [extract_action_word(s.comment_tokens)
-                    for s in prepared.train.samples]
-    unique_train = sorted(set(train_labels))
-    label_vocab = build_token_vocabulary([[w] for w in train_labels],
-                                         size=4 + len(unique_train))
+    train, val, test = (_action_word_corpus(split) for split in
+                        (prepared.train, prepared.val, prepared.test))
+    train_labels = [s.comment_tokens for s in train.samples]
+    label_vocab = build_token_vocabulary(
+        train_labels, size=4 + len({word for [word] in train_labels}))
+    config = _model_config(args, prepared, label_vocab.size, comment_len=3)
+    train_set, val_set, test_set = _encode(prepared, config, label_vocab,
+                                           train, val, test)
+    gold = [word for [word] in test_set.references]
     rows = [["epsilon", "micro_precision", "micro_recall", "micro_f1",
              "macro_f1", "unique_predicted"]]
-    for epsilon in ACTIONWORD_EPSILONS:
-        config = _model_config(args, prepared.src_vocab.size,
-                               label_vocab.size, epsilon, comment_len=3,
-                               ast_size=_ast_size(args, prepared))
-        train_set, _ = _action_word_dataset(prepared.train, config, prepared,
-                                            label_vocab)
-        val_set, _ = _action_word_dataset(prepared.val, config, prepared,
-                                          label_vocab)
-        test_set, gold = _action_word_dataset(prepared.test, config, prepared,
-                                              label_vocab)
-        model = models.build_model(config, seed=args.seed)
-        ckpt, _ = trainer.train(model, train_set, val_set, train_config)
+    for epsilon, ckpt, _ in _train_arms(args, config, train_set, val_set,
+                                        ACTIONWORD_EPSILONS, train_config):
         predicted = []
         for chunk in _chunks(len(test_set)):
             code = test_set.code[chunk]
@@ -538,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test",
                    choices=["train", "val", "test"])
-    p.add_argument("--tgt-vocab", default=None,
-                   help="override target vocabulary file")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("score", help="score a predictions file")
@@ -552,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, "prepared data directory")
     _add_model_flags(p)
     p.add_argument("--epsilon", type=float, default=0.1,
-                   help="smoothing for the treated arm")
+                   help="smoothing for the treated arm, in (0, 1]")
     p.add_argument("--epochs", type=int, default=10)
     p.set_defaults(func=cmd_compare)
 

@@ -148,17 +148,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, parents=(a, b), backward_fn=bw)
 
 
-def tensor_sum(a, axis=None) -> Tensor:
-    a = _coerce(a)
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return Tensor(a.data.sum(axis=axis), parents=(a,), backward_fn=bw)
-
-
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
 

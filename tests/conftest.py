@@ -85,6 +85,17 @@ def sigmoid(a) -> T.Tensor:
     return T.Tensor(y, parents=(a,), backward_fn=bw)
 
 
+def tensor_sum(a, axis=None) -> T.Tensor:
+    a = T._coerce(a)
+
+    def bw(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        T._accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return T.Tensor(a.data.sum(axis=axis), parents=(a,), backward_fn=bw)
+
+
 def total_size(store: T.ParamStore) -> int:
     """Number of scalar parameters in a store."""
     return sum(t.data.size for _, t in store.items())
@@ -104,8 +115,8 @@ def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:
     to."""
     smooth = smooth_target_matrix(targets, logits.data.shape[-1], epsilon)
     log_probs = T.log_softmax(logits, axis=-1)
-    per_position = T.tensor_sum(T.mul(smooth, log_probs), axis=-1)
-    total = T.tensor_sum(T.mul(per_position, mask))
+    per_position = tensor_sum(T.mul(smooth, log_probs), axis=-1)
+    total = tensor_sum(T.mul(per_position, mask))
     return T.mul(total, -1.0 / mask.sum())
 
 

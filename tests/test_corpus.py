@@ -301,7 +301,8 @@ class TestCorpusFiles:
         vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
         write_prepared_dir(tmp_path, Corpus([make_sample(1, "p1")]),
                            Corpus([make_sample(2, "p2")]),
-                           Corpus([make_sample(3, "p3")]), vocab, vocab)
+                           Corpus([make_sample(3, "p3")]), vocab, vocab,
+                           vocab)
         (tmp_path / "test.jsonl").unlink()
         prepared = load_prepared_dir(tmp_path, splits=("train", "val"))
         assert [s.id for s in prepared.val.samples] == ["s2"]
@@ -341,6 +342,31 @@ class TestCorpusFiles:
         with pytest.raises(DataError,
                            match=rf"c\.jsonl:2: .*{field} token 1 .*string"):
             read(path)
+
+    @pytest.mark.parametrize("field", ["code_tokens", "comment_tokens",
+                                       "ref", "pred", "ast"])
+    def test_lone_surrogate_names_line(self, tmp_path, field):
+        # JSON's \u escapes can spell a lone surrogate; UTF-8 cannot encode
+        # one, so a reader refuses it before anything is written
+        split = {"id": "a", "project": "p", "code_tokens": ["f"],
+                 "comment_tokens": ["c"], "code_char_len": 9, "ast": "(f)"}
+        raw = {"id": "a", "project": "p", "code": "int f(){}",
+               "comment": "c", "ast": "(f)"}
+        preds = {"id": "a", "ref": ["x"], "pred": ["x"]}
+        value = "(f \ud800)" if field == "ast" else ["\u00e9", "\ud800"]
+        cases = [(preds, read_predictions)] if field in preds else []
+        if field in split:
+            cases.append((split, lambda p: read_split_jsonl(p, "test")))
+        if field in raw:
+            cases.append((raw, read_corpus_jsonl))
+        for record, read in cases:
+            path = tmp_path / "c.jsonl"
+            path.write_text(json.dumps(record) + "\n"
+                            + json.dumps({**record, "id": "b", field: value})
+                            + "\n")
+            with pytest.raises(DataError,
+                               match=rf"c\.jsonl:2: .*{field}.*surrogate"):
+                read(path)
 
 
 # ---------------------------------------------------------------------------

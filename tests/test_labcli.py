@@ -16,6 +16,7 @@ from smoothsum import labcli
 from smoothsum.errors import ConfigurationError
 from smoothsum.metrics import ComparisonResult, read_predictions
 from smoothsum.synthetic import generate_samples, write_corpus_jsonl
+from smoothsum.trainer import encode_corpus
 
 from conftest import b64
 
@@ -198,6 +199,19 @@ class TestPrepare:
                        str(tmp_path / "prep")) == 2
         assert "bad.jsonl:5" in assert_one_line_error(capsys)
 
+    def test_lone_surrogate_ast_exits_2(self, tmp_path, corpus_file, capsys):
+        # a label UTF-8 cannot encode would reach vocab.ast.txt
+        lines = corpus_file.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["ast"] = "(method_declaration \ud800)"
+        lines[4] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep")) == 2
+        assert "bad.jsonl:5" in assert_one_line_error(capsys)
+        assert not (tmp_path / "prep").exists()
+
     def test_deeply_nested_code_keeps_no_ast(self, tmp_path, corpus_file):
         lines = corpus_file.read_text().splitlines()
         record = json.loads(lines[4])
@@ -252,7 +266,8 @@ class TestPrepare:
 CORPUS_FIELDS = ("id", "project", "code", "comment", "ast")
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=12),
+    | st.text(st.characters() | st.characters(categories=["Cs"]),
+              max_size=12),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8)
@@ -310,6 +325,7 @@ class TestPrepareProperties:
     @PROPERTY_SETTINGS
     @given(CORPUS_RECORDS)
     @example(VALID_CORPUS)
+    @example([{**r, "ast": "(\ud800)"} for r in VALID_CORPUS])
     def test_arbitrary_field_values(self, records):
         prepare_exits_cleanly("".join(
             json.dumps(r) + "\n" for r in records).encode())
@@ -450,7 +466,7 @@ class TestTrainPredictScore:
         assert named in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("flag, missing", [
-        ("--checkpoint", "missing.json"), ("--tgt-vocab", "missing.txt")])
+        ("--checkpoint", "missing.json")])
     def test_predict_missing_file_exits_2(self, tmp_path, prepared_dir,
                                           checkpoint, capsys, flag, missing):
         # a repeated flag overrides the earlier one
@@ -482,13 +498,36 @@ class TestTrainPredictScore:
 
     def test_non_utf8_target_vocabulary_exits_2(self, tmp_path, prepared_dir,
                                                  checkpoint, capsys):
-        vocab = tmp_path / "tgt.txt"
-        vocab.write_bytes((prepared_dir / "vocab.tgt.txt").read_bytes()
-                          + b"\xff\n")
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        with open(bad / "vocab.tgt.txt", "ab") as fh:
+            fh.write(b"\xff\n")
+        assert run_cli("predict", "--data", str(bad), "--out",
+                       str(tmp_path / "p.jsonl"), "--checkpoint",
+                       str(checkpoint)) == 2
+        assert "vocab.tgt.txt" in assert_one_line_error(capsys)
+
+    def test_predict_tgt_vocab_flag_is_a_usage_error(
+            self, tmp_path, prepared_dir, checkpoint):
+        # predict decodes with the data directory's target vocabulary
         assert run_cli("predict", "--data", str(prepared_dir), "--out",
                        str(tmp_path / "p.jsonl"), "--checkpoint",
-                       str(checkpoint), "--tgt-vocab", str(vocab)) == 2
-        assert "tgt.txt" in assert_one_line_error(capsys)
+                       str(checkpoint), "--tgt-vocab",
+                       str(prepared_dir / "vocab.tgt.txt")) == 1
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("command",
+                             ["train", "predict", "compare", "sweep",
+                              "actionword"])
+    def test_missing_ast_vocabulary_exits_2(self, tmp_path, prepared_dir,
+                                            checkpoint, capsys, command):
+        partial = copy_prepared(prepared_dir, tmp_path / "prep")
+        (partial / "vocab.ast.txt").unlink()
+        flags = (["--checkpoint", str(checkpoint)] if command == "predict"
+                 else ["--epochs", "1", *FAST_MODEL])
+        assert run_cli(command, "--data", str(partial), "--out",
+                       str(tmp_path / "out"), *flags) == 2
+        assert "vocab.ast.txt" in assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_score_missing_predictions_exits_2(self, tmp_path, capsys):
         assert run_cli("score", "--predictions",
@@ -573,6 +612,41 @@ class TestTrainPredictScore:
         assert not out.exists()
 
 
+    def test_lone_surrogate_split_token_exits_2(self, tmp_path, prepared_dir,
+                                                capsys):
+        # the token would reach sweep's written target vocabulary
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "train.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["comment_tokens"].append("\ud800")
+        lines[2] = json.dumps(record)
+        (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--data", str(bad), "--out", str(out),
+                       "--epochs", "1", "--vocab-sizes", "1000",
+                       *FAST_MODEL) == 2
+        assert "train.jsonl:3" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, encodes", [
+        ("train", 2), ("predict", 1), ("compare", 3), ("actionword", 3)])
+    def test_each_split_encoded_once(self, tmp_path, prepared_dir,
+                                     checkpoint, monkeypatch, command,
+                                     encodes):
+        calls = []
+
+        def counting_encode(*args):
+            calls.append(args[0])
+            return encode_corpus(*args)
+
+        monkeypatch.setattr(labcli, "encode_corpus", counting_encode)
+        flags = (["--checkpoint", str(checkpoint)] if command == "predict"
+                 else ["--epochs", "1", *FAST_MODEL])
+        assert run_cli(command, "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "out"), *flags) == 0
+        assert len(calls) == encodes
+
+
 class TestCompare:
     def test_pair_layout(self, tmp_path, prepared_dir):
         out = tmp_path / "pair"
@@ -594,11 +668,13 @@ class TestCompare:
 
     def test_epsilon_out_of_range_exits_2(self, tmp_path, prepared_dir,
                                           capsys):
-        out = tmp_path / "pair"
-        assert run_cli("compare", "--data", str(prepared_dir), "--out",
-                       str(out), "--epsilon", "1.5", *FAST_MODEL) == 2
-        assert_one_line_error(capsys)
-        assert not list(tmp_path.rglob("checkpoint*.json"))
+        # 0 would train the epsilon = 0 baseline twice and test nothing
+        for epsilon in ("1.5", "0"):
+            out = tmp_path / "pair"
+            assert run_cli("compare", "--data", str(prepared_dir), "--out",
+                           str(out), "--epsilon", epsilon, *FAST_MODEL) == 2
+            assert "(0, 1]" in assert_one_line_error(capsys)
+            assert not out.exists()
 
 
 class TestDiversityCommand:

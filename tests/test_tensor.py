@@ -9,7 +9,7 @@ from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng, stable_token_seed, uniform_rows
 
 from conftest import (reference_gru_step, reference_smoothed_loss,
-                      reference_weight_grad, tanh)
+                      reference_weight_grad, tanh, tensor_sum)
 
 
 def zero_gru_params(in_dim, hid):
@@ -178,7 +178,7 @@ class TestGruStep:
                            else T.GruWeights(params))
                 store.zero_grads()
                 out = step(store["x"], store["h"], weights)
-                T.backward(T.tensor_sum(T.mul(out, mix)), store)
+                T.backward(tensor_sum(T.mul(out, mix)), store)
                 results.append((out.data, {n: t.grad.copy()
                                            for n, t in store.items()}))
             (ref, ref_grads), (got, got_grads) = results
@@ -202,7 +202,7 @@ class TestGruSequence:
         def loss_fn():
             states = T.gru_sequence(store["x"], store["h0"],
                                     T.GruWeights(dict(store.items())))
-            return T.tensor_sum(T.mul(states, mix))
+            return tensor_sum(T.mul(states, mix))
 
         assert T.grad_check(loss_fn, store) < 1e-4
 
@@ -391,7 +391,7 @@ class TestBackward:
         store = T.ParamStore()
         w = store.add("w", np.ones((3, 2)))
         x = T.Tensor(np.array([[2.0, -1.0, 0.5]]))
-        loss = T.tensor_sum(T.matmul(x, w))
+        loss = tensor_sum(T.matmul(x, w))
         T.backward(loss, store)
         np.testing.assert_allclose(w.grad, np.tile([[2.0], [-1.0], [0.5]],
                                                    (1, 2)))
@@ -399,21 +399,21 @@ class TestBackward:
     def test_constant_graph_zero_gradient(self):
         store = T.ParamStore()
         w = store.add("w", np.ones(4))
-        loss = T.tensor_sum(T.Tensor(np.ones(3)))
+        loss = tensor_sum(T.Tensor(np.ones(3)))
         T.backward(loss, store)
         np.testing.assert_array_equal(w.grad, np.zeros(4))
 
     def test_shared_node_accumulates(self):
         store = T.ParamStore()
         w = store.add("w", np.array([3.0]))
-        loss = T.tensor_sum(T.add(T.mul(w, 2.0), T.mul(w, 5.0)))
+        loss = tensor_sum(T.add(T.mul(w, 2.0), T.mul(w, 5.0)))
         T.backward(loss, store)
         np.testing.assert_allclose(w.grad, [7.0])
 
     def test_nonfinite_gradient_names_parameter(self):
         store = T.ParamStore()
         bad = store.add("bad_param", np.array([1.0]))
-        loss = T.tensor_sum(T.mul(bad, np.array([np.inf])))
+        loss = tensor_sum(T.mul(bad, np.array([np.inf])))
         with pytest.raises(NumericError, match="bad_param"):
             T.backward(loss, store)
 
@@ -433,7 +433,7 @@ class TestBackward:
         def loss_fn():
             h = T.layer_norm(tanh(T.matmul(T.Tensor(x), w1)), gain, bias)
             p = T.log_softmax(T.matmul(h, w2), axis=-1)
-            return T.mul(T.tensor_sum(p), -0.5)
+            return T.mul(tensor_sum(p), -0.5)
 
         assert T.grad_check(loss_fn, store) < 1e-5
 
@@ -442,7 +442,7 @@ class TestBackward:
         # second consumer, which must not reach q
         p = T.Tensor(np.zeros(2), requires_grad=True)
         q = T.Tensor(np.zeros(2), requires_grad=True)
-        T.backward(T.tensor_sum(T.add(T.add(p, q), T.mul(p, 3.0))))
+        T.backward(tensor_sum(T.add(T.add(p, q), T.mul(p, 3.0))))
         np.testing.assert_array_equal(p.grad, [4.0, 4.0])
         np.testing.assert_array_equal(q.grad, [1.0, 1.0])
 
@@ -450,14 +450,14 @@ class TestBackward:
         store = T.ParamStore()
         w = store.add("w", np.array([3.0]))
         shared = T.mul(w, 2.0)
-        loss = T.tensor_sum(shared)
+        loss = tensor_sum(shared)
         T.backward(loss, store)
         with pytest.raises(ConfigurationError, match="once"):
             T.backward(loss, store)
         # a second graph over a node the first backward freed, with a
         # fresh branch into w: it raises before any gradient changes
         with pytest.raises(ConfigurationError, match="once"):
-            T.backward(T.tensor_sum(T.add(T.mul(w, 7.0),
+            T.backward(tensor_sum(T.add(T.mul(w, 7.0),
                                           T.mul(shared, 5.0))), store)
         np.testing.assert_array_equal(w.grad, [2.0])
 
@@ -469,7 +469,7 @@ class TestMatmulBackward:
         a = T.Tensor(rng.uniform_array(a_shape) * 2 - 1, requires_grad=True)
         b = T.Tensor(rng.uniform_array((4, 6)) * 2 - 1, requires_grad=True)
         g = rng.uniform_array(a_shape[:-1] + (6,)) * 2 - 1
-        T.backward(T.tensor_sum(T.mul(T.matmul(a, b), g)))
+        T.backward(tensor_sum(T.mul(T.matmul(a, b), g)))
         for grad, reference in ((b.grad, reference_weight_grad(a.data, g)),
                                 (a.grad, np.matmul(g, b.data.T))):
             assert grad.shape == reference.shape
@@ -511,7 +511,7 @@ class TestNoGrad:
 
         def loss():
             h = T.layer_norm(tanh(T.matmul(T.Tensor(x), w)), gain, bias)
-            return T.tensor_sum(T.log_softmax(h, axis=-1))
+            return tensor_sum(T.log_softmax(h, axis=-1))
 
         return store, loss
 
