@@ -4,15 +4,22 @@ leaf-to-leaf path extraction.
 The grammar covers a single function: header, declarations, assignments,
 calls, if/while blocks and return, with +, -, *, / expressions over
 identifiers and integer literals.
+
+The lexer yields plain token strings. A token's kind comes from its first
+character: a digit starts an integer, a letter or "_" an identifier (or
+keyword), anything else is a one-character symbol, and "" marks the end of
+input. Tokens carry no position; the line and column of a MiniParseError
+are computed from a character offset only when the error is raised.
 """
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, MiniParseError
 from .rng import Rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstNode:
     label: str
     children: tuple = ()
@@ -20,7 +27,8 @@ class AstNode:
     def __post_init__(self):
         if not self.label:
             raise MiniParseError("empty node label")
-        object.__setattr__(self, "children", tuple(self.children))
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
     @property
     def is_leaf(self) -> bool:
@@ -69,213 +77,234 @@ _KEYWORDS = {"if", "else", "while", "return"}
 # MiniParseError, so recursive parses and tree walks stay in Python's limit.
 MAX_DEPTH = 200
 
-
-@dataclass
-class _Token:
-    kind: str  # ident | int | symbol | eof
-    text: str
-    line: int
-    col: int
+# On ASCII text the grammar's tokens are digit runs, identifiers and single
+# symbols, and every other character the grammar allows is whitespace
+# (in a str pattern \s is str.isspace and, on ASCII, \w is alnum or "_").
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[(){};,=+\-*/]")
+_OTHER_RE = re.compile(r"[^\w\s(){};,=+\-*/]")
 
 
-def _lex(source: str):
-    tokens = []
-    line, col = 1, 1
+def _position(source: str, offset: int) -> tuple:
+    """(line, column) of a character offset, both counted from 1."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
+
+
+def _scan(source: str) -> list:
+    """(text, offset) of every token, one character at a time. Raises on a
+    character outside the grammar or brackets deeper than MAX_DEPTH."""
+    pairs = []
     i = depth = 0
     while i < len(source):
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
         if ch in _SYMBOLS:
             depth += (ch in "({") - (ch in ")}")
             if depth > MAX_DEPTH:
                 raise MiniParseError(f"brackets deeper than {MAX_DEPTH} levels",
-                                     line, col)
-            tokens.append(_Token("symbol", ch, line, col))
-            col += 1
+                                     *_position(source, i))
+            pairs.append((ch, i))
             i += 1
             continue
         if ch.isdigit():
             j = i
             while j < len(source) and source[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", source[i:j], line, col))
-            col += j - i
+            pairs.append((source[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < len(source) and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", source[i:j], line, col))
-            col += j - i
+            pairs.append((source[i:j], i))
             i = j
             continue
-        raise MiniParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        raise MiniParseError(f"unexpected character {ch!r}",
+                             *_position(source, i))
+    return pairs
+
+
+def _lex(source: str) -> list:
+    """Token strings, then two "" end-of-input sentinels. Text that is
+    ASCII, holds only grammar characters and has at most MAX_DEPTH opening
+    brackets in all can neither fail to lex nor nest too deep, so one
+    findall takes it; other text goes through _scan."""
+    if (source.isascii() and not _OTHER_RE.search(source)
+            and source.count("(") + source.count("{") <= MAX_DEPTH):
+        tokens = _TOKEN_RE.findall(source)
+    else:
+        tokens = [text for text, _ in _scan(source)]
+    tokens += ("", "")
     return tokens
 
 
+def _is_ident(tok: str) -> bool:
+    """An identifier or keyword: a token that starts with a letter or "_"."""
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
 class _Parser:
+    """Recursive descent over _lex's token strings. A token's kind is read
+    from its first character ("" is end of input), and a token's position
+    is worked out only when a parse fails."""
+
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _lex(source)
         self.pos = 0
 
-    def peek(self, offset=0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise MiniParseError(message, tok.line, tok.col)
+        pairs = _scan(self.source)
+        offset = (pairs[self.pos][1] if self.pos < len(pairs)
+                  else len(self.source))
+        raise MiniParseError(message, *_position(self.source, offset))
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
 
-    def expect_ident(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
-            self.fail(f"expected identifier, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if not _is_ident(tok) or tok in _KEYWORDS:
+            self.fail(f"expected identifier, found {tok or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     def parse_function(self) -> AstNode:
         ftype = self.expect_ident()
         fname = self.expect_ident()
         self.expect("(")
         params = []
-        if self.peek().text != ")":
+        if self.peek() != ")":
             while True:
                 ptype = self.expect_ident()
                 pname = self.expect_ident()
-                params.append(node("param", node(ptype.text), node(pname.text)))
-                if self.peek().text != ",":
+                params.append(node("param", AstNode(ptype), AstNode(pname)))
+                if self.peek() != ",":
                     break
-                self.expect(",")
+                self.pos += 1
         self.expect(")")
         body = self.parse_block("body")
-        if self.peek().kind != "eof":
+        if self.peek():
             self.fail("trailing input after function body")
         return node(
             "function",
-            node("type", node(ftype.text)),
-            node("name", node(fname.text)),
-            node("params", *params),
+            node("type", AstNode(ftype)),
+            node("name", AstNode(fname)),
+            AstNode("params", tuple(params)),
             body,
         )
 
     def parse_block(self, label: str) -> AstNode:
         self.expect("{")
         stmts = []
-        while self.peek().text != "}":
-            if self.peek().kind == "eof":
+        tokens = self.tokens
+        while tokens[self.pos] != "}":
+            if not tokens[self.pos]:
                 self.fail("unterminated block, expected '}'")
             stmts.append(self.parse_statement())
-        self.expect("}")
-        return node(label, *stmts)
+        self.pos += 1
+        return AstNode(label, tuple(stmts))
 
     def parse_statement(self) -> AstNode:
-        tok = self.peek()
-        if tok.text == "if":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "if":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_block("then")
-            if self.peek().text == "else":
-                self.advance()
+            if self.peek() == "else":
+                self.pos += 1
                 return node("if", cond, then, self.parse_block("else"))
             return node("if", cond, then)
-        if tok.text == "while":
-            self.advance()
+        if tok == "while":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             return node("while", cond, self.parse_block("body"))
-        if tok.text == "return":
-            self.advance()
-            if self.peek().text == ";":
-                self.advance()
-                return node("return")
+        if tok == "return":
+            self.pos += 1
+            if self.peek() == ";":
+                self.pos += 1
+                return AstNode("return")
             expr = self.parse_expr()
             self.expect(";")
             return node("return", expr)
-        if tok.kind != "ident":
-            self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
-        nxt = self.peek(1)
-        if nxt.text == "(":
+        if not _is_ident(tok):
+            self.fail(f"expected a statement, found {tok or 'end of input'!r}")
+        nxt = self.tokens[self.pos + 1]
+        if nxt == "(":
             name = self.expect_ident()
-            self.expect("(")
-            args = []
-            if self.peek().text != ")":
+            self.pos += 1
+            args = [AstNode(name)]
+            if self.peek() != ")":
                 while True:
                     args.append(self.parse_expr())
-                    if self.peek().text != ",":
+                    if self.peek() != ",":
                         break
-                    self.expect(",")
+                    self.pos += 1
             self.expect(")")
             self.expect(";")
-            return node("call", node(name.text), *args)
-        if nxt.text == "=":
+            return AstNode("call", tuple(args))
+        if nxt == "=":
             name = self.expect_ident()
-            self.expect("=")
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(";")
-            return node("assign", node(name.text), expr)
-        if nxt.kind == "ident":
+            return node("assign", AstNode(name), expr)
+        if _is_ident(nxt):
             dtype = self.expect_ident()
             name = self.expect_ident()
-            if self.peek().text == "=":
-                self.expect("=")
+            if self.peek() == "=":
+                self.pos += 1
                 expr = self.parse_expr()
                 self.expect(";")
-                return node("decl", node(dtype.text), node(name.text), expr)
+                return node("decl", AstNode(dtype), AstNode(name), expr)
             self.expect(";")
-            return node("decl", node(dtype.text), node(name.text))
-        self.fail(f"cannot parse statement starting at {tok.text!r}")
+            return node("decl", AstNode(dtype), AstNode(name))
+        self.fail(f"cannot parse statement starting at {tok!r}")
 
     def parse_expr(self) -> AstNode:
         left = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            left = node(op, left, self.parse_term())
+        while self.tokens[self.pos] in ("+", "-"):
+            op = self.advance()
+            left = AstNode(op, (left, self.parse_term()))
         return left
 
     def parse_term(self) -> AstNode:
         left = self.parse_factor()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            left = node(op, left, self.parse_factor())
+        while self.tokens[self.pos] in ("*", "/"):
+            op = self.advance()
+            left = AstNode(op, (left, self.parse_factor()))
         return left
 
     def parse_factor(self) -> AstNode:
-        tok = self.peek()
-        if tok.text == "(":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.kind == "int":
-            self.advance()
-            return node(tok.text)
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
-            self.advance()
-            return node(tok.text)
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+        # every token but "" and the symbols is an integer or an identifier
+        if tok and tok not in _SYMBOLS and tok not in _KEYWORDS:
+            self.pos += 1
+            return AstNode(tok)
+        self.fail(f"expected an expression, found {tok or 'end of input'!r}")
 
 
 def parse_mini_function(source: str) -> AstNode:
@@ -292,27 +321,22 @@ def parse_mini_function(source: str) -> AstNode:
 # s-expressions
 
 
+_SEXPR_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
 def import_sexpr(text: str) -> AstNode:
     """Parse "(label child child ...)"; children may be nested lists or
     bare atoms (read as leaves)."""
-    tokens = []
-    i = depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            depth += 1 if ch == "(" else -1
-            if depth > MAX_DEPTH:
-                raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = _SEXPR_TOKEN_RE.findall(text)
+    if text.count("(") > MAX_DEPTH:
+        depth = 0
+        for tok in tokens:
+            if tok == "(":
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
+            elif tok == ")":
+                depth -= 1
 
     pos = 0
 
@@ -344,10 +368,16 @@ def import_sexpr(text: str) -> AstNode:
 
 
 def render_sexpr(tree: AstNode) -> str:
-    if tree.is_leaf:
-        return f"({tree.label})"
-    inner = " ".join(render_sexpr(c) for c in tree.children)
-    return f"({tree.label} {inner})"
+    parts = []
+
+    def visit(n: AstNode, opener: str):
+        parts.append(opener + n.label)
+        for child in n.children:
+            visit(child, " (")
+        parts.append(")")
+
+    visit(tree, "(")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

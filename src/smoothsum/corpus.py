@@ -61,13 +61,10 @@ class Corpus:
 
 
 def tokenize_code(raw: str) -> list:
-    """Split on non-alphanumerics, then camelCase/snake_case subtokens;
-    lowercase everything, digit runs stay standalone tokens."""
-    tokens = []
-    for piece in re.split(r"[^A-Za-z0-9]+", raw):
-        for sub in _SUBTOKEN_RE.findall(piece):
-            tokens.append(sub.lower())
-    return tokens
+    """camelCase/snake_case subtokens, lowercased; digit runs stay
+    standalone tokens. No subtoken spans a character outside [A-Za-z0-9],
+    so that splits the text first."""
+    return [sub.lower() for sub in _SUBTOKEN_RE.findall(raw)]
 
 
 def tokenize_comment(raw: str) -> list:
@@ -123,10 +120,14 @@ def build_vocabulary(corpus: Corpus, size: int, side: str) -> Vocabulary:
          for s in corpus.samples), size)
 
 
-def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
-    """Vocabulary over arbitrary token sequences (used for SBT streams)."""
+def check_vocab_size(size: int) -> None:
     if size < 5:
         raise ConfigurationError(f"vocabulary size {size} below minimum of 5")
+
+
+def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
+    """Vocabulary over arbitrary token sequences (used for SBT streams)."""
+    check_vocab_size(size)
     counts = Counter()
     for toks in token_lists:
         counts.update(toks)
@@ -151,6 +152,14 @@ def encode_sequence(tokens, vocab: Vocabulary, max_len: int,
     return ids + [PAD] * (max_len - len(ids))
 
 
+def check_ratios(ratios) -> None:
+    """Split ratios: three positive fractions that sum to 1."""
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # rejects NaN
+        raise ConfigurationError("ratios must be three positive fractions")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigurationError(f"ratios {ratios} do not sum to 1")
+
+
 def split_by_project(corpus: Corpus, ratios, seed: int):
     """Partition whole projects into train/val/test.
 
@@ -159,10 +168,7 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     sample-count deficit against its ratio target (ties go to the earlier
     split in train/val/test order).
     """
-    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # rejects NaN
-        raise ConfigurationError("ratios must be three positive fractions")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigurationError(f"ratios {ratios} do not sum to 1")
+    check_ratios(ratios)
     projects = corpus.projects()
     if len(projects) < 3:
         raise DataError(f"need at least 3 projects, got {len(projects)}")
@@ -185,11 +191,15 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     return tuple(Corpus(samples=b, split_tag=t) for b, t in zip(buckets, tags))
 
 
+def check_quantile(q: float) -> None:
+    if not 0 < q < 1:
+        raise ConfigurationError(f"quantile {q} must be in (0, 1)")
+
+
 def filter_by_length_quantile(corpus: Corpus, q: float) -> Corpus:
     """Keep samples whose code_char_len strictly exceeds the nearest-rank
     q-quantile of code_char_len over the corpus."""
-    if not 0 < q < 1:
-        raise ConfigurationError(f"quantile {q} must be in (0, 1)")
+    check_quantile(q)
     if not corpus.samples:
         raise DataError("cannot take a quantile of an empty corpus")
     lengths = sorted(s.code_char_len for s in corpus.samples)

@@ -20,6 +20,7 @@ import numpy as np
 from . import metrics, models, trainer
 from .corpus import (START, Corpus, PreparedData, Vocabulary,
                      atomic_write, build_token_vocabulary, build_vocabulary,
+                     check_quantile, check_ratios, check_vocab_size,
                      extract_action_word, filter_by_length_quantile,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
                      write_prepared_dir)
@@ -155,11 +156,12 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--lr", type=float, default=1e-3)
 
 
-def _model_config(args, prepared: PreparedData, tgt_size: int,
-                  comment_len: int) -> models.ModelConfig:
-    """The --arch model over prepared's source and AST vocabularies, at
-    epsilon 0; _train_arms sets each arm's epsilon."""
-    return models.ModelConfig(
+def _arm_configs(args, prepared: PreparedData, tgt_size: int,
+                 comment_len: int, epsilons) -> list:
+    """The --arch model over prepared's source and AST vocabularies, one
+    config per epsilon arm. Building them checks every model flag, so a
+    command builds them before it writes anything."""
+    config = models.ModelConfig(
         arch=_arch_internal(args.arch),
         src_vocab=prepared.src_vocab.size,
         tgt_vocab=tgt_size,
@@ -174,6 +176,7 @@ def _model_config(args, prepared: PreparedData, tgt_size: int,
         ast_vocab=(prepared.ast_vocab.size if args.arch == "ast-attendgru"
                    else 0),
     )
+    return [replace(config, epsilon=epsilon) for epsilon in epsilons]
 
 
 def _train_config(args) -> TrainConfig:
@@ -214,34 +217,32 @@ def _log(message: str) -> None:
 def _encode(prepared: PreparedData, config: models.ModelConfig,
             tgt_vocab: Vocabulary, *splits) -> list:
     """Each split encoded against prepared's source and AST vocabularies
-    and tgt_vocab."""
+    and tgt_vocab; an arm's epsilon does not change the encoding."""
     return [encode_corpus(split, config, prepared.src_vocab, tgt_vocab,
                           prepared.ast_vocab) for split in splits]
 
 
-def _train_arms(args, config: models.ModelConfig, train_set, val_set,
-                epsilons, train_config: TrainConfig):
-    """Train one model per epsilon, each built from --seed, on the same
+def _train_arms(args, configs, train_set, val_set,
+                train_config: TrainConfig):
+    """Train one model per arm config, each built from --seed, on the same
     encoded splits. Yields (epsilon, checkpoint, history)."""
-    for epsilon in epsilons:
-        model = models.build_model(replace(config, epsilon=epsilon),
-                                   seed=args.seed)
-        yield (epsilon, *trainer.train(model, train_set, val_set,
-                                       train_config))
+    for config in configs:
+        model = models.build_model(config, seed=args.seed)
+        yield (config.epsilon, *trainer.train(model, train_set, val_set,
+                                              train_config))
 
 
-def _experiment_arms(args, prepared: PreparedData, epsilons,
+def _experiment_arms(args, prepared: PreparedData, configs,
                      tgt_vocab: Vocabulary, train_config: TrainConfig):
-    """Train one arm per epsilon and score its test decodes. Yields
+    """Train one arm per config and score its test decodes. Yields
     (epsilon tag, checkpoint, predictions, report row); every
     epsilon > 0 row is paired-tested against the epsilon = 0 row."""
-    config = _model_config(args, prepared, tgt_vocab.size, args.comment_len)
     train_set, val_set, test_set = _encode(
-        prepared, config, tgt_vocab, prepared.train, prepared.val,
+        prepared, configs[0], tgt_vocab, prepared.train, prepared.val,
         prepared.test)
     baseline = None
-    for epsilon, ckpt, history in _train_arms(args, config, train_set,
-                                              val_set, epsilons, train_config):
+    for epsilon, ckpt, history in _train_arms(args, configs, train_set,
+                                              val_set, train_config):
         _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
              f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
              f"final loss {history.records[-1].loss_nats:.4f}")
@@ -273,13 +274,18 @@ def _comparison_row(epsilon: float, report: metrics.MetricReport,
 
 
 def cmd_prepare(args) -> int:
+    if args.quantile is not None:
+        check_quantile(args.quantile)
+    ratios = _parse_list(args.ratios, float, "--ratios")
+    check_ratios(ratios)
+    check_vocab_size(args.src_vocab)
+    check_vocab_size(args.tgt_vocab)
     raw = read_corpus_jsonl(args.data)
     kept = [s for s in raw.samples if s.comment_tokens and s.code_tokens]
     dropped = len(raw.samples) - len(kept)
     corpus = Corpus(samples=kept)
     if args.quantile is not None:
         corpus = filter_by_length_quantile(corpus, args.quantile)
-    ratios = _parse_list(args.ratios, float, "--ratios")
     train, val, test = split_by_project(corpus, ratios, args.seed)
     src_vocab = build_vocabulary(train, args.src_vocab, "source")
     tgt_vocab = build_vocabulary(train, args.tgt_vocab, "target")
@@ -299,14 +305,14 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     train_config = _train_config(args)
     prepared = load_prepared_dir(args.data, splits=("train", "val"))
+    [config] = _arm_configs(args, prepared, prepared.tgt_vocab.size,
+                            args.comment_len, (args.epsilon,))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _model_config(args, prepared, prepared.tgt_vocab.size,
-                           args.comment_len)
     train_set, val_set = _encode(prepared, config, prepared.tgt_vocab,
                                  prepared.train, prepared.val)
-    [(_, ckpt, history)] = _train_arms(args, config, train_set, val_set,
-                                       (args.epsilon,), train_config)
+    [(_, ckpt, history)] = _train_arms(args, [config], train_set, val_set,
+                                       train_config)
     trainer.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     history.write_csv(out_dir / "history.csv")
     print(f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.6f}")
@@ -362,12 +368,13 @@ def cmd_compare(args) -> int:
         raise ConfigurationError(f"epsilon {args.epsilon} outside (0, 1]")
     train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
+    configs = _arm_configs(args, prepared, prepared.tgt_vocab.size,
+                           args.comment_len, (0.0, args.epsilon))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for tag, ckpt, preds, row in _experiment_arms(
-            args, prepared, (0.0, args.epsilon), prepared.tgt_vocab,
-            train_config):
+            args, prepared, configs, prepared.tgt_vocab, train_config):
         trainer.save_checkpoint(ckpt, out_dir / f"checkpoint_eps{tag}.json")
         metrics.write_predictions(preds, out_dir / f"predictions_eps{tag}.jsonl")
         rows.append(row)
@@ -385,17 +392,21 @@ def cmd_sweep(args) -> int:
     sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
     train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = []
     for size in sizes:
         tgt_vocab = build_vocabulary(prepared.train, size, "target")
+        grid.append((size, tgt_vocab, _arm_configs(
+            args, prepared, tgt_vocab.size, args.comment_len,
+            DEFAULT_SWEEP_GRID)))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for size, tgt_vocab, configs in grid:
         tgt_vocab.write(out_dir / f"sweep_v{size}.vocab.tgt.txt")
         rows = []
         failure = None
         try:
             for tag, _, preds, row in _experiment_arms(
-                    args, prepared, DEFAULT_SWEEP_GRID, tgt_vocab,
-                    train_config):
+                    args, prepared, configs, tgt_vocab, train_config):
                 metrics.write_predictions(
                     preds, out_dir / f"sweep_v{size}_eps{tag}.jsonl")
                 rows.append(row)
@@ -447,21 +458,22 @@ def cmd_actionword(args) -> int:
     {0, 0.1, 0.4}; reports precision/recall/F1 and unique-word counts."""
     train_config = _train_config(args)
     prepared = load_prepared_dir(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, val, test = (_action_word_corpus(split) for split in
                         (prepared.train, prepared.val, prepared.test))
     train_labels = [s.comment_tokens for s in train.samples]
     label_vocab = build_token_vocabulary(
         train_labels, size=4 + len({word for [word] in train_labels}))
-    config = _model_config(args, prepared, label_vocab.size, comment_len=3)
-    train_set, val_set, test_set = _encode(prepared, config, label_vocab,
+    configs = _arm_configs(args, prepared, label_vocab.size,
+                           comment_len=3, epsilons=ACTIONWORD_EPSILONS)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_set, val_set, test_set = _encode(prepared, configs[0], label_vocab,
                                            train, val, test)
     gold = [word for [word] in test_set.references]
     rows = [["epsilon", "micro_precision", "micro_recall", "micro_f1",
              "macro_f1", "unique_predicted"]]
-    for epsilon, ckpt, _ in _train_arms(args, config, train_set, val_set,
-                                        ACTIONWORD_EPSILONS, train_config):
+    for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
+                                        train_config):
         predicted = []
         for chunk in _chunks(len(test_set)):
             code = test_set.code[chunk]

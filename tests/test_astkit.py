@@ -1,4 +1,5 @@
 import itertools
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,12 @@ from smoothsum.astkit import (MAX_DEPTH, AstNode, AstPath,
                               enumerate_leaf_paths, import_sexpr, node,
                               parse_mini_function, render_sexpr, sample_paths,
                               sbt_flatten)
+from smoothsum.corpus import tokenize_code
 from smoothsum.errors import ConfigurationError, DataError, MiniParseError
 from smoothsum.rng import Rng
+from smoothsum.synthetic import generate_samples
 
+import astkit_reference as reference
 from conftest import random_tree
 
 
@@ -43,7 +47,22 @@ class TestMiniParser:
     def test_error_carries_position(self):
         with pytest.raises(MiniParseError) as err:
             parse_mini_function("int f()\n{ x = ; }")
-        assert err.value.line == 2
+        assert (err.value.line, err.value.column) == (2, 7)
+
+    @pytest.mark.parametrize("source, message, line, column", [
+        ("int f()\n{\n  x = 1 # 2;\n}", "unexpected character '#'", 3, 9),
+        ("int f()\n{\n  return " + "(" * 200 + "x" + ")" * 200 + ";\n}",
+         f"brackets deeper than {MAX_DEPTH} levels", 3, 209),
+        ("int f()\n{\n  x = 1;\n", "unterminated block, expected '}'", 4, 1),
+        ("int f()\n{\n  return 1;\n}\n  extra;",
+         "trailing input after function body", 5, 3),
+    ], ids=["unexpected-character", "brackets-201-deep", "missing-brace",
+            "trailing-input"])
+    def test_error_line_and_column(self, source, message, line, column):
+        with pytest.raises(MiniParseError) as err:
+            parse_mini_function(source)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == (line, column)
 
     def test_declaration_call_if_while(self):
         source = """int work(int n, int m){
@@ -150,6 +169,111 @@ class TestParserProperties:
         except DataError:
             return
         assert import_sexpr(render_sexpr(tree)) == tree
+
+
+def outcome(parse, text):
+    """A parse's tree and SBT stream, or its error's message and place."""
+    try:
+        tree = parse(text)
+    except MiniParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return "tree", tree, sbt_flatten(tree)
+
+
+REAL_FUNCTIONS = sorted({s["code"] for s in generate_samples(40, seed=2)}) + [
+    """int work(int n, int m){
+    int acc = 0;
+    while (n) { acc = acc + m; n = n - 1; }
+    if (acc) { log(acc); } else { reset(); }
+    return acc * (m + 2) / 3;
+}"""]
+# Characters an edit may put in: the grammar's own, whitespace that
+# str.isspace counts ("\x0b", "\x1c"), and characters outside the grammar,
+# non-ASCII letters and digits ("é", "²", "٣") among them.
+EDIT_CHARS = st.sampled_from(list("(){};,=+-*/ \n\t\x0b\x1cx_Z7#.\"é²٣"))
+# MINI_TOKENS' words plus the token shapes it lacks: a leading "_",
+# digits inside and after names, "-", "/" and line breaks.
+MORE_TOKENS = st.lists(st.sampled_from(
+    ["int", "_v", "v_2", "f", "12", "3x", "(", ")", "{", "}", ";", ",", "=",
+     "+", "-", "*", "/", "if", "else", "while", "return", "\n"]),
+    max_size=40).map(" ".join)
+ODD_TEXT = st.text(alphabet=st.sampled_from(
+    list("(){};,=+*/ \nab_1é²٣\x1c\u2028")) | st.characters(), max_size=60)
+
+
+@st.composite
+def edited(draw, texts):
+    """One of texts with one character deleted, inserted or replaced."""
+    text = draw(st.sampled_from(texts))
+    at = draw(st.integers(0, len(text)))
+    kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if kind == "delete":
+        return text[:at] + text[at + 1:]
+    char = draw(EDIT_CHARS)
+    return text[:at] + char + text[at + (kind == "replace"):]
+
+
+def nested(opener, closer, inner=""):
+    """Brackets nested around the MAX_DEPTH bound."""
+    return st.integers(MAX_DEPTH - 3, MAX_DEPTH + 3).map(
+        lambda n: opener * n + inner + closer * n)
+
+
+class TestFrontEndEquivalence:
+    """The fast lexer, parser, s-expression reader and code tokenizer
+    against the one-character-at-a-time reference in astkit_reference."""
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(
+        MINI_TOKENS,
+        MINI_TOKENS.map(lambda body: "int f(){" + body + "}"),
+        MORE_TOKENS.map(lambda body: "int f(int _a){" + body + "}"),
+        edited(REAL_FUNCTIONS),
+        ODD_TEXT,
+        nested("if (x) {", "}").map(lambda body: "int f(){" + body + "}"),
+        nested("{", "}").map(lambda body: "int f()\n{" + body + "}"),
+        nested("(", ")", "x").map(lambda e: "int f()\n{return " + e + ";}"),
+        nested("(", ")", "x").map(lambda e: "int f(){return é" + e + ";}")))
+    def test_parse_mini_function_matches_reference(self, source):
+        assert outcome(parse_mini_function, source) == \
+            outcome(reference.parse_mini_function, source)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(
+        SEXPRS,
+        edited([render_sexpr(parse_mini_function(code))
+                for code in REAL_FUNCTIONS]),
+        ODD_TEXT,
+        nested("(a ", ")"),
+        nested("(a ", ")").map(lambda t: t[:-1]),
+        nested("(a\x1c", ")\u2028")))
+    def test_import_sexpr_matches_reference(self, text):
+        assert outcome(import_sexpr, text) == \
+            outcome(reference.import_sexpr, text)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(ODD_TEXT, edited(REAL_FUNCTIONS), st.lists(
+        st.sampled_from(["get", "Name", "HTTP", "Url", "x2", "9", "_", "-",
+                         " ", "é", "²", "٣", "\x1c"]),
+        max_size=12).map("".join)))
+    def test_tokenize_code_matches_reference(self, raw):
+        assert tokenize_code(raw) == reference.tokenize_code(raw)
+
+    @pytest.mark.parametrize("char", sorted(
+        set(string.printable + "é²٣\x00\x7f\u2028") - set(string.ascii_letters)
+        - set(string.digits) - set("(){};,=+-*/_")))
+    def test_every_other_character_matches_reference(self, char):
+        # the rest of each source parses, so only the lexer can refuse it
+        for source in (f"int f(){{ {char} return 1;}}",
+                       f"int f(){{return 1;}}{char}"):
+            assert outcome(parse_mini_function, source) == \
+                outcome(reference.parse_mini_function, source)
+
+    def test_real_functions_match_reference(self):
+        for code in REAL_FUNCTIONS:
+            assert outcome(parse_mini_function, code) == \
+                outcome(reference.parse_mini_function, code)
+            assert outcome(parse_mini_function, code)[0] == "tree"
 
 
 def count_nodes(tree):

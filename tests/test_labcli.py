@@ -177,6 +177,26 @@ class TestPrepare:
         assert run_cli("prepare", "--data", str(corpus_file), "--out",
                        str(tmp_path / "x"), "--src-vocab", "4") == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--ratios", "a,b,c"], "--ratios"),
+        (["--ratios", "0.5,0.5"], "three positive fractions"),
+        (["--ratios", "0.5,0.5,0.5"], "do not sum to 1"),
+        (["--src-vocab", "4"], "vocabulary size 4 below minimum of 5"),
+        (["--tgt-vocab", "3"], "vocabulary size 3 below minimum of 5"),
+        (["--quantile", "1.5"], "quantile 1.5"),
+    ])
+    def test_bad_flag_exits_2_without_reading_corpus(
+            self, tmp_path, corpus_file, capsys, monkeypatch, flags, message):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(labcli, "read_corpus_jsonl", unread)
+        out = tmp_path / "x"
+        assert run_cli("prepare", "--data", str(corpus_file), "--out",
+                       str(out), *flags) == 2
+        assert message in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "1"}\n')
@@ -609,6 +629,25 @@ class TestTrainPredictScore:
         assert run_cli(command, "--data", str(prepared_dir), "--out",
                        str(out), "--epochs", "0", *FAST_MODEL) == 2
         assert "epochs" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--arch", "transformer", "--heads", "3"], "heads 3"),
+        ("train", ["--epsilon", "1.5"], "epsilon"),
+        ("compare", ["--arch", "transformer", "--heads", "3"], "heads 3"),
+        ("sweep", ["--arch", "transformer", "--heads", "3"], "heads 3"),
+        ("sweep", ["--vocab-sizes", "50,4"], "vocabulary size 4"),
+        ("actionword", ["--arch", "transformer", "--heads", "3"], "heads 3"),
+    ], ids=["train-heads", "train-epsilon", "compare-heads", "sweep-heads",
+            "sweep-second-size", "actionword-heads"])
+    def test_bad_model_flag_exits_2_before_writing(
+            self, tmp_path, prepared_dir, capsys, command, flags, message):
+        # every arm's config, and each sweep size's, is checked before
+        # --out is created
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(prepared_dir), "--out",
+                       str(out), "--epochs", "1", *FAST_MODEL, *flags) == 2
+        assert message in assert_one_line_error(capsys)
         assert not out.exists()
 
 
