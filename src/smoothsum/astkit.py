@@ -57,15 +57,6 @@ class AstPath:
     def length(self) -> int:
         return 2 + len(self.up_labels) + len(self.down_labels)
 
-    def reverse(self) -> "AstPath":
-        pivot = self.up_labels[-1]
-        return AstPath(
-            start_leaf=self.end_leaf,
-            up_labels=tuple(reversed(self.down_labels)) + (pivot,),
-            down_labels=tuple(reversed(self.up_labels[:-1])),
-            end_leaf=self.start_leaf,
-        )
-
 
 # ---------------------------------------------------------------------------
 # mini-language parser

@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .astkit import import_sexpr, parse_mini_function, render_sexpr
+from .astkit import (import_sexpr, parse_mini_function, render_sexpr,
+                     sbt_flatten)
 from .errors import ConfigurationError, DataError, MiniParseError
 from .rng import Rng
 from .stemming import porter_stem
@@ -44,7 +45,6 @@ class Sample:
 @dataclass
 class Corpus:
     samples: list
-    split_tag: str = "unsplit"
 
     def __post_init__(self):
         seen = set()
@@ -55,9 +55,6 @@ class Corpus:
 
     def __len__(self):
         return len(self.samples)
-
-    def projects(self) -> list:
-        return sorted({s.project for s in self.samples})
 
 
 def tokenize_code(raw: str) -> list:
@@ -79,11 +76,10 @@ class Vocabulary:
     """Token<->index map; indices 0-3 are PAD, START, END, UNK."""
 
     tokens: list
-    index: dict = field(default_factory=dict)
+    index: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {t: i for i, t in enumerate(self.tokens)}
+        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:
@@ -112,12 +108,18 @@ class Vocabulary:
 
 def build_vocabulary(corpus: Corpus, size: int, side: str) -> Vocabulary:
     """Specials plus the (size - 4) most frequent tokens of one side,
-    ties broken lexicographically."""
-    if side not in ("source", "target"):
+    ties broken lexicographically. The "ast" side counts the SBT streams
+    of the samples that have an AST."""
+    if side == "source":
+        streams = (s.code_tokens for s in corpus.samples)
+    elif side == "target":
+        streams = (s.comment_tokens for s in corpus.samples)
+    elif side == "ast":
+        streams = (sbt_tokens_for_sample(s) for s in corpus.samples
+                   if s.ast_text)
+    else:
         raise ConfigurationError(f"unknown vocabulary side {side!r}")
-    return build_token_vocabulary(
-        (s.code_tokens if side == "source" else s.comment_tokens
-         for s in corpus.samples), size)
+    return build_token_vocabulary(streams, size)
 
 
 def check_vocab_size(size: int) -> None:
@@ -169,7 +171,7 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     split in train/val/test order).
     """
     check_ratios(ratios)
-    projects = corpus.projects()
+    projects = sorted({s.project for s in corpus.samples})
     if len(projects) < 3:
         raise DataError(f"need at least 3 projects, got {len(projects)}")
 
@@ -187,8 +189,12 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
         buckets[which].extend(by_project[project])
         deficits[which] -= len(by_project[project])
 
-    tags = ("train", "val", "test")
-    return tuple(Corpus(samples=b, split_tag=t) for b, t in zip(buckets, tags))
+    for name, bucket in zip(SPLITS, buckets):
+        if not bucket:
+            raise DataError(f"no project falls in the {name} split "
+                            f"({len(projects)} projects, ratios "
+                            f"{tuple(ratios)})")
+    return tuple(Corpus(samples=b) for b in buckets)
 
 
 def check_quantile(q: float) -> None:
@@ -206,7 +212,7 @@ def filter_by_length_quantile(corpus: Corpus, q: float) -> Corpus:
     rank = math.ceil(q * len(lengths))
     threshold = lengths[max(rank, 1) - 1]
     kept = [s for s in corpus.samples if s.code_char_len > threshold]
-    return Corpus(samples=kept, split_tag=corpus.split_tag)
+    return Corpus(samples=kept)
 
 
 def extract_action_word(comment_tokens) -> str:
@@ -301,6 +307,17 @@ def _ast_field(rec) -> str | None:
     return value
 
 
+def sbt_tokens_for_sample(sample) -> list:
+    if not sample.ast_text:
+        raise DataError(f"sample {sample.id!r} has no AST")
+    try:
+        tree = import_sexpr(sample.ast_text)
+    except MiniParseError as exc:
+        raise DataError(f"sample {sample.id!r} has an invalid AST: {exc}") \
+            from exc
+    return sbt_flatten(tree)
+
+
 def read_corpus_jsonl(path) -> Corpus:
     """Read a raw corpus file and tokenize it. A given non-empty ast field
     must import as an s-expression, whichever split its record lands in.
@@ -348,7 +365,7 @@ def write_split_jsonl(corpus: Corpus, path) -> None:
             fh.write(json.dumps(_sample_to_record(s), sort_keys=True) + "\n")
 
 
-def read_split_jsonl(path, split_tag: str) -> Corpus:
+def read_split_jsonl(path) -> Corpus:
     def make(rec):
         return Sample(
             id=str(rec["id"]),
@@ -361,7 +378,7 @@ def read_split_jsonl(path, split_tag: str) -> Corpus:
 
     return Corpus(samples=read_jsonl(
         path, ("id", "project", "code_tokens", "comment_tokens",
-               "code_char_len"), make), split_tag=split_tag)
+               "code_char_len"), make))
 
 
 SPLITS = ("train", "val", "test")
@@ -401,6 +418,6 @@ def load_prepared_dir(directory, splits=SPLITS) -> PreparedData:
             raise DataError(f"prepared directory {directory} missing {name}")
     return PreparedData(
         *(Vocabulary.read(directory / name) for name in VOCAB_FILES),
-        **{split: read_split_jsonl(directory / f"{split}.jsonl", split)
+        **{split: read_split_jsonl(directory / f"{split}.jsonl")
            for split in splits},
     )

@@ -25,7 +25,7 @@ from .corpus import (START, Corpus, PreparedData, Vocabulary,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
                      write_prepared_dir)
 from .errors import ConfigurationError, DataError, NumericError
-from .trainer import TrainConfig, encode_corpus, sbt_tokens_for_sample
+from .trainer import TrainConfig, encode_corpus
 
 DEFAULT_SWEEP_GRID = (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
 ACTIONWORD_EPSILONS = (0.0, 0.1, 0.4)
@@ -225,11 +225,16 @@ def _encode(prepared: PreparedData, config: models.ModelConfig,
 def _train_arms(args, configs, train_set, val_set,
                 train_config: TrainConfig):
     """Train one model per arm config, each built from --seed, on the same
-    encoded splits. Yields (epsilon, checkpoint, history)."""
+    encoded splits, and log each epoch with its wall-clock seconds. Yields
+    (epsilon, checkpoint, history)."""
     for config in configs:
         model = models.build_model(config, seed=args.seed)
-        yield (config.epsilon, *trainer.train(model, train_set, val_set,
-                                              train_config))
+        ckpt, history = trainer.train(model, train_set, val_set, train_config)
+        for r in history.records:
+            _log(f"eps={_fmt_eps(config.epsilon)} epoch {r.epoch} loss "
+                 f"{r.loss_nats:.4f} val_acc {r.val_accuracy:.4f} "
+                 f"{r.seconds:.3f} s")
+        yield config.epsilon, ckpt, history
 
 
 def _experiment_arms(args, prepared: PreparedData, configs,
@@ -241,11 +246,10 @@ def _experiment_arms(args, prepared: PreparedData, configs,
         prepared, configs[0], tgt_vocab, prepared.train, prepared.val,
         prepared.test)
     baseline = None
-    for epsilon, ckpt, history in _train_arms(args, configs, train_set,
-                                              val_set, train_config):
+    for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
+                                        train_config):
         _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
-             f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f} "
-             f"final loss {history.records[-1].loss_nats:.4f}")
+             f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f}")
         preds = decode_predictions(ckpt.model, test_set, tgt_vocab)
         report = metrics.score_predictions(preds)
         if epsilon == 0.0:
@@ -289,9 +293,7 @@ def cmd_prepare(args) -> int:
     train, val, test = split_by_project(corpus, ratios, args.seed)
     src_vocab = build_vocabulary(train, args.src_vocab, "source")
     tgt_vocab = build_vocabulary(train, args.tgt_vocab, "target")
-    ast_streams = [sbt_tokens_for_sample(s) for s in train.samples
-                   if s.ast_text]
-    ast_vocab = build_token_vocabulary(ast_streams, args.src_vocab)
+    ast_vocab = build_vocabulary(train, args.src_vocab, "ast")
     out_dir = Path(args.out)
     write_prepared_dir(out_dir, train, val, test, src_vocab, tgt_vocab,
                        ast_vocab)

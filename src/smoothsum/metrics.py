@@ -95,7 +95,6 @@ class ClassStats:
     precision: float
     recall: float
     f1: float
-    support: int
 
 
 @dataclass
@@ -355,8 +354,7 @@ def classification_report(gold, predicted) -> ClassificationReport:
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
-        per_class[label] = ClassStats(precision, recall, f1,
-                                      support=tp + fn)
+        per_class[label] = ClassStats(precision, recall, f1)
         tp_sum += tp
         fp_sum += fp
         fn_sum += fn
@@ -369,13 +367,12 @@ def classification_report(gold, predicted) -> ClassificationReport:
             precision=float(np.mean([c.precision for c in per_class.values()])),
             recall=float(np.mean([c.recall for c in per_class.values()])),
             f1=float(np.mean([c.f1 for c in per_class.values()])),
-            support=len(gold),
         )
     else:
-        macro = ClassStats(0.0, 0.0, 0.0, 0)
+        macro = ClassStats(0.0, 0.0, 0.0)
     return ClassificationReport(
         per_class=per_class,
-        micro=ClassStats(micro_p, micro_r, micro_f, support=len(gold)),
+        micro=ClassStats(micro_p, micro_r, micro_f),
         macro=macro,
     )
 

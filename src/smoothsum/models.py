@@ -67,6 +67,9 @@ class ModelConfig:
             if self.embed_dim != self.hidden_dim:
                 raise ConfigurationError(
                     "transformer requires embed_dim == hidden_dim")
+            if self.hidden_dim % 2 != 0:
+                raise ConfigurationError(
+                    f"transformer hidden_dim {self.hidden_dim} must be even")
         if self.arch == "ast_attendgru":
             if self.ast_len < 2:
                 raise ConfigurationError("ast_attendgru requires ast_len >= 2")

@@ -18,7 +18,6 @@ _LOG_CLAMP = 1e-12
 @dataclass
 class TargetDistribution:
     probs: np.ndarray
-    target_index: int
 
 
 def smooth_targets(y: int, n_vocab: int, epsilon: float) -> TargetDistribution:
@@ -27,8 +26,7 @@ def smooth_targets(y: int, n_vocab: int, epsilon: float) -> TargetDistribution:
     if not 0 <= y < n_vocab:
         raise ConfigurationError(f"target index {y} outside [0, {n_vocab})")
     return TargetDistribution(
-        probs=smooth_target_matrix(np.asarray(y), n_vocab, epsilon),
-        target_index=y)
+        probs=smooth_target_matrix(np.asarray(y), n_vocab, epsilon))
 
 
 def smooth_target_matrix(target_ids: np.ndarray, n_vocab: int,

@@ -15,9 +15,10 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from . import astkit, models, tensor as T
-from .corpus import PAD, Corpus, Vocabulary, atomic_write, encode_sequence
-from .errors import ConfigurationError, DataError, MiniParseError, NumericError
+from . import models, tensor as T
+from .corpus import (PAD, Corpus, Vocabulary, atomic_write, encode_sequence,
+                     sbt_tokens_for_sample)
+from .errors import ConfigurationError, DataError, NumericError
 from .rng import Rng
 from .smoothing import loss_floor
 
@@ -54,7 +55,7 @@ class EpochRecord:
     epoch: int
     loss_nats: float
     val_accuracy: float
-    seconds: float
+    seconds: float  # wall clock: logged on stderr, kept out of history.csv
 
 
 @dataclass
@@ -63,10 +64,9 @@ class TrainHistory:
 
     def write_csv(self, path) -> None:
         with atomic_write(path) as fh:
-            fh.write("epoch,loss_nats,val_acc,seconds\n")
+            fh.write("epoch,loss_nats,val_acc\n")
             for r in self.records:
-                fh.write(f"{r.epoch},{r.loss_nats!r},{r.val_accuracy!r},"
-                         f"{r.seconds:.3f}\n")
+                fh.write(f"{r.epoch},{r.loss_nats!r},{r.val_accuracy!r}\n")
 
 
 @dataclass
@@ -89,17 +89,6 @@ class EncodedDataset:
 
     def __len__(self):
         return len(self.sample_ids)
-
-
-def sbt_tokens_for_sample(sample) -> list:
-    if not sample.ast_text:
-        raise DataError(f"sample {sample.id!r} has no AST")
-    try:
-        tree = astkit.import_sexpr(sample.ast_text)
-    except MiniParseError as exc:
-        raise DataError(f"sample {sample.id!r} has an invalid AST: {exc}") \
-            from exc
-    return astkit.sbt_flatten(tree)
 
 
 def encode_corpus(corpus: Corpus, config: models.ModelConfig,

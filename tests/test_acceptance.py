@@ -79,7 +79,7 @@ def test_c3_loss_floor_law_single_sample_overfit():
                     code_tokens=["open", "file", "handle"],
                     comment_tokens=["opens", "the", "file", "handle"],
                     code_char_len=20)
-    corpus = Corpus([sample], split_tag="train")
+    corpus = Corpus([sample])
     src_vocab = build_vocabulary(corpus, 20, "source")
     tgt_vocab = build_vocabulary(corpus, 20, "target")
     for eps in (0.0, 0.1, 0.4):
@@ -173,7 +173,7 @@ def test_c5_sampling_returns_everything_when_small():
 def test_c6_sixty_four_pair_memorization():
     started = time.perf_counter()
     records = generate_samples(64, seed=11, unique_pairs=True)
-    corpus = Corpus(samples_from_records(records), split_tag="train")
+    corpus = Corpus(samples_from_records(records))
     src_vocab = build_vocabulary(corpus, 300, "source")
     tgt_vocab = build_vocabulary(corpus, 300, "target")
     config = M.ModelConfig("attendgru", src_vocab.size, tgt_vocab.size,

@@ -416,17 +416,6 @@ class TestLeafPaths:
                 assert enumerate_leaf_paths(tree, max_len) == \
                     brute_force_paths(tree, max_len)
 
-    def test_reverse_symmetry(self):
-        rng = Rng(10)
-        for _ in range(30):
-            tree = random_tree(rng, 15)
-            forward = {(p.start_leaf, p.end_leaf, p.up_labels, p.down_labels)
-                       for p in enumerate_leaf_paths(tree, 50)}
-            for p in enumerate_leaf_paths(tree, 50):
-                r = p.reverse()
-                assert r.reverse() == p
-                assert r.length == p.length
-
     def test_min_length_validation(self):
         with pytest.raises(ConfigurationError):
             enumerate_leaf_paths(AstNode("a"), 2)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smoothsum.astkit import import_sexpr, sbt_flatten
 from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
                               SPECIAL_TOKENS, Vocabulary, atomic_write,
-                              build_vocabulary,
+                              build_token_vocabulary, build_vocabulary,
                               encode_sequence, extract_action_word,
                               filter_by_length_quantile, load_prepared_dir,
                               read_corpus_jsonl, read_split_jsonl,
@@ -62,7 +63,7 @@ class TestVocabulary:
         tokens = [t for t, c in freqs.items() for _ in range(c)]
         s = Sample(id="s", project="p", code_tokens=tokens,
                    comment_tokens=tokens, code_char_len=1)
-        return Corpus([s], split_tag="train")
+        return Corpus([s])
 
     def test_frequency_order(self):
         vocab = build_vocabulary(self._corpus({"a": 3, "b": 2, "c": 1}), 6,
@@ -80,6 +81,19 @@ class TestVocabulary:
     def test_size_below_minimum(self):
         with pytest.raises(ConfigurationError):
             build_vocabulary(self._corpus({"a": 1}), 4, "source")
+
+    def test_ast_side_counts_sbt_streams(self):
+        asts = ["(f (x) (y))", None, "", "(g (x) (h (y)))", "(f (z))"]
+        samples = [Sample(id=f"s{i}", project="p", code_tokens=["a"],
+                          comment_tokens=["b"], ast_text=ast, code_char_len=1)
+                   for i, ast in enumerate(asts)]
+        expected = build_token_vocabulary(
+            [sbt_flatten(import_sexpr(ast)) for ast in asts if ast], 12)
+        assert build_vocabulary(Corpus(samples), 12, "ast") == expected
+
+    def test_unknown_side(self):
+        with pytest.raises(ConfigurationError):
+            build_vocabulary(self._corpus({"a": 1}), 6, "comment")
 
     def test_round_trip(self):
         vocab = build_vocabulary(self._corpus({"a": 3, "b": 2, "c": 1}), 7,
@@ -167,14 +181,15 @@ class TestSplitByProject:
         for ca, cb in zip(a, b):
             assert [s.id for s in ca.samples] == [s.id for s in cb.samples]
 
-    def test_split_tags(self):
-        corpus = self._corpus({f"p{i}": 5 for i in range(4)})
-        tags = [c.split_tag for c in split_by_project(corpus, (0.6, 0.2, 0.2), 0)]
-        assert tags == ["train", "val", "test"]
-
     def test_too_few_projects(self):
         with pytest.raises(DataError):
             split_by_project(self._corpus({"a": 5, "b": 5}), (0.8, 0.1, 0.1), 0)
+
+    def test_empty_split_named(self):
+        # seed 2 orders the projects b, c, a: b and c fill train, a val
+        corpus = self._corpus({"a": 10, "b": 10, "c": 80})
+        with pytest.raises(DataError, match="test split"):
+            split_by_project(corpus, (0.8, 0.1, 0.1), 2)
 
     def test_bad_ratios(self):
         corpus = self._corpus({f"p{i}": 5 for i in range(4)})
@@ -281,16 +296,14 @@ class TestCorpusFiles:
             read_corpus_jsonl(path)
 
     def test_prepared_dir_round_trip(self, tmp_path):
-        def corpus(tag, ids):
-            return Corpus([make_sample(i, f"p{i}") for i in ids],
-                          split_tag=tag)
+        def corpus(ids):
+            return Corpus([make_sample(i, f"p{i}") for i in ids])
         vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
-        write_prepared_dir(tmp_path / "prep", corpus("train", [1, 2]),
-                           corpus("val", [3]), corpus("test", [4]),
-                           vocab, vocab, vocab)
+        write_prepared_dir(tmp_path / "prep", corpus([1, 2]), corpus([3]),
+                           corpus([4]), vocab, vocab, vocab)
         prepared = load_prepared_dir(tmp_path / "prep")
         assert [s.id for s in prepared.train.samples] == ["s1", "s2"]
-        assert prepared.test.split_tag == "test"
+        assert [s.id for s in prepared.test.samples] == ["s4"]
         assert prepared.ast_vocab.tokens == vocab.tokens
 
     def test_prepared_dir_missing_file(self, tmp_path):
@@ -317,7 +330,7 @@ class TestCorpusFiles:
         split = {"id": "a", "project": "p", "code_tokens": ["f"],
                  "comment_tokens": ["c"], "code_char_len": 9}
         for record, read in ((raw, read_corpus_jsonl),
-                             (split, lambda p: read_split_jsonl(p, "test"))):
+                             (split, read_split_jsonl)):
             path = tmp_path / "c.jsonl"
             path.write_text(json.dumps({**record, "ast": None}) + "\n"
                             + json.dumps({**record, "id": "b", "ast": ast})
@@ -331,7 +344,7 @@ class TestCorpusFiles:
     def test_non_string_token_names_line(self, tmp_path, field, token):
         split = {"id": "a", "project": "p", "code_tokens": ["f"],
                  "comment_tokens": ["c"], "code_char_len": 9}
-        record, read = ((split, lambda p: read_split_jsonl(p, "test"))
+        record, read = ((split, read_split_jsonl)
                         if field in split else
                         ({"id": "a", "ref": ["x"], "pred": ["x"]},
                          read_predictions))
@@ -356,7 +369,7 @@ class TestCorpusFiles:
         value = "(f \ud800)" if field == "ast" else ["\u00e9", "\ud800"]
         cases = [(preds, read_predictions)] if field in preds else []
         if field in split:
-            cases.append((split, lambda p: read_split_jsonl(p, "test")))
+            cases.append((split, read_split_jsonl))
         if field in raw:
             cases.append((raw, read_corpus_jsonl))
         for record, read in cases:
@@ -478,7 +491,7 @@ class TestReadJsonlProperties:
     @example([("bad", '{"id": "a", "project": "p", "code_tokens": [], '
                       '"comment_tokens": [], "code_char_len": 1e400}')])
     def test_split_file(self, lines):
-        check_reader(lambda path: read_split_jsonl(path, "test"), lines)
+        check_reader(read_split_jsonl, lines)
 
     @PROPERTY_SETTINGS
     @given(jsonl_lines(PREDICTION_RECORD, ("id", "ref", "pred"),

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -278,6 +279,18 @@ class TestPrepare:
         err = assert_one_line_error(capsys)
         assert f"bad.jsonl:{row + 1}" in err and "deeper than" in err
 
+    def test_empty_split_exits_2_before_writing(self, tmp_path, capsys):
+        records = generate_samples(100, seed=5)
+        for i, record in enumerate(records):
+            record["project"] = "a" if i < 10 else "b" if i < 20 else "c"
+        path = tmp_path / "lopsided.jsonl"
+        write_corpus_jsonl(records, path)
+        out = tmp_path / "prep"
+        assert run_cli("prepare", "--data", str(path), "--out", str(out),
+                       "--seed", "2") == 2
+        assert "test split" in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
         assert run_cli("not-a-command") == 1
@@ -359,8 +372,13 @@ class TestTrainPredictScore:
                        "--epsilon", "0.1", *FAST_MODEL) == 0
         assert (run_dir / "checkpoint.json").exists()
         history = (run_dir / "history.csv").read_text().splitlines()
-        assert history[0] == "epoch,loss_nats,val_acc,seconds"
+        assert history[0] == "epoch,loss_nats,val_acc"
         assert len(history) == 3
+        rerun = tmp_path / "rerun"
+        assert run_cli("train", "--data", str(prepared_dir), "--out",
+                       str(rerun), "--seed", "3", "--epochs", "2",
+                       "--epsilon", "0.1", *FAST_MODEL) == 0
+        assert tree_digest(rerun) == tree_digest(run_dir)
 
         preds_path = tmp_path / "preds.jsonl"
         assert run_cli("predict", "--data", str(prepared_dir), "--out",
@@ -638,8 +656,12 @@ class TestTrainPredictScore:
         ("sweep", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("sweep", ["--vocab-sizes", "50,4"], "vocabulary size 4"),
         ("actionword", ["--arch", "transformer", "--heads", "3"], "heads 3"),
+        *((command, ["--arch", "transformer", "--hidden-dim", "5",
+                     "--embed-dim", "5", "--heads", "1"], "must be even")
+          for command in ("train", "compare", "sweep", "actionword")),
     ], ids=["train-heads", "train-epsilon", "compare-heads", "sweep-heads",
-            "sweep-second-size", "actionword-heads"])
+            "sweep-second-size", "actionword-heads", "train-odd-width",
+            "compare-odd-width", "sweep-odd-width", "actionword-odd-width"])
     def test_bad_model_flag_exits_2_before_writing(
             self, tmp_path, prepared_dir, capsys, command, flags, message):
         # every arm's config, and each sweep size's, is checked before
@@ -666,6 +688,23 @@ class TestTrainPredictScore:
                        *FAST_MODEL) == 2
         assert "train.jsonl:3" in assert_one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, lines", [
+        ("train", ["--epochs", "2"], 2),
+        ("compare", ["--epochs", "1"], 2),
+        ("sweep", ["--epochs", "1", "--vocab-sizes", "50"], 9),
+        ("actionword", ["--epochs", "1"], 3)],
+        ids=["train", "compare", "sweep", "actionword"])
+    def test_epoch_seconds_on_stderr(self, tmp_path, prepared_dir, capsys,
+                                     command, flags, lines):
+        # one line per epoch per arm; no output file holds wall clock
+        assert run_cli(command, "--data", str(prepared_dir), "--out",
+                       str(tmp_path / "out"), *FAST_MODEL, *flags) == 0
+        err = capsys.readouterr().err
+        epochs = re.findall(r"^eps=\S+ epoch (\d+) loss \S+ val_acc \S+ "
+                            r"\d+\.\d{3} s$", err, re.MULTILINE)
+        assert len(epochs) == lines
+        assert epochs[:2] == (["1", "2"] if command == "train" else ["1", "1"])
 
     @pytest.mark.parametrize("command, encodes", [
         ("train", 2), ("predict", 1), ("compare", 3), ("actionword", 3)])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from smoothsum import models as M
 from smoothsum import trainer as TR
 from smoothsum.corpus import (Corpus, PAD, Sample, build_vocabulary,
-                              build_token_vocabulary)
+                              build_token_vocabulary, sbt_tokens_for_sample)
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 from smoothsum.smoothing import loss_floor
@@ -20,8 +20,7 @@ from conftest import b64, samples_from_records
 
 def small_corpus(n=24, seed=3):
     return Corpus(samples_from_records(generate_samples(n, seed=seed,
-                                                        unique_pairs=True)),
-                  split_tag="train")
+                                                        unique_pairs=True)))
 
 
 def build_setup(corpus, epsilon=0.0, hidden=16, arch="attendgru"):
@@ -30,7 +29,7 @@ def build_setup(corpus, epsilon=0.0, hidden=16, arch="attendgru"):
     ast_vocab = None
     if arch == "ast_attendgru":
         ast_vocab = build_token_vocabulary(
-            [TR.sbt_tokens_for_sample(s) for s in corpus.samples], 300)
+            [sbt_tokens_for_sample(s) for s in corpus.samples], 300)
     config = M.ModelConfig(arch, src_vocab.size, tgt_vocab.size,
                            embed_dim=hidden, hidden_dim=hidden, code_len=24,
                            ast_len=40, comment_len=8, heads=2, layers=1,
@@ -59,12 +58,12 @@ class TestEncodeCorpus:
                         comment_tokens=["b"], ast_text="(a " * 300 + ")" * 300,
                         code_char_len=1)
         with pytest.raises(DataError, match=r"sample 's7'.*deeper than"):
-            TR.sbt_tokens_for_sample(sample)
+            sbt_tokens_for_sample(sample)
 
     def test_missing_ast_rejected(self):
         sample = Sample(id="x", project="p", code_tokens=["a"],
                         comment_tokens=["b"], ast_text=None, code_char_len=1)
-        corpus = Corpus([sample], split_tag="train")
+        corpus = Corpus([sample])
         with pytest.raises(DataError):
             build_setup(corpus, arch="ast_attendgru")
 
@@ -72,7 +71,7 @@ class TestEncodeCorpus:
         corpus = small_corpus()
         config, _, src_vocab, tgt_vocab = build_setup(corpus)
         with pytest.raises(DataError):
-            TR.encode_corpus(Corpus([], split_tag="train"), config,
+            TR.encode_corpus(Corpus([]), config,
                              src_vocab, tgt_vocab)
 
 
@@ -276,7 +275,7 @@ class TestCheckpointFiles:
         _, history = TR.train(model, dataset, dataset, tc)
         history.write_csv(tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
-        assert lines[0] == "epoch,loss_nats,val_acc,seconds"
+        assert lines[0] == "epoch,loss_nats,val_acc"
         assert len(lines) == 3
         assert lines[1].startswith("1,")
 

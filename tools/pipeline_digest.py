@@ -17,16 +17,13 @@ of this checkout's `src/` in-process, inside OUT_DIR, on relative paths:
 
 Models use the acceptance suite's small C8/C9 shape. Standard output is
 one `sha256  path` line per file, sorted by path; command output goes to
-standard error. `history.csv` is digested without its `seconds` column,
-the only wall-clock value, so two runs print the same lines wherever they
-run, and two checkouts print the same lines when they write the same
-bytes.
+standard error. No output holds a wall-clock value, so two runs print the
+same lines wherever they run, and two checkouts print the same lines when
+they write the same bytes.
 """
 
 import contextlib
-import csv
 import hashlib
-import io
 import os
 import sys
 from pathlib import Path
@@ -79,13 +76,7 @@ def pipeline() -> None:
 
 
 def digest(path: Path) -> str:
-    data = path.read_bytes()
-    if path.name == "history.csv":
-        rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
-        seconds = rows[0].index("seconds")
-        data = "".join(",".join(row[:seconds] + row[seconds + 1:]) + "\n"
-                       for row in rows).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main(argv) -> int:
