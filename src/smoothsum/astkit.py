@@ -10,6 +10,12 @@ character: a digit starts an integer, a letter or "_" an identifier (or
 keyword), anything else is a one-character symbol, and "" marks the end of
 input. Tokens carry no position; the line and column of a MiniParseError
 are computed from a character offset only when the error is raised.
+
+S-expression text is the one form that commands pass around. The parser
+writes it as it parses (mini_function_sexpr), and the structure-based
+traversal (SBT) reads it in one pass (sbt_from_sexpr). AstNode trees are
+built only where a caller keeps one: leaf-to-leaf paths and the tests,
+through import_sexpr and parse_mini_function.
 """
 
 import re
@@ -19,14 +25,21 @@ from .errors import ConfigurationError, MiniParseError
 from .rng import Rng
 
 
+# An s-expression is "(", ")" and atoms; an atom is also a node label.
+_ATOM_RE = re.compile(r"[^\s()]+")
+_SEXPR_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
 @dataclass(frozen=True, slots=True)
 class AstNode:
     label: str
     children: tuple = ()
 
     def __post_init__(self):
-        if not self.label:
-            raise MiniParseError("empty node label")
+        if not _ATOM_RE.fullmatch(self.label):
+            # render_sexpr's text would not read back as this tree
+            raise MiniParseError(f"node label {self.label!r} is empty or "
+                                 "holds whitespace or a bracket")
         if type(self.children) is not tuple:
             object.__setattr__(self, "children", tuple(self.children))
 
@@ -138,22 +151,20 @@ def _is_ident(tok: str) -> bool:
 
 
 class _Parser:
-    """Recursive descent over _lex's token strings. A token's kind is read
-    from its first character ("" is end of input), and a token's position
-    is worked out only when a parse fails."""
+    """Recursive descent over _lex's token strings that writes the tree's
+    s-expression as it parses: each parse_* method appends its node's text
+    to self.out, a leaf as " (x)". A token's kind is read from its first
+    character ("" is end of input), and a token's position is worked out
+    only when a parse fails."""
 
     def __init__(self, source: str):
         self.source = source
         self.tokens = _lex(source)
         self.pos = 0
+        self.out = []
 
     def peek(self) -> str:
         return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def fail(self, message: str):
         pairs = _scan(self.source)
@@ -174,161 +185,176 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_function(self) -> AstNode:
+    def parse_function(self) -> None:
         ftype = self.expect_ident()
         fname = self.expect_ident()
         self.expect("(")
-        params = []
+        out = self.out
+        out.append(f"(function (type ({ftype})) (name ({fname})) (params")
         if self.peek() != ")":
             while True:
                 ptype = self.expect_ident()
                 pname = self.expect_ident()
-                params.append(node("param", AstNode(ptype), AstNode(pname)))
+                out.append(f" (param ({ptype}) ({pname}))")
                 if self.peek() != ",":
                     break
                 self.pos += 1
         self.expect(")")
-        body = self.parse_block("body")
+        out.append(")")
+        self.parse_block("body")
         if self.peek():
             self.fail("trailing input after function body")
-        return node(
-            "function",
-            node("type", AstNode(ftype)),
-            node("name", AstNode(fname)),
-            AstNode("params", tuple(params)),
-            body,
-        )
+        out.append(")")
 
-    def parse_block(self, label: str) -> AstNode:
+    def parse_block(self, label: str) -> None:
         self.expect("{")
-        stmts = []
+        self.out.append(" (" + label)
         tokens = self.tokens
         while tokens[self.pos] != "}":
             if not tokens[self.pos]:
                 self.fail("unterminated block, expected '}'")
-            stmts.append(self.parse_statement())
+            self.parse_statement()
         self.pos += 1
-        return AstNode(label, tuple(stmts))
+        self.out.append(")")
 
-    def parse_statement(self) -> AstNode:
+    def parse_statement(self) -> None:
         tok = self.tokens[self.pos]
-        if tok == "if":
+        out = self.out
+        if tok in ("if", "while"):
             self.pos += 1
             self.expect("(")
-            cond = self.parse_expr()
+            out.append(" (" + tok)
+            self.parse_expr()
             self.expect(")")
-            then = self.parse_block("then")
-            if self.peek() == "else":
+            self.parse_block("then" if tok == "if" else "body")
+            if tok == "if" and self.peek() == "else":
                 self.pos += 1
-                return node("if", cond, then, self.parse_block("else"))
-            return node("if", cond, then)
-        if tok == "while":
+                self.parse_block("else")
+        elif tok == "return":
             self.pos += 1
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            return node("while", cond, self.parse_block("body"))
-        if tok == "return":
-            self.pos += 1
-            if self.peek() == ";":
-                self.pos += 1
-                return AstNode("return")
-            expr = self.parse_expr()
+            out.append(" (return")
+            if self.peek() != ";":
+                self.parse_expr()
             self.expect(";")
-            return node("return", expr)
-        if not _is_ident(tok):
-            self.fail(f"expected a statement, found {tok or 'end of input'!r}")
-        nxt = self.tokens[self.pos + 1]
-        if nxt == "(":
-            name = self.expect_ident()
-            self.pos += 1
-            args = [AstNode(name)]
-            if self.peek() != ")":
-                while True:
-                    args.append(self.parse_expr())
-                    if self.peek() != ",":
-                        break
+        else:
+            if not _is_ident(tok):
+                self.fail(
+                    f"expected a statement, found {tok or 'end of input'!r}")
+            nxt = self.tokens[self.pos + 1]
+            if nxt not in ("(", "=") and not _is_ident(nxt):
+                self.fail(f"cannot parse statement starting at {tok!r}")
+            first = self.expect_ident()
+            if nxt == "(":
+                self.pos += 1
+                out.append(f" (call ({first})")
+                if self.peek() != ")":
+                    while True:
+                        self.parse_expr()
+                        if self.peek() != ",":
+                            break
+                        self.pos += 1
+                self.expect(")")
+            elif nxt == "=":
+                self.pos += 1
+                out.append(f" (assign ({first})")
+                self.parse_expr()
+            else:
+                name = self.expect_ident()
+                out.append(f" (decl ({first}) ({name})")
+                if self.peek() == "=":
                     self.pos += 1
-            self.expect(")")
+                    self.parse_expr()
             self.expect(";")
-            return AstNode("call", tuple(args))
-        if nxt == "=":
-            name = self.expect_ident()
+        out.append(")")
+
+    # The binary operators are left-associative: on each operator the
+    # piece where the left operand began gets the operator's " (op" in
+    # front, and a ")" follows the right operand.
+
+    def parse_expr(self) -> None:
+        out, tokens = self.out, self.tokens
+        start = len(out)
+        self.parse_term()
+        while tokens[self.pos] in ("+", "-"):
+            out[start] = " (" + tokens[self.pos] + out[start]
             self.pos += 1
-            expr = self.parse_expr()
-            self.expect(";")
-            return node("assign", AstNode(name), expr)
-        if _is_ident(nxt):
-            dtype = self.expect_ident()
-            name = self.expect_ident()
-            if self.peek() == "=":
-                self.pos += 1
-                expr = self.parse_expr()
-                self.expect(";")
-                return node("decl", AstNode(dtype), AstNode(name), expr)
-            self.expect(";")
-            return node("decl", AstNode(dtype), AstNode(name))
-        self.fail(f"cannot parse statement starting at {tok!r}")
+            self.parse_term()
+            out.append(")")
 
-    def parse_expr(self) -> AstNode:
-        left = self.parse_term()
-        while self.tokens[self.pos] in ("+", "-"):
-            op = self.advance()
-            left = AstNode(op, (left, self.parse_term()))
-        return left
+    def parse_term(self) -> None:
+        out, tokens = self.out, self.tokens
+        start = len(out)
+        self.parse_factor()
+        while tokens[self.pos] in ("*", "/"):
+            out[start] = " (" + tokens[self.pos] + out[start]
+            self.pos += 1
+            self.parse_factor()
+            out.append(")")
 
-    def parse_term(self) -> AstNode:
-        left = self.parse_factor()
-        while self.tokens[self.pos] in ("*", "/"):
-            op = self.advance()
-            left = AstNode(op, (left, self.parse_factor()))
-        return left
-
-    def parse_factor(self) -> AstNode:
+    def parse_factor(self) -> None:
         tok = self.tokens[self.pos]
         if tok == "(":
             self.pos += 1
-            expr = self.parse_expr()
+            self.parse_expr()
             self.expect(")")
-            return expr
+            return
         # every token but "" and the symbols is an integer or an identifier
         if tok and tok not in _SYMBOLS and tok not in _KEYWORDS:
             self.pos += 1
-            return AstNode(tok)
+            self.out.append(" (" + tok + ")")
+            return
         self.fail(f"expected an expression, found {tok or 'end of input'!r}")
 
 
-def parse_mini_function(source: str) -> AstNode:
-    tree = _Parser(source).parse_function()
-    depth, level = 0, [tree]
-    while level:  # operator chains deepen the tree without nesting
-        depth, level = depth + 1, [c for n in level for c in n.children]
-    if depth > MAX_DEPTH:
+def _nests_too_deep(text: str) -> bool:
+    """Whether the brackets of an s-expression nest deeper than MAX_DEPTH;
+    text with at most MAX_DEPTH "(" in all needs no scan."""
+    if text.count("(") <= MAX_DEPTH:
+        return False
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif ch == ")":
+            depth -= 1
+    return False
+
+
+def mini_function_sexpr(source: str) -> str:
+    """The s-expression of a mini-language function's tree, as
+    render_sexpr would write it. Syntax errors are raised first; a tree
+    deeper than MAX_DEPTH (operator chains deepen it without nesting
+    brackets) is refused after the parse."""
+    parser = _Parser(source)
+    parser.parse_function()
+    text = "".join(parser.out)
+    if _nests_too_deep(text):
         raise MiniParseError(f"tree deeper than {MAX_DEPTH} levels")
-    return tree
+    return text
+
+
+def parse_mini_function(source: str) -> AstNode:
+    return import_sexpr(mini_function_sexpr(source))
 
 
 # ---------------------------------------------------------------------------
 # s-expressions
 
 
-_SEXPR_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+def _sexpr_tokens(text: str) -> list:
+    """The "(", ")" and atoms of text, refusing nesting deeper than
+    MAX_DEPTH before any other error."""
+    if _nests_too_deep(text):
+        raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
+    return _SEXPR_TOKEN_RE.findall(text)
 
 
 def import_sexpr(text: str) -> AstNode:
     """Parse "(label child child ...)"; children may be nested lists or
     bare atoms (read as leaves)."""
-    tokens = _SEXPR_TOKEN_RE.findall(text)
-    if text.count("(") > MAX_DEPTH:
-        depth = 0
-        for tok in tokens:
-            if tok == "(":
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
-            elif tok == ")":
-                depth -= 1
-
+    tokens = _sexpr_tokens(text)
     pos = 0
 
     def parse_list() -> AstNode:
@@ -375,21 +401,44 @@ def render_sexpr(tree: AstNode) -> str:
 # flattening and paths
 
 
+def sbt_from_sexpr(text: str) -> list:
+    """The structure-based traversal of an s-expression's tree, read from
+    the text in one pass: every node contributes "(", label, ")", label.
+    Raises import_sexpr's errors, in the same order."""
+    tokens = _sexpr_tokens(text)
+    if not tokens or tokens[0] != "(":
+        raise MiniParseError("expected '(' in s-expression")
+    out, labels = [], []
+    end = len(tokens)
+    i = 0
+    while True:
+        tok = tokens[i]
+        if tok == "(":
+            i += 1
+            if i == end or tokens[i] in "()":
+                raise MiniParseError("empty or malformed s-expression list")
+            label = tokens[i]
+            out += ("(", label)
+            labels.append(label)
+        elif tok == ")":
+            out += (")", labels.pop())
+            if not labels:
+                break
+        else:
+            out += ("(", tok, ")", tok)
+        i += 1
+        if i == end:
+            raise MiniParseError("unbalanced parentheses in s-expression")
+    if i + 1 != end:
+        raise MiniParseError("trailing content after s-expression")
+    return out
+
+
 def sbt_flatten(root: AstNode) -> list:
     """Parenthesized pre-order traversal with the closing label repeated:
-    every node contributes "(", label, ")", label."""
-    out = []
-
-    def visit(n: AstNode):
-        out.append("(")
-        out.append(n.label)
-        for child in n.children:
-            visit(child)
-        out.append(")")
-        out.append(n.label)
-
-    visit(root)
-    return out
+    every node contributes "(", label, ")", label. Read from the tree's
+    text, which holds it exactly since no label holds a space or bracket."""
+    return sbt_from_sexpr(render_sexpr(root))
 
 
 def _collect_leaves(root: AstNode):

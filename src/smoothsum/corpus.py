@@ -16,8 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .astkit import (import_sexpr, parse_mini_function, render_sexpr,
-                     sbt_flatten)
+from .astkit import mini_function_sexpr, sbt_from_sexpr
 from .errors import ConfigurationError, DataError, MiniParseError
 from .rng import Rng
 from .stemming import porter_stem
@@ -168,7 +167,10 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     Projects are shuffled deterministically under the seed, then greedily
     assigned one by one to the split with the largest remaining
     sample-count deficit against its ratio target (ties go to the earlier
-    split in train/val/test order).
+    split in train/val/test order). Should that leave a split empty, the
+    projects are assigned again, largest first (ties in shuffled order),
+    by the same rule over only the still-empty splits while any is left,
+    so each split gets a project.
     """
     check_ratios(ratios)
     projects = sorted({s.project for s in corpus.samples})
@@ -181,19 +183,20 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     for s in corpus.samples:
         by_project[s.project].append(s)
 
-    total = len(corpus.samples)
-    deficits = [r * total for r in ratios]
-    buckets = [[], [], []]
-    for project in order:
-        which = max(range(3), key=lambda i: (deficits[i], -i))
-        buckets[which].extend(by_project[project])
-        deficits[which] -= len(by_project[project])
+    def assign(order, fill_first: bool) -> list:
+        deficits = [r * len(corpus.samples) for r in ratios]
+        buckets = [[], [], []]
+        for project in order:
+            empty = fill_first and [i for i in range(3) if not buckets[i]]
+            which = max(empty or range(3), key=lambda i: (deficits[i], -i))
+            buckets[which].extend(by_project[project])
+            deficits[which] -= len(by_project[project])
+        return buckets
 
-    for name, bucket in zip(SPLITS, buckets):
-        if not bucket:
-            raise DataError(f"no project falls in the {name} split "
-                            f"({len(projects)} projects, ratios "
-                            f"{tuple(ratios)})")
+    buckets = assign(order, False)
+    if not all(buckets):
+        order.sort(key=lambda p: -len(by_project[p]))
+        buckets = assign(order, True)
     return tuple(Corpus(samples=b) for b in buckets)
 
 
@@ -311,28 +314,27 @@ def sbt_tokens_for_sample(sample) -> list:
     if not sample.ast_text:
         raise DataError(f"sample {sample.id!r} has no AST")
     try:
-        tree = import_sexpr(sample.ast_text)
+        return sbt_from_sexpr(sample.ast_text)
     except MiniParseError as exc:
         raise DataError(f"sample {sample.id!r} has an invalid AST: {exc}") \
             from exc
-    return sbt_flatten(tree)
 
 
 def read_corpus_jsonl(path) -> Corpus:
     """Read a raw corpus file and tokenize it. A given non-empty ast field
-    must import as an s-expression, whichever split its record lands in.
+    must read as an s-expression, whichever split its record lands in.
     A sample with no ast field gets the s-expression the mini-language
     parser derives from its code, or none when the code does not parse."""
     def make(rec):
         ast_text = _ast_field(rec)
         if ast_text is None:
             try:
-                ast_text = render_sexpr(parse_mini_function(rec["code"]))
+                ast_text = mini_function_sexpr(rec["code"])
             except MiniParseError:
                 pass
         elif ast_text:
             try:
-                import_sexpr(ast_text)
+                sbt_from_sexpr(ast_text)
             except MiniParseError as exc:
                 raise ValueError(f"invalid ast: {exc}") from exc
         return Sample(

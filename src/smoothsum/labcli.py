@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .corpus import (START, Corpus, PreparedData, Vocabulary,
+from .corpus import (SPLITS, START, Corpus, PreparedData, Vocabulary,
                      atomic_write, build_token_vocabulary, build_vocabulary,
                      check_quantile, check_ratios, check_vocab_size,
                      extract_action_word, filter_by_length_quantile,
                      load_prepared_dir, read_corpus_jsonl, split_by_project,
                      write_prepared_dir)
 from .errors import ConfigurationError, DataError, NumericError
-from .trainer import TrainConfig, encode_corpus
+from .trainer import TrainConfig, encode_comments, encode_corpus
 
 DEFAULT_SWEEP_GRID = (0.0, 0.001, 0.003, 0.007, 0.02, 0.05, 0.10, 0.25, 0.40)
 ACTIONWORD_EPSILONS = (0.0, 0.1, 0.4)
@@ -156,6 +156,31 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--lr", type=float, default=1e-3)
 
 
+def _load(args, splits=SPLITS) -> PreparedData:
+    """The named splits of --data; under --arch ast-attendgru every sample
+    of them must have an AST. Commands load before they write, so a
+    refusal leaves no files."""
+    prepared = load_prepared_dir(args.data, splits)
+    if args.arch == "ast-attendgru":
+        for split in splits:
+            for s in getattr(prepared, split).samples:
+                if not s.ast_text:
+                    raise DataError(f"{Path(args.data) / f'{split}.jsonl'}: "
+                                    f"sample {s.id!r} has no AST")
+    return prepared
+
+
+def _load_paired(args) -> PreparedData:
+    """_load of every split, with the 2 test samples that the paired
+    t-test of compare and sweep needs."""
+    prepared = _load(args)
+    if len(prepared.test) < 2:
+        raise DataError(f"{Path(args.data) / 'test.jsonl'} holds "
+                        f"{len(prepared.test)} sample(s); the paired t-test "
+                        "needs at least 2")
+    return prepared
+
+
 def _arm_configs(args, prepared: PreparedData, tgt_size: int,
                  comment_len: int, epsilons) -> list:
     """The --arch model over prepared's source and AST vocabularies, one
@@ -237,14 +262,13 @@ def _train_arms(args, configs, train_set, val_set,
         yield config.epsilon, ckpt, history
 
 
-def _experiment_arms(args, prepared: PreparedData, configs,
-                     tgt_vocab: Vocabulary, train_config: TrainConfig):
-    """Train one arm per config and score its test decodes. Yields
-    (epsilon tag, checkpoint, predictions, report row); every
-    epsilon > 0 row is paired-tested against the epsilon = 0 row."""
-    train_set, val_set, test_set = _encode(
-        prepared, configs[0], tgt_vocab, prepared.train, prepared.val,
-        prepared.test)
+def _experiment_arms(args, encoded, configs, tgt_vocab: Vocabulary,
+                     train_config: TrainConfig):
+    """Train one arm per config on the encoded train, val and test splits
+    and score its test decodes. Yields (epsilon tag, checkpoint,
+    predictions, report row); every epsilon > 0 row is paired-tested
+    against the epsilon = 0 row."""
+    train_set, val_set, test_set = encoded
     baseline = None
     for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
                                         train_config):
@@ -306,13 +330,13 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     train_config = _train_config(args)
-    prepared = load_prepared_dir(args.data, splits=("train", "val"))
+    prepared = _load(args, splits=("train", "val"))
     [config] = _arm_configs(args, prepared, prepared.tgt_vocab.size,
                             args.comment_len, (args.epsilon,))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set = _encode(prepared, config, prepared.tgt_vocab,
                                  prepared.train, prepared.val)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     [(_, ckpt, history)] = _train_arms(args, [config], train_set, val_set,
                                        train_config)
     trainer.save_checkpoint(ckpt, out_dir / "checkpoint.json")
@@ -369,14 +393,16 @@ def cmd_compare(args) -> int:
     if not 0.0 < args.epsilon <= 1.0:
         raise ConfigurationError(f"epsilon {args.epsilon} outside (0, 1]")
     train_config = _train_config(args)
-    prepared = load_prepared_dir(args.data)
+    prepared = _load_paired(args)
     configs = _arm_configs(args, prepared, prepared.tgt_vocab.size,
                            args.comment_len, (0.0, args.epsilon))
+    encoded = _encode(prepared, configs[0], prepared.tgt_vocab,
+                      prepared.train, prepared.val, prepared.test)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for tag, ckpt, preds, row in _experiment_arms(
-            args, prepared, configs, prepared.tgt_vocab, train_config):
+            args, encoded, configs, prepared.tgt_vocab, train_config):
         trainer.save_checkpoint(ckpt, out_dir / f"checkpoint_eps{tag}.json")
         metrics.write_predictions(preds, out_dir / f"predictions_eps{tag}.jsonl")
         rows.append(row)
@@ -393,22 +419,29 @@ def cmd_sweep(args) -> int:
     far for its vocabulary size, then stops the sweep."""
     sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
     train_config = _train_config(args)
-    prepared = load_prepared_dir(args.data)
+    prepared = _load_paired(args)
     grid = []
     for size in sizes:
         tgt_vocab = build_vocabulary(prepared.train, size, "target")
         grid.append((size, tgt_vocab, _arm_configs(
             args, prepared, tgt_vocab.size, args.comment_len,
             DEFAULT_SWEEP_GRID)))
+    # sources and ASTs are encoded once; only the comments depend on size
+    splits = (prepared.train, prepared.val, prepared.test)
+    _, first_vocab, first_configs = grid[0]
+    base = _encode(prepared, first_configs[0], first_vocab, *splits)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for size, tgt_vocab, configs in grid:
         tgt_vocab.write(out_dir / f"sweep_v{size}.vocab.tgt.txt")
+        encoded = [replace(dataset, comments=encode_comments(
+            split, tgt_vocab, args.comment_len))
+            for dataset, split in zip(base, splits)]
         rows = []
         failure = None
         try:
             for tag, _, preds, row in _experiment_arms(
-                    args, prepared, configs, tgt_vocab, train_config):
+                    args, encoded, configs, tgt_vocab, train_config):
                 metrics.write_predictions(
                     preds, out_dir / f"sweep_v{size}_eps{tag}.jsonl")
                 rows.append(row)
@@ -459,7 +492,7 @@ def cmd_actionword(args) -> int:
     """Action-word study: single-step decoders trained per epsilon in
     {0, 0.1, 0.4}; reports precision/recall/F1 and unique-word counts."""
     train_config = _train_config(args)
-    prepared = load_prepared_dir(args.data)
+    prepared = _load(args)
     train, val, test = (_action_word_corpus(split) for split in
                         (prepared.train, prepared.val, prepared.test))
     train_labels = [s.comment_tokens for s in train.samples]
@@ -467,10 +500,10 @@ def cmd_actionword(args) -> int:
         train_labels, size=4 + len({word for [word] in train_labels}))
     configs = _arm_configs(args, prepared, label_vocab.size,
                            comment_len=3, epsilons=ACTIONWORD_EPSILONS)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set, test_set = _encode(prepared, configs[0], label_vocab,
                                            train, val, test)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     gold = [word for [word] in test_set.references]
     rows = [["epsilon", "micro_precision", "micro_recall", "micro_f1",
              "macro_f1", "unique_predicted"]]

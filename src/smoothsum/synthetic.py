@@ -10,7 +10,7 @@ verbs ("deletes") so action-word extraction exercises the stemmer.
 import argparse
 import json
 
-from .astkit import parse_mini_function, render_sexpr
+from .astkit import mini_function_sexpr
 from .corpus import atomic_write
 from .rng import Rng
 
@@ -123,7 +123,7 @@ def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
             "project": f"proj{rng.randint(n_projects):02d}",
             "code": code,
             "comment": comment,
-            "ast": render_sexpr(parse_mini_function(code)),
+            "ast": mini_function_sexpr(code),
         })
     return records
 

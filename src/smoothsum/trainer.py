@@ -98,12 +98,10 @@ def encode_corpus(corpus: Corpus, config: models.ModelConfig,
     stream (SBT tokens) is encoded bare against its own vocabulary."""
     if not corpus.samples:
         raise DataError("cannot encode an empty corpus")
-    code_rows, comment_rows, ast_rows = [], [], []
+    code_rows, ast_rows = [], []
     for s in corpus.samples:
         code_rows.append(encode_sequence(s.code_tokens, src_vocab,
                                          config.code_len, False))
-        comment_rows.append(encode_sequence(s.comment_tokens, tgt_vocab,
-                                            config.comment_len, True))
         if config.arch == "ast_attendgru":
             if ast_vocab is None:
                 raise ConfigurationError("ast_attendgru needs an AST vocabulary")
@@ -115,11 +113,20 @@ def encode_corpus(corpus: Corpus, config: models.ModelConfig,
     return EncodedDataset(
         sample_ids=[s.id for s in corpus.samples],
         code=np.array(code_rows, dtype=np.int64),
-        comments=np.array(comment_rows, dtype=np.int64),
+        comments=encode_comments(corpus, tgt_vocab, config.comment_len),
         ast=np.array(ast_rows, dtype=np.int64) if ast_rows else None,
         references=[list(s.comment_tokens[:max_content])
                     for s in corpus.samples],
     )
+
+
+def encode_comments(corpus: Corpus, tgt_vocab: Vocabulary,
+                    comment_len: int) -> np.ndarray:
+    """The comments of corpus wrapped in START/END: the one side of an
+    EncodedDataset that depends on the target vocabulary."""
+    return np.array([encode_sequence(s.comment_tokens, tgt_vocab, comment_len,
+                                     True) for s in corpus.samples],
+                    dtype=np.int64)
 
 
 class Adam:

@@ -1,8 +1,9 @@
 """Reference front end for the equivalence tests: the mini-language lexer
-and parser, the s-expression reader and the code tokenizer as they were
-written before the fast paths, one _Token per token and one character at a
-time. The fast versions in smoothsum must give equal trees and tokens, or
-a MiniParseError with the same message, line and column."""
+and parser, the s-expression reader, the tree walk that flattens a tree to
+its SBT stream and the code tokenizer as they were written before the fast
+paths, one _Token per token, one character and one node at a time. The
+fast versions in smoothsum must give equal trees, text and tokens, or a
+MiniParseError with the same message, line and column."""
 
 import re
 from dataclasses import dataclass
@@ -282,6 +283,23 @@ def import_sexpr(text: str) -> AstNode:
     if pos != len(tokens):
         raise MiniParseError("trailing content after s-expression")
     return root
+
+
+def sbt_flatten(root: AstNode) -> list:
+    """The reference for astkit.sbt_flatten and astkit.sbt_from_sexpr:
+    every node contributes "(", label, ")", label."""
+    out = []
+
+    def visit(n: AstNode):
+        out.append("(")
+        out.append(n.label)
+        for child in n.children:
+            visit(child)
+        out.append(")")
+        out.append(n.label)
+
+    visit(root)
+    return out
 
 
 def tokenize_code(raw: str) -> list:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothsum.astkit import (MAX_DEPTH, AstNode, AstPath,
-                              enumerate_leaf_paths, import_sexpr, node,
-                              parse_mini_function, render_sexpr, sample_paths,
-                              sbt_flatten)
+                              enumerate_leaf_paths, import_sexpr,
+                              mini_function_sexpr, node, parse_mini_function,
+                              render_sexpr, sample_paths, sbt_flatten,
+                              sbt_from_sexpr)
 from smoothsum.corpus import tokenize_code
 from smoothsum.errors import ConfigurationError, DataError, MiniParseError
 from smoothsum.rng import Rng
@@ -219,37 +220,73 @@ def nested(opener, closer, inner=""):
         lambda n: opener * n + inner + closer * n)
 
 
+# Operator chains around and past MAX_DEPTH: they deepen the tree without
+# nesting brackets, "*" and "/" binding tighter than "+" and "-".
+CHAINS = st.lists(st.sampled_from("+-*/"), min_size=MAX_DEPTH - 5,
+                  max_size=MAX_DEPTH + 60).map(
+    lambda ops: "int f(){return x" + "".join(f" {op} y" for op in ops)
+    + ";}")
+MINI_SOURCES = st.one_of(
+    MINI_TOKENS,
+    MINI_TOKENS.map(lambda body: "int f(){" + body + "}"),
+    MORE_TOKENS.map(lambda body: "int f(int _a){" + body + "}"),
+    edited(REAL_FUNCTIONS),
+    ODD_TEXT,
+    nested("if (x) {", "}").map(lambda body: "int f(){" + body + "}"),
+    nested("{", "}").map(lambda body: "int f()\n{" + body + "}"),
+    nested("(", ")", "x").map(lambda e: "int f()\n{return " + e + ";}"),
+    nested("(", ")", "x").map(lambda e: "int f(){return é" + e + ";}"),
+    CHAINS)
+SEXPR_TEXTS = st.one_of(
+    SEXPRS,
+    edited([render_sexpr(reference.parse_mini_function(code))
+            for code in REAL_FUNCTIONS]),
+    ODD_TEXT,
+    nested("(a ", ")"),
+    nested("(a ", ")").map(lambda t: t[:-1]),
+    nested("(a\x1c", ")\u2028"),
+    nested("(a b", ") c)"))
+
+
+def text_outcome(produce, text):
+    """What produce(text) returns, or its error's message and place."""
+    try:
+        return "value", produce(text)
+    except MiniParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
 class TestFrontEndEquivalence:
-    """The fast lexer, parser, s-expression reader and code tokenizer
-    against the one-character-at-a-time reference in astkit_reference."""
+    """The fast lexer, parser, s-expression reader, SBT pass and code
+    tokenizer against the one-character-at-a-time reference in
+    astkit_reference."""
 
     @PROPERTY_SETTINGS
-    @given(st.one_of(
-        MINI_TOKENS,
-        MINI_TOKENS.map(lambda body: "int f(){" + body + "}"),
-        MORE_TOKENS.map(lambda body: "int f(int _a){" + body + "}"),
-        edited(REAL_FUNCTIONS),
-        ODD_TEXT,
-        nested("if (x) {", "}").map(lambda body: "int f(){" + body + "}"),
-        nested("{", "}").map(lambda body: "int f()\n{" + body + "}"),
-        nested("(", ")", "x").map(lambda e: "int f()\n{return " + e + ";}"),
-        nested("(", ")", "x").map(lambda e: "int f(){return é" + e + ";}")))
+    @given(MINI_SOURCES)
     def test_parse_mini_function_matches_reference(self, source):
         assert outcome(parse_mini_function, source) == \
             outcome(reference.parse_mini_function, source)
 
     @PROPERTY_SETTINGS
-    @given(st.one_of(
-        SEXPRS,
-        edited([render_sexpr(parse_mini_function(code))
-                for code in REAL_FUNCTIONS]),
-        ODD_TEXT,
-        nested("(a ", ")"),
-        nested("(a ", ")").map(lambda t: t[:-1]),
-        nested("(a\x1c", ")\u2028")))
+    @given(MINI_SOURCES)
+    def test_mini_function_sexpr_matches_reference(self, source):
+        assert text_outcome(mini_function_sexpr, source) == text_outcome(
+            lambda s: render_sexpr(reference.parse_mini_function(s)), source)
+
+    @PROPERTY_SETTINGS
+    @given(SEXPR_TEXTS)
     def test_import_sexpr_matches_reference(self, text):
         assert outcome(import_sexpr, text) == \
             outcome(reference.import_sexpr, text)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(SEXPR_TEXTS, CHAINS.map(
+        # the reference parser's tree before its depth check
+        lambda source: render_sexpr(
+            reference._Parser(source).parse_function()))))
+    def test_sbt_from_sexpr_matches_reference(self, text):
+        assert text_outcome(sbt_from_sexpr, text) == text_outcome(
+            lambda t: reference.sbt_flatten(reference.import_sexpr(t)), text)
 
     @PROPERTY_SETTINGS
     @given(st.one_of(ODD_TEXT, edited(REAL_FUNCTIONS), st.lists(
@@ -283,6 +320,22 @@ def count_nodes(tree):
 class TestSbtFlatten:
     def test_leaf(self):
         assert sbt_flatten(AstNode("a")) == ["(", "a", ")", "a"]
+
+    def test_matches_tree_walk(self):
+        rng = Rng(6)
+        for _ in range(60):
+            tree = random_tree(rng, 40)
+            assert sbt_flatten(tree) == reference.sbt_flatten(tree)
+
+    @pytest.mark.parametrize("label", ["", "a b", "(", ")", "a(b", "b)",
+                                       "x\n", "\x1c", "a\u2028"])
+    def test_label_that_text_cannot_hold_refused(self, label):
+        # render_sexpr's text of such a node would read back as another
+        # tree, so sbt_flatten's pass over it would differ from the tree
+        with pytest.raises(MiniParseError, match="node label"):
+            AstNode(label)
+        with pytest.raises(MiniParseError, match="node label"):
+            node("a", node(label))
 
     def test_two_children(self):
         tree = node("a", node("b"), node("c"))

@@ -148,6 +148,21 @@ class TestEncodeSequence:
             encode_sequence(["a"], self.vocab, 1, True)
 
 
+def greedy_split(corpus, ratios, seed):
+    """The sample ids of each split under the deficit rule alone, with no
+    fallback for an empty split."""
+    order = sorted({s.project for s in corpus.samples})
+    Rng(seed).derive("project-split").shuffle(order)
+    deficits = [r * len(corpus.samples) for r in ratios]
+    splits = [[], [], []]
+    for project in order:
+        ids = [s.id for s in corpus.samples if s.project == project]
+        which = max(range(3), key=lambda i: (deficits[i], -i))
+        splits[which] += ids
+        deficits[which] -= len(ids)
+    return splits
+
+
 class TestSplitByProject:
     def _corpus(self, sizes):
         samples = []
@@ -185,11 +200,34 @@ class TestSplitByProject:
         with pytest.raises(DataError):
             split_by_project(self._corpus({"a": 5, "b": 5}), (0.8, 0.1, 0.1), 0)
 
-    def test_empty_split_named(self):
-        # seed 2 orders the projects b, c, a: b and c fill train, a val
+    def test_fallback_fills_every_split(self):
+        # seed 2 orders the projects b, c, a: the deficit rule puts b and c
+        # in train and a in val, though c, a and b fill all three splits
         corpus = self._corpus({"a": 10, "b": 10, "c": 80})
-        with pytest.raises(DataError, match="test split"):
-            split_by_project(corpus, (0.8, 0.1, 0.1), 2)
+        for seed in (2, 3, 4):
+            assert not all(greedy_split(corpus, (0.8, 0.1, 0.1), seed))
+            train, val, test = split_by_project(corpus, (0.8, 0.1, 0.1), seed)
+            assert {s.project for s in train.samples} == {"c"}
+            assert (len(train), len(val), len(test)) == (80, 10, 10)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.integers(1, 40), min_size=3, max_size=8),
+           st.sampled_from([(0.8, 0.1, 0.1), (0.6, 0.1, 0.3),
+                            (0.15, 0.075, 0.775), (0.55, 0.35, 0.1),
+                            (0.4, 0.3, 0.3)]),
+           st.integers(0, 30))
+    def test_fallback_only_where_a_split_is_empty(self, sizes, ratios, seed):
+        corpus = self._corpus({f"p{i}": n for i, n in enumerate(sizes)})
+        greedy = greedy_split(corpus, ratios, seed)
+        splits = [[s.id for s in c.samples]
+                  for c in split_by_project(corpus, ratios, seed)]
+        if all(greedy):
+            assert splits == greedy
+        else:
+            assert all(splits)
+            assert sorted(sum(splits, [])) == \
+                sorted(s.id for s in corpus.samples)
 
     def test_bad_ratios(self):
         corpus = self._corpus({f"p{i}": 5 for i in range(4)})

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smoothsum import labcli
+from smoothsum import labcli, trainer
+from smoothsum.corpus import load_prepared_dir, sbt_tokens_for_sample
 from smoothsum.errors import ConfigurationError
 from smoothsum.metrics import ComparisonResult, read_predictions
 from smoothsum.synthetic import generate_samples, write_corpus_jsonl
@@ -279,17 +280,22 @@ class TestPrepare:
         err = assert_one_line_error(capsys)
         assert f"bad.jsonl:{row + 1}" in err and "deeper than" in err
 
-    def test_empty_split_exits_2_before_writing(self, tmp_path, capsys):
+    def test_lopsided_projects_fill_every_split(self, tmp_path):
+        # under seeds 2-4 the deficit rule alone leaves the test split
+        # empty; 80/10/10 fills all three
         records = generate_samples(100, seed=5)
         for i, record in enumerate(records):
             record["project"] = "a" if i < 10 else "b" if i < 20 else "c"
         path = tmp_path / "lopsided.jsonl"
         write_corpus_jsonl(records, path)
-        out = tmp_path / "prep"
-        assert run_cli("prepare", "--data", str(path), "--out", str(out),
-                       "--seed", "2") == 2
-        assert "test split" in assert_one_line_error(capsys)
-        assert not out.exists()
+        for seed in ("2", "3", "4"):
+            out = tmp_path / f"prep{seed}"
+            assert run_cli("prepare", "--data", str(path), "--out", str(out),
+                           "--seed", seed) == 0
+            projects = [{json.loads(line)["project"]
+                         for line in (out / f"{split}.jsonl").open()}
+                        for split in ("train", "val", "test")]
+            assert projects[0] == {"c"} and all(projects)
 
     def test_usage_error_exits_1(self):
         assert run_cli("prepare") == 1
@@ -523,6 +529,7 @@ class TestTrainPredictScore:
                        str(tmp_path / "run"), "--arch", "ast-attendgru",
                        "--epochs", "1", *FAST_MODEL) == 2
         assert "deeper than" in assert_one_line_error(capsys)
+        assert not (tmp_path / "run").exists()
 
     def test_non_utf8_source_vocabulary_exits_2(self, tmp_path, prepared_dir,
                                                  capsys):
@@ -723,6 +730,64 @@ class TestTrainPredictScore:
         assert run_cli(command, "--data", str(prepared_dir), "--out",
                        str(tmp_path / "out"), *flags) == 0
         assert len(calls) == encodes
+
+
+    def test_sweep_reads_each_ast_once(self, tmp_path, prepared_dir,
+                                       monkeypatch):
+        passes = []
+
+        def counting_sbt(sample):
+            passes.append(sample.id)
+            return sbt_tokens_for_sample(sample)
+
+        monkeypatch.setattr(trainer, "sbt_tokens_for_sample", counting_sbt)
+        flags = ["--data", str(prepared_dir), "--arch", "ast-attendgru",
+                 "--seed", "3", "--epochs", "1", *FAST_MODEL]
+        both = tmp_path / "both"
+        assert run_cli("sweep", *flags, "--out", str(both),
+                       "--vocab-sizes", "40,60") == 0
+        prepared = load_prepared_dir(prepared_dir)
+        assert sorted(passes) == sorted(
+            s.id for split in (prepared.train, prepared.val, prepared.test)
+            for s in split.samples)
+        # and each size writes what a sweep over that size alone writes
+        alone = {}
+        for size in ("40", "60"):
+            assert run_cli("sweep", *flags, "--out", str(tmp_path / size),
+                           "--vocab-sizes", size) == 0
+            alone.update(tree_digest(tmp_path / size))
+        assert tree_digest(both) == alone
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_one_sample_test_split_exits_2_before_training(
+            self, tmp_path, prepared_dir, capsys, command):
+        small = copy_prepared(prepared_dir, tmp_path / "prep")
+        first = (small / "test.jsonl").read_text().splitlines()[0]
+        (small / "test.jsonl").write_text(first + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(small), "--out", str(out),
+                       "--epochs", "1", *FAST_MODEL) == 2
+        err = assert_one_line_error(capsys)
+        assert "test.jsonl holds 1 sample" in err and "at least 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [
+        ("train", "val"), ("compare", "test"), ("sweep", "test"),
+        ("actionword", "train")])
+    def test_sample_without_ast_exits_2_before_training(
+            self, tmp_path, prepared_dir, capsys, command, split):
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / f"{split}.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[-1]), "ast": None}
+        lines[-1] = json.dumps(record, sort_keys=True)
+        (bad / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(bad), "--out", str(out),
+                       "--arch", "ast-attendgru", "--epochs", "1",
+                       *FAST_MODEL) == 2
+        err = assert_one_line_error(capsys)
+        assert f"{split}.jsonl: sample {record['id']!r} has no AST" in err
+        assert not out.exists()
 
 
 class TestCompare:
