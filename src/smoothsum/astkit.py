@@ -13,9 +13,10 @@ are computed from a character offset only when the error is raised.
 
 S-expression text is the one form that commands pass around. The parser
 writes it as it parses (mini_function_sexpr), and the structure-based
-traversal (SBT) reads it in one pass (sbt_from_sexpr). AstNode trees are
-built only where a caller keeps one: leaf-to-leaf paths and the tests,
-through import_sexpr and parse_mini_function.
+traversal (SBT) reads it in one pass (sbt_from_sexpr), the one reader and
+checker of that text. AstNode trees are built only where a caller keeps
+one: leaf-to-leaf paths and the tests, through import_sexpr (which folds
+the SBT into a tree) and parse_mini_function.
 """
 
 import re
@@ -343,45 +344,19 @@ def parse_mini_function(source: str) -> AstNode:
 # s-expressions
 
 
-def _sexpr_tokens(text: str) -> list:
-    """The "(", ")" and atoms of text, refusing nesting deeper than
-    MAX_DEPTH before any other error."""
-    if _nests_too_deep(text):
-        raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
-    return _SEXPR_TOKEN_RE.findall(text)
-
-
 def import_sexpr(text: str) -> AstNode:
     """Parse "(label child child ...)"; children may be nested lists or
-    bare atoms (read as leaves)."""
-    tokens = _sexpr_tokens(text)
-    pos = 0
-
-    def parse_list() -> AstNode:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise MiniParseError("expected '(' in s-expression")
-        pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise MiniParseError("empty or malformed s-expression list")
-        label = tokens[pos]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(parse_list())
-            else:
-                children.append(AstNode(tokens[pos]))
-                pos += 1
-        if pos >= len(tokens):
-            raise MiniParseError("unbalanced parentheses in s-expression")
-        pos += 1
-        return AstNode(label, tuple(children))
-
-    root = parse_list()
-    if pos != len(tokens):
-        raise MiniParseError("trailing content after s-expression")
-    return root
+    bare atoms (read as leaves). The tree is folded from the text's SBT,
+    so the errors are sbt_from_sexpr's."""
+    stack = [[]]  # the children read so far of each open list
+    tokens = iter(sbt_from_sexpr(text))
+    for bracket, label in zip(tokens, tokens):
+        if bracket == "(":
+            stack.append([])
+        else:
+            children = tuple(stack.pop())
+            stack[-1].append(AstNode(label, children))
+    return stack[0][0]
 
 
 def render_sexpr(tree: AstNode) -> str:
@@ -404,8 +379,10 @@ def render_sexpr(tree: AstNode) -> str:
 def sbt_from_sexpr(text: str) -> list:
     """The structure-based traversal of an s-expression's tree, read from
     the text in one pass: every node contributes "(", label, ")", label.
-    Raises import_sexpr's errors, in the same order."""
-    tokens = _sexpr_tokens(text)
+    Nesting deeper than MAX_DEPTH is refused before any other error."""
+    if _nests_too_deep(text):
+        raise MiniParseError(f"list deeper than {MAX_DEPTH} levels")
+    tokens = _SEXPR_TOKEN_RE.findall(text)
     if not tokens or tokens[0] != "(":
         raise MiniParseError("expected '(' in s-expression")
     out, labels = [], []

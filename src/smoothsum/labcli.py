@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -365,12 +366,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _out_file(out: str) -> Path:
+    """The path of score's and diversity's --out, to which they add
+    suffixes. One that is empty or ends in a path separator, "." or ".."
+    names no file and is refused."""
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ConfigurationError(f"--out {out!r} names no file")
+    return Path(out)
+
+
 def cmd_score(args) -> int:
+    out_prefix = _out_file(args.out)
     preds = metrics.read_predictions(args.predictions)
     report = metrics.score_predictions(preds)
     payload = report.to_dict()
     payload["count"] = len(preds)
-    out_prefix = Path(args.out)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(f"{out_prefix}.json") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -459,6 +469,7 @@ def cmd_sweep(args) -> int:
 def cmd_diversity(args) -> int:
     """Word diversity per prediction file plus deltas against the first
     file (the baseline)."""
+    out = None if args.out is None else _out_file(args.out)
     reports = []
     for path in args.predictions:
         preds = metrics.read_predictions(path)
@@ -471,10 +482,7 @@ def cmd_diversity(args) -> int:
                      f"{rep.avg_frequency:.4f}",
                      rep.total_words - base.total_words,
                      rep.unique_words - base.unique_words])
-    if args.out:
-        out = Path(args.out)
-        if not out.name:
-            raise ConfigurationError(f"--out {args.out!r} names no file")
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_table(rows, out.with_suffix(".csv"), out.with_suffix(".md"))
     print(render_table(rows, "csv"), end="")

@@ -10,9 +10,10 @@ transformer    embeddings + sinusoidal positions, post-norm encoder blocks
                self-attention, cross-attention, feed-forward), dropout on
                attention outputs.
 
-The decoder is wired for teacher forcing: a forward pass returns one
-next-token distribution per prefix position. Greedy decoding steps the same
-decoder code one position at a time over a batch, from encoders run once.
+Each architecture has one decoder, built per batch from encoders run once.
+Every call runs the positions of a (B, L) id array after those of earlier
+calls and returns their next-token logits. A teacher-forced forward pass is
+one call over the whole prefix; greedy decoding is one call per step.
 """
 
 import base64
@@ -54,8 +55,9 @@ class ModelConfig:
                 raise ConfigurationError(f"{name} must be positive")
         if self.src_vocab < 5 or self.tgt_vocab < 5:
             raise ConfigurationError("vocabularies must include the specials")
-        if self.comment_len < 2:
-            raise ConfigurationError("comment_len must be >= 2")
+        for name in ("code_len", "comment_len"):
+            if getattr(self, name) < 2:
+                raise ConfigurationError(f"{name} must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError("dropout_rate must be in [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -230,15 +232,25 @@ def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
     return code_ids, ast_ids
 
 
-def _forward_gru(model: Model, code_ids, ast_ids, prefix_ids) -> T.Tensor:
-    """The decoder GRU reads only the previous token and state, and
-    attention follows the update, so under teacher forcing the whole
-    prefix runs as one sequence from the final source state."""
+def _gru_decoder(model: Model, code_ids, ast_ids):
+    """The recurrent decoders from encoders run once. Each call runs the
+    decoder GRU over the positions of a (B, L) id array from the state
+    the previous call left (the final source state at first) and returns
+    their logits (B, L, V): the GRU reads only the previous token and
+    state, and attention follows the update, so a teacher-forced prefix
+    runs as one sequence."""
     state, memories = _encode_gru(model, code_ids, ast_ids)
     p = model.params
-    states = T.gru_sequence(T.embedding(p["tgt_embed"], prefix_ids), state,
-                            _gru_weights(p, "dec_gru"))
-    return _gru_logits(p, states, memories)
+    dec_gru = _gru_weights(p, "dec_gru")
+
+    def decode(prefix_ids: np.ndarray) -> T.Tensor:
+        nonlocal state
+        states = T.gru_sequence(T.embedding(p["tgt_embed"], prefix_ids),
+                                state, dec_gru)
+        state = T.select(states, prefix_ids.shape[1] - 1, axis=1)
+        return _gru_logits(p, states, memories)
+
+    return decode
 
 
 def _transformer_ff(params: T.ParamStore, prefix: str, x: T.Tensor) -> T.Tensor:
@@ -276,9 +288,10 @@ def _cross_kv(model: Model, i: int, memory: T.Tensor):
 def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
                    cross_kv, src_mask, drop):
     """Decoder layer i over the positions of y. past holds the layer's
-    self-attention keys and values of earlier positions (None when y holds
-    the whole prefix); causal masks y's own positions. Returns (output,
-    self-attention keys and values through y's last position)."""
+    self-attention keys and values of earlier positions (None when there
+    are none); causal masks y's positions over the earlier ones and their
+    own (None: y sees them all). Returns (output, self-attention keys and
+    values through y's last position)."""
     p, heads = model.params, model.config.heads
     kh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wk"]), heads)
     vh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wv"]), heads)
@@ -300,8 +313,13 @@ def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
     return y, (kh, vh)
 
 
-def _forward_transformer(model: Model, code_ids, prefix_ids,
-                         training: bool, rng) -> T.Tensor:
+def _transformer_decoder(model: Model, code_ids, training: bool, rng):
+    """The transformer decoder from an encoder run once, with each layer's
+    cross-attention keys and values projected once. Each call runs the
+    positions of a (B, L) id array after those of earlier calls and
+    returns their logits (B, L, V): every layer's self-attention key/value
+    cache grows by L, and the causal mask covers the cached positions,
+    which is exact for a causal post-norm decoder."""
     cfg = model.config
     p = model.params
 
@@ -309,13 +327,31 @@ def _forward_transformer(model: Model, code_ids, prefix_ids,
         return T.apply_dropout(x, cfg.dropout_rate, rng, training)
 
     memory, src_mask = _encode_transformer(model, code_ids, drop)
-    tgt_pe = T.positional_encoding(prefix_ids.shape[1], cfg.hidden_dim)
-    y = T.add(T.embedding(p["tgt_embed"], prefix_ids), tgt_pe)
-    causal = T.causal_mask(prefix_ids.shape[1])
-    for i in range(cfg.layers):
-        y, _ = _decoder_layer(model, i, y, None, causal,
-                              _cross_kv(model, i, memory), src_mask, drop)
-    return T.add(T.matmul(y, p["out.w"]), p["out.b"])
+    cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
+    cache = [None] * cfg.layers
+    past = 0
+
+    def decode(prefix_ids: np.ndarray) -> T.Tensor:
+        nonlocal past
+        length = prefix_ids.shape[1]
+        pe = T.positional_encoding(past + length, cfg.hidden_dim)[past:]
+        y = T.add(T.embedding(p["tgt_embed"], prefix_ids), pe)
+        causal = T.causal_mask(length, past) if length > 1 else None
+        past += length
+        for i in range(cfg.layers):
+            y, cache[i] = _decoder_layer(model, i, y, cache[i], causal,
+                                         cross[i], src_mask, drop)
+        return T.add(T.matmul(y, p["out.w"]), p["out.b"])
+
+    return decode
+
+
+def _decoder(model: Model, code_ids, ast_ids, training: bool = False,
+             rng: Rng | None = None):
+    """The architecture's decoder over checked source ids."""
+    if model.config.arch == "transformer":
+        return _transformer_decoder(model, code_ids, training, rng)
+    return _gru_decoder(model, code_ids, ast_ids)
 
 
 def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
@@ -328,9 +364,7 @@ def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
         raise ConfigurationError("forward expects (batch, length) id arrays")
     if training and cfg.dropout_rate > 0 and rng is None:
         raise ConfigurationError("training forward pass needs an rng")
-    if cfg.arch == "transformer":
-        return _forward_transformer(model, code_ids, prefix_ids, training, rng)
-    return _forward_gru(model, code_ids, ast_ids, prefix_ids)
+    return _decoder(model, code_ids, ast_ids, training, rng)(prefix_ids)
 
 
 def forward_step(model: Model, code_ids, ast_ids, comment_prefix_ids) -> np.ndarray:
@@ -360,55 +394,6 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
                                     mask), count
 
 
-def _gru_stepper(model: Model, code_ids, ast_ids):
-    """Next-token distributions (B, V) of the recurrent decoders, one call
-    per step, from encoders run once."""
-    state, memories = _encode_gru(model, code_ids, ast_ids)
-    p = model.params
-    dec_gru = _gru_weights(p, "dec_gru")
-
-    def step(tokens: np.ndarray) -> np.ndarray:
-        nonlocal state
-        state = T.gru_step(T.embedding(p["tgt_embed"], tokens), state, dec_gru)
-        logits = _gru_logits(p, T.reshape(state, (len(tokens), 1, -1)),
-                             memories)
-        return T.softmax(logits, axis=-1).data[:, 0]
-
-    return step
-
-
-def _transformer_stepper(model: Model, code_ids):
-    """Next-token distributions (B, V) of the transformer, one call per
-    step. The encoder runs once and each layer's cross-attention keys and
-    values are projected once; each step extends every layer's
-    self-attention key/value cache by one position, which is exact for a
-    causal post-norm decoder."""
-    cfg = model.config
-    p = model.params
-
-    def keep(x):
-        return x
-
-    memory, src_mask = _encode_transformer(model, code_ids, keep)
-    cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
-    cache = [None] * cfg.layers
-    pe = T.positional_encoding(cfg.comment_len - 1, cfg.hidden_dim)
-    position = 0
-
-    def step(tokens: np.ndarray) -> np.ndarray:
-        nonlocal position
-        y = T.add(T.embedding(p["tgt_embed"], tokens[:, None]),
-                  pe[position:position + 1])
-        position += 1
-        for i in range(cfg.layers):
-            y, cache[i] = _decoder_layer(model, i, y, cache[i], None,
-                                         cross[i], src_mask, keep)
-        logits = T.add(T.matmul(y, p["out.w"]), p["out.b"])
-        return T.softmax(logits, axis=-1).data[:, 0]
-
-    return step
-
-
 def greedy_decode(model: Model, code_ids, ast_ids=None):
     """Argmax decoding from START until END or comment_len - 1 tokens; ties
     break toward the lowest index (np.argmax convention).
@@ -431,15 +416,13 @@ def greedy_decode(model: Model, code_ids, ast_ids=None):
     code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
 
     with T.no_grad():
-        if cfg.arch == "transformer":
-            step = _transformer_stepper(model, code_ids)
-        else:
-            step = _gru_stepper(model, code_ids, ast_ids)
+        decode = _decoder(model, code_ids, ast_ids)
         tokens = np.full(code_ids.shape[0], START, dtype=np.int64)
         finished = np.zeros(code_ids.shape[0], dtype=bool)
         emitted = []
         for _ in range(cfg.comment_len - 1):
-            tokens = step(tokens).argmax(axis=-1)
+            logits = decode(tokens[:, None])
+            tokens = T.softmax(logits, axis=-1).data[:, 0].argmax(axis=-1)
             emitted.append(tokens)
             finished |= tokens == END
             if finished.all():

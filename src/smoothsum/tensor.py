@@ -506,9 +506,10 @@ def multi_head_attention(queries, keys, values, heads: int,
                             split_heads(matmul(values, wv), heads), wo, mask)
 
 
-def causal_mask(length: int) -> np.ndarray:
-    """Lower-triangular attend-mask: position t sees positions <= t."""
-    return np.tril(np.ones((length, length), dtype=bool))
+def causal_mask(length: int, past: int = 0) -> np.ndarray:
+    """Attend-mask (length, past + length) of length positions that follow
+    past earlier ones: each sees the earlier positions and itself."""
+    return np.tri(length, past + length, past, dtype=bool)
 
 
 def positional_encoding(max_len: int, d_model: int) -> np.ndarray:

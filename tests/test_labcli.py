@@ -580,6 +580,16 @@ class TestTrainPredictScore:
                        str(tmp_path / "scores")) == 2
         assert "nothere.jsonl" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("out", ["", "sub/", "sub/.", "..", "."])
+    @pytest.mark.parametrize("command", ["score", "diversity"])
+    def test_out_naming_no_file_exits_2_before_reading(
+            self, tmp_path, monkeypatch, capsys, command, out):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--predictions", "missing.jsonl",
+                       "--out", out) == 2
+        assert "names no file" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("token", [None, 1.5, True, ["x"], {"k": 1}])
     @pytest.mark.parametrize("command", ["score", "diversity"])
     def test_non_string_prediction_token_exits_2(self, tmp_path, capsys,
@@ -659,6 +669,7 @@ class TestTrainPredictScore:
     @pytest.mark.parametrize("command, flags, message", [
         ("train", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("train", ["--epsilon", "1.5"], "epsilon"),
+        ("train", ["--code-len", "1"], "code_len"),
         ("compare", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("sweep", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("sweep", ["--vocab-sizes", "50,4"], "vocabulary size 4"),
@@ -666,9 +677,10 @@ class TestTrainPredictScore:
         *((command, ["--arch", "transformer", "--hidden-dim", "5",
                      "--embed-dim", "5", "--heads", "1"], "must be even")
           for command in ("train", "compare", "sweep", "actionword")),
-    ], ids=["train-heads", "train-epsilon", "compare-heads", "sweep-heads",
-            "sweep-second-size", "actionword-heads", "train-odd-width",
-            "compare-odd-width", "sweep-odd-width", "actionword-odd-width"])
+    ], ids=["train-heads", "train-epsilon", "train-code-len", "compare-heads",
+            "sweep-heads", "sweep-second-size", "actionword-heads",
+            "train-odd-width", "compare-odd-width", "sweep-odd-width",
+            "actionword-odd-width"])
     def test_bad_model_flag_exits_2_before_writing(
             self, tmp_path, prepared_dir, capsys, command, flags, message):
         # every arm's config, and each sweep size's, is checked before

@@ -80,6 +80,8 @@ class TestBuildModel:
             tiny_config("attendgru", dropout_rate=1.0)
         with pytest.raises(ConfigurationError):
             tiny_config("attendgru", epsilon=-0.2)
+        with pytest.raises(ConfigurationError, match="code_len"):
+            tiny_config("attendgru", code_len=1)
 
 
 class TestForward:
@@ -93,6 +95,23 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=-1), np.ones((2, 4)),
                                    atol=1e-9)
         assert (probs >= 0).all()
+
+    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru",
+                                      "transformer"])
+    def test_consecutive_decoder_calls_match_one_call(self, arch):
+        # the positions of later calls follow those of earlier ones: the
+        # GRU state and the transformer's key/value caches carry over
+        model = M.build_model(tiny_config(arch, comment_len=8), seed=9)
+        ast = AST if arch == "ast_attendgru" else None
+        prefix = np.array([[START, 4, 5, 6, 7, 8, 9],
+                           [START, 9, 8, 7, 6, 5, 4]])
+        with T.no_grad():
+            whole = M._decoder(model, CODE, ast)(prefix).data
+            decode = M._decoder(model, CODE, ast)
+            parts = [decode(prefix[:, cut]).data for cut in
+                     (slice(0, 2), slice(2, 3), slice(3, None))]
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), whole,
+                                   rtol=0, atol=1e-12)
 
     def test_transformer_causal_integrity(self):
         model = M.build_model(tiny_config("transformer"), seed=6)
@@ -134,17 +153,16 @@ class TestForward:
 
 
 def stepper_rows(model, code_ids, ast_ids, ids):
-    """The decoder stepper's next-token rows (B, L, V) when fed START and
-    then ids[:, :-1], the path greedy decoding takes to emit ids (B, L)."""
+    """The decoder's next-token rows (B, L, V), called one position at a
+    time, when fed START and then ids[:, :-1], the path greedy decoding
+    takes to emit ids (B, L)."""
     with T.no_grad():
-        if model.config.arch == "transformer":
-            step = M._transformer_stepper(model, code_ids)
-        else:
-            step = M._gru_stepper(model, code_ids, ast_ids)
+        decode = M._decoder(model, code_ids, ast_ids)
         tokens = np.full(len(code_ids), START)
         rows = []
         for t in range(ids.shape[1]):
-            rows.append(step(tokens))
+            logits = decode(tokens[:, None])
+            rows.append(T.softmax(logits, axis=-1).data[:, 0])
             tokens = ids[:, t]
     return np.stack(rows, axis=1)
 
@@ -178,10 +196,9 @@ class TestGreedyDecode:
     @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru",
                                       "transformer"])
     def test_gru_steps_match_teacher_forcing(self, arch):
-        # greedy decoding and forward_step share one GRU decoder step (the
-        # transformer: one decoder layer, fed from per-layer key/value
-        # caches), so each decoded distribution equals the teacher-forced
-        # row for the decoded prefix
+        # greedy decoding calls the decoder that forward_step calls once
+        # over the prefix one position at a time, so each decoded
+        # distribution equals the teacher-forced row for the decoded prefix
         model = M.build_model(tiny_config(arch, comment_len=9), seed=7)
         model.params["out.b"].data[END] -= 50.0  # decode the full length
         ast = AST[:1] if arch == "ast_attendgru" else None
@@ -365,9 +382,14 @@ class TestGruSequencePath:
         model = M.build_model(tiny_config(arch, epsilon=0.1, embed_dim=8,
                                           hidden_dim=8), seed=11)
         ast = AST if arch == "ast_attendgru" else None
+
+        def reference_decoder(model, code_ids, ast_ids):
+            return lambda prefix_ids: reference_forward_gru(
+                model, code_ids, ast_ids, prefix_ids)
+
         results = []
-        for forward in (reference_forward_gru, M._forward_gru):
-            monkeypatch.setattr(M, "_forward_gru", forward)
+        for decoder in (reference_decoder, M._gru_decoder):
+            monkeypatch.setattr(M, "_gru_decoder", decoder)
             model.params.zero_grads()
             loss, _ = M.sequence_loss(model, CODE, ast, COMMENTS)
             T.backward(loss, model.params)

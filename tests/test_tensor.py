@@ -317,6 +317,11 @@ class TestMultiHeadAttention:
                 2, wq, wk, wv, wo, mask=T.causal_mask(length)).data
             np.testing.assert_allclose(out[t], base[t], atol=1e-10)
 
+    def test_causal_mask_after_past_positions(self):
+        # each of 2 new positions sees the 3 earlier ones and itself
+        np.testing.assert_array_equal(T.causal_mask(2, 3), [
+            [True, True, True, True, False], [True, True, True, True, True]])
+
     def test_zero_values_zero_output(self):
         rng = Rng(17)
         d = 4

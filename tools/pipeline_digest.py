@@ -13,7 +13,9 @@ of this checkout's `src/` in-process, inside OUT_DIR, on relative paths:
 - `sweep --vocab-sizes 40,60 --epochs 1`;
 - `diversity` over the six compare prediction files, and
   `actionword --epochs 1`;
-- ast-attendgru `train` (4 epochs), `predict` and `score`.
+- ast-attendgru `train` (4 epochs), `predict` and `score`;
+- transformer `train --dropout 0.1` (2 epochs), so that the digest also
+  covers the order of the dropout draws.
 
 Models use the acceptance suite's small C8/C9 shape. Standard output is
 one `sha256  path` line per file, sorted by path; command output goes to
@@ -73,6 +75,9 @@ def pipeline() -> None:
         "--out", "run_ast/predictions.jsonl")
     run("score", "--predictions", "run_ast/predictions.jsonl", "--out",
         "run_ast/scores")
+    run("train", "--data", "prep", "--out", "run_dropout", "--arch",
+        "transformer", "--seed", "3", "--epochs", "2", *FAST_MODEL,
+        "--dropout", "0.1")
 
 
 def digest(path: Path) -> str:
