@@ -3,18 +3,24 @@ similarity, paired t-tests, diversity counts and classification reports.
 
 BLEU is corpus-level (clipped n-gram counts pooled over the prediction
 set, uniform 0.25 weights for n = 1..4, hard zero when any order has no
-overlap). METEOR aligns unigrams in two passes: each unmatched pred token
+overlap). Per record it counts the reference's n-grams of all orders into
+one table; each pred n-gram that finds a count left takes one, which
+clips it. A pred identical to its ref adds its totals without counting.
+METEOR aligns unigrams in two passes: each unmatched pred token
 takes the leftmost unmatched ref token with an equal key, exact pass
-first, then stems. It applies the classic 10PR/(R+9P)
+first, then stems; an identical pair is one chunk of len(pred) matches.
+It applies the classic 10PR/(R+9P)
 harmonic mean with the 0.5*(chunks/m)^3 fragmentation penalty; the synonym
 pass is deliberately out of scope. score_predictions computes the stem and
-the similarity vector of each distinct token once per scored set.
+the similarity vector of each distinct token once per scored set; a
+sentence vector adds its token vectors in sorted order and divides once.
 """
 
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,8 +121,12 @@ class SentenceEmbedder:
 # BLEU
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(zip(*(tokens[k:] for k in range(n))))
+def _ngrams(tokens):
+    """Every n-gram of tokens as a tuple, n = 1..BLEU_MAX_ORDER, order by
+    order."""
+    shifted = [tokens[k:] for k in range(BLEU_MAX_ORDER)]
+    return chain.from_iterable(zip(*shifted[:n])
+                               for n in range(1, BLEU_MAX_ORDER + 1))
 
 
 def corpus_bleu(preds: PredictionSet) -> float:
@@ -132,14 +142,20 @@ def corpus_bleu(preds: PredictionSet) -> float:
         pred, ref = record.predicted, record.reference
         candidate_len += len(pred)
         reference_len += len(ref)
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            total = max(0, len(pred) - n + 1)
-            totals[n - 1] += total
-            if pred == ref:
-                clipped[n - 1] += total
-            elif total and len(ref) >= n:
-                clipped[n - 1] += sum((_ngram_counts(pred, n)
-                                       & _ngram_counts(ref, n)).values())
+        for k in range(min(len(pred), BLEU_MAX_ORDER)):
+            totals[k] += len(pred) - k  # the (k+1)-grams of pred
+        if pred == ref:
+            for k in range(min(len(pred), BLEU_MAX_ORDER)):
+                clipped[k] += len(pred) - k
+            continue
+        # clip by consuming the reference's n-gram counts: each pred n-gram
+        # found with a count left takes one
+        left = Counter(_ngrams(ref))
+        for gram in filter(left.__contains__, _ngrams(pred)):
+            count = left[gram]
+            if count:
+                left[gram] = count - 1
+                clipped[len(gram) - 1] += 1
     if candidate_len == 0:
         return 0.0
     precisions = [c / t if t else 0.0 for c, t in zip(clipped, totals)]
@@ -153,19 +169,22 @@ def corpus_bleu(preds: PredictionSet) -> float:
 # METEOR
 
 
-def _greedy_align(pred, ref, matched_pred, matched_ref, key):
+def _greedy_align(pred, ref, matched_pred, matched_ref, key=None):
     """In-order greedy matching on the unmatched residue: each unmatched
     pred token takes the leftmost unmatched ref token with an equal key,
-    so each token is used at most once. key runs once per residue token."""
+    so each token is used at most once. key runs once per residue token;
+    without one, tokens are their own keys."""
     free = {}  # key -> unmatched ref positions, descending
     for j in range(len(ref) - 1, -1, -1):
         if j not in matched_ref:
-            free.setdefault(key(ref[j]), []).append(j)
+            token = ref[j]
+            free.setdefault(token if key is None else key(token),
+                            []).append(j)
     pairs = []
     for i, token in enumerate(pred):
         if i in matched_pred:
             continue
-        slots = free.get(key(token))
+        slots = free.get(token if key is None else key(token))
         if slots:
             j = slots.pop()
             pairs.append((i, j))
@@ -193,26 +212,31 @@ def sentence_meteor(pred, ref, stems=None) -> float:
     dict to a run of calls to stem each distinct token once."""
     if not pred or not ref:
         return 0.0
-    matched_pred, matched_ref = set(), set()
-    pairs = _greedy_align(pred, ref, matched_pred, matched_ref, lambda t: t)
-    if len(matched_pred) < len(pred) and len(matched_ref) < len(ref):
-        if stems is None:
-            stems = {}
+    if pred == ref:  # the alignment is the identity: one chunk
+        m, chunks = len(pred), 1
+    else:
+        matched_pred, matched_ref = set(), set()
+        pairs = _greedy_align(pred, ref, matched_pred, matched_ref)
+        if len(matched_pred) < len(pred) and len(matched_ref) < len(ref):
+            if stems is None:
+                stems = {}
 
-        def stem(token):
-            s = stems.get(token)
-            if s is None:
-                s = stems[token] = porter_stem(token)
-            return s
+            def stem(token):
+                s = stems.get(token)
+                if s is None:
+                    s = stems[token] = porter_stem(token)
+                return s
 
-        pairs += _greedy_align(pred, ref, matched_pred, matched_ref, stem)
-    m = len(pairs)
-    if m == 0:
-        return 0.0
+            pairs += _greedy_align(pred, ref, matched_pred, matched_ref,
+                                   stem)
+        m = len(pairs)
+        if m == 0:
+            return 0.0
+        chunks = _count_chunks(pairs)
     precision = m / len(pred)
     recall = m / len(ref)
     fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
-    penalty = 0.5 * (_count_chunks(pairs) / m) ** 3
+    penalty = 0.5 * (chunks / m) ** 3
     return fmean * (1.0 - penalty)
 
 
@@ -243,8 +267,13 @@ class HashedBagEmbedder(SentenceEmbedder):
             return np.zeros(EMBED_DIM)
         self.add_tokens(tokens)
         # canonical accumulation order makes the mean exactly invariant
-        # under token permutation
-        return np.mean([self._cache[t] for t in sorted(tokens)], axis=0)
+        # under token permutation; rows are added one after another, as
+        # np.mean adds them along axis 0
+        rows = [self._cache[t] for t in sorted(tokens)]
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total / len(rows)
 
 
 def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
@@ -258,8 +287,9 @@ def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
         return 1.0
     a = embedder.embed(pred)
     b = embedder.embed(ref)
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    # the 2-norm as np.linalg.norm computes it for a 1-D vector
+    norm_a = math.sqrt(np.dot(a, a))
+    norm_b = math.sqrt(np.dot(b, b))
     if norm_a == 0.0 or norm_b == 0.0:
         raise NumericError("embedder produced a zero vector for a non-empty "
                            "token list")
@@ -390,11 +420,24 @@ def write_predictions(preds: PredictionSet, path) -> None:
 
 
 def read_predictions(path) -> PredictionSet:
-    return PredictionSet(records=read_jsonl(
-        path, ("id", "ref", "pred"),
-        lambda rec: PredictionRecord(id=str(rec["id"]),
-                                     reference=token_list(rec, "ref"),
-                                     predicted=token_list(rec, "pred"))))
+    """A prediction file: one record per line with a string id that no
+    earlier line holds, and ref and pred token lists."""
+    seen = set()
+
+    def make(rec):
+        record_id = rec["id"]
+        if not isinstance(record_id, str):
+            raise TypeError(f"id must be a string, got "
+                            f"{type(record_id).__name__}")
+        if record_id in seen:
+            raise ValueError(f"duplicate prediction id {record_id!r}")
+        seen.add(record_id)
+        return PredictionRecord(id=record_id,
+                                reference=token_list(rec, "ref"),
+                                predicted=token_list(rec, "pred"))
+
+    return PredictionSet(records=read_jsonl(path, ("id", "ref", "pred"),
+                                            make))
 
 
 def score_predictions(preds: PredictionSet) -> MetricReport:

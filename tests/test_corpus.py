@@ -441,6 +441,15 @@ SPLIT_RECORD = st.fixed_dictionaries(
     optional={"ast": st.one_of(st.none(), st.text(max_size=10))})
 PREDICTION_RECORD = st.fixed_dictionaries(
     {"id": st.just(""), "ref": TOKENS, "pred": TOKENS})
+# prediction records whose id is not a string, and records that all take
+# the id "dup", so that every one after the first repeats an id
+PREDICTION_ID_LINES = st.one_of(
+    st.tuples(PREDICTION_RECORD, NOT_A_LIST.filter(
+        lambda v: not isinstance(v, str))).map(
+        lambda t: ("bad", {**t[0], "id": t[1]})),
+    PREDICTION_RECORD.map(lambda r: ("dup", {**r, "id": "dup"})))
+
+
 class TestAtomicWrite:
     def test_replaces_the_file(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -472,11 +481,11 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
                              derandomize=True)
 
 
-def jsonl_lines(record, required, typed):
+def jsonl_lines(record, required, typed, more=st.nothing()):
     """Lists of (status, line) pairs, where a line is raw text or a JSON
-    value to dump: "ok" records, "blank" lines, and "bad" lines (raw text,
+    value to dump: "ok" records, "blank" lines, "bad" lines (raw text,
     non-objects, a record missing a required field, or a record whose typed
-    field is not a list)."""
+    field is not a list), and the lines of more."""
     def tag(status):
         return lambda value: (status, value)
 
@@ -491,20 +500,26 @@ def jsonl_lines(record, required, typed):
                   st.lists(st.integers(), max_size=3))
         .map(lambda v: ("bad", json.dumps(v))),
         missing.map(tag("bad")),
-        mistyped.map(tag("bad")))
+        mistyped.map(tag("bad")),
+        more)
     return st.lists(line, max_size=8)
 
 
 def check_reader(read, lines):
-    """Records get unique ids by line number; then read must return every
-    "ok" line or raise a DataError that starts with path:first-bad-line."""
+    """Records with the id "" get unique ids by line number; then read must
+    return every "ok" line and the first "dup" line, or raise a DataError
+    that starts with path:first-bad-line, where a "dup" line after the
+    first is bad."""
     texts = []
     for lineno, (_, line) in enumerate(lines, start=1):
         if isinstance(line, dict):
-            line = json.dumps({**line, "id": f"r{lineno}"} if "id" in line
-                              else line)
+            line = json.dumps({**line, "id": f"r{lineno}"}
+                              if line.get("id") == "" else line)
         texts.append(line + "\n")
-    bad = [n for n, (status, _) in enumerate(lines, start=1) if status == "bad"]
+    dups = [n for n, (status, _) in enumerate(lines, start=1)
+            if status == "dup"]
+    bad = sorted([n for n, (status, _) in enumerate(lines, start=1)
+                  if status == "bad"] + dups[1:])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.jsonl"
         path.write_text("".join(texts), encoding="utf-8")
@@ -513,7 +528,8 @@ def check_reader(read, lines):
                 read(path)
             assert str(info.value).startswith(f"{path}:{bad[0]}:")
         else:
-            assert len(read(path)) == sum(s == "ok" for s, _ in lines)
+            assert len(read(path)) == (sum(s == "ok" for s, _ in lines)
+                                       + len(dups))
 
 
 class TestReadJsonlProperties:
@@ -533,7 +549,13 @@ class TestReadJsonlProperties:
 
     @PROPERTY_SETTINGS
     @given(jsonl_lines(PREDICTION_RECORD, ("id", "ref", "pred"),
-                       ("ref", "pred")))
+                       ("ref", "pred"), PREDICTION_ID_LINES))
+    @example([("bad", {"id": None, "ref": [], "pred": []}),
+              ("ok", {"id": "None", "ref": [], "pred": []})])
+    @example([("ok", {"id": "1.5", "ref": [], "pred": []}),
+              ("bad", {"id": 1.5, "ref": [], "pred": []})])
+    @example([("dup", {"id": "dup", "ref": ["a"], "pred": []}),
+              ("dup", {"id": "dup", "ref": [], "pred": ["a"]})])
     def test_prediction_file(self, lines):
         check_reader(read_predictions, lines)
 

@@ -370,6 +370,65 @@ class TestPrepareProperties:
             json.dumps(r) + "\n" for r in records).encode())
 
 
+PREDICTION_TOKENS = st.lists(st.sampled_from(
+    ("gets", "getting", "the", "file", "files", "x")), max_size=6)
+PREDICTION_RECORD = st.fixed_dictionaries({"id": st.sampled_from("abcd"),
+                                           "ref": PREDICTION_TOKENS,
+                                           "pred": PREDICTION_TOKENS})
+# valid files, and files that mix valid records (whose few ids repeat),
+# ids and tokens of any JSON type, and lines of any text
+PREDICTION_LINES = st.one_of(
+    st.lists(PREDICTION_RECORD, max_size=4, unique_by=lambda r: r["id"]),
+    st.lists(st.one_of(
+        PREDICTION_RECORD,
+        st.tuples(PREDICTION_RECORD, JSON_VALUES).map(
+            lambda t: {**t[0], "id": t[1]}),
+        st.tuples(PREDICTION_RECORD, st.sampled_from(("ref", "pred")),
+                  st.lists(JSON_VALUES, max_size=3)).map(
+            lambda t: {**t[0], t[1]: t[2]}),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)),
+        max_size=6)).map(
+    lambda lines: [line if isinstance(line, str) else json.dumps(line)
+                   for line in lines])
+OUT_SUFFIXES = {"score": (".json", ".md"), "diversity": (".csv", ".md")}
+
+
+def reads_predictions_cleanly(command, lines) -> None:
+    """command on a prediction file of lines exits 0 and writes both --out
+    files, or exits 2 with exactly one error: line and creates nothing."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preds.jsonl"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli(command, "--predictions", str(path), "--out",
+                           str(Path(tmp) / "out"))
+        names = sorted(p.name for p in Path(tmp).iterdir())
+    if code == 0:
+        assert err.getvalue() == ""
+        assert names == sorted(["preds.jsonl", *(
+            "out" + suffix for suffix in OUT_SUFFIXES[command])])
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert names == ["preds.jsonl"]
+
+
+class TestScoreDiversityProperties:
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from(sorted(OUT_SUFFIXES)), PREDICTION_LINES)
+    @example("score", [])
+    @example("diversity", [])
+    @example("score", ['{"id": null, "ref": [], "pred": []}',
+                       '{"id": "None", "ref": [], "pred": []}'])
+    @example("score", ['{"id": "a", "ref": ["x"], "pred": ["x"]}'])
+    def test_arbitrary_prediction_files(self, command, lines):
+        reads_predictions_cleanly(command, lines)
+
+
 class TestTrainPredictScore:
     def test_full_chain(self, tmp_path, prepared_dir):
         run_dir = tmp_path / "run"
@@ -601,6 +660,23 @@ class TestTrainPredictScore:
         assert run_cli(command, "--predictions", str(path), "--out",
                        str(tmp_path / "out")) == 2
         assert "preds.jsonl:2:" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("ids, line, message", [
+        ([None, "None"], 1, "id must be a string"),
+        (["1.5", 1.5], 2, "id must be a string"),
+        (["x", "x"], 2, "duplicate prediction id 'x'")])
+    @pytest.mark.parametrize("command", ["score", "diversity"])
+    def test_bad_prediction_id_exits_2(self, tmp_path, capsys, command,
+                                       ids, line, message):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(json.dumps({"id": i, "ref": ["x"],
+                                            "pred": ["x"]}) + "\n"
+                                for i in ids))
+        assert run_cli(command, "--predictions", str(path), "--out",
+                       str(tmp_path / "out")) == 2
+        err = assert_one_line_error(capsys)
+        assert f"preds.jsonl:{line}:" in err and message in err
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("value", ["Infinity", "1e400"])

@@ -1,3 +1,4 @@
+import json
 import math
 import types
 from collections import Counter
@@ -191,11 +192,6 @@ class TestDefaultEmbedder:
 
     def test_block_drawn_vectors_equal_single_draws(self):
         tokens = ["open", "file", "the", "deletes", "x", "\u00fcber"]
-
-        def drawn_alone(token):  # reference: one Rng per token
-            rng = Rng(stable_token_seed("token-embed:" + token))
-            return (rng.uniform_array((X.EMBED_DIM,)) - 0.5) * math.sqrt(12.0)
-
         block = X.HashedBagEmbedder()
         block.add_tokens(tokens)
         one_at_a_time = X.HashedBagEmbedder()
@@ -449,13 +445,65 @@ def reference_bleu(pairs):
                               / X.BLEU_MAX_ORDER)
 
 
+def drawn_alone(token):
+    """A token's similarity vector from one Rng of its own."""
+    rng = Rng(stable_token_seed("token-embed:" + token))
+    return (rng.uniform_array((X.EMBED_DIM,)) - 0.5) * math.sqrt(12.0)
+
+
+def reference_similarity(pred, ref, vectors):
+    """Cosine of np.mean sentence vectors with np.linalg.norm norms;
+    vectors memoizes drawn_alone."""
+    if not pred and not ref:
+        return 1.0
+    if not pred or not ref:
+        return 0.0
+    if list(pred) == list(ref):
+        return 1.0
+
+    def embed(tokens):
+        for t in tokens:
+            if t not in vectors:
+                vectors[t] = drawn_alone(t)
+        return np.mean([vectors[t] for t in sorted(tokens)], axis=0)
+
+    a, b = embed(pred), embed(ref)
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    cosine = float(np.dot(a, b) / (norm_a * norm_b))
+    return min(1.0, max(0.0, cosine))
+
+
+def reference_report(pairs) -> str:
+    """score_predictions' JSON computed by the reference forms."""
+    vectors = {}
+    return json.dumps(X.MetricReport(
+        corpus_bleu=reference_bleu(pairs),
+        meteor_scores=[reference_meteor(p, r) for p, r in pairs],
+        similarity_scores=[reference_similarity(p, r, vectors)
+                           for p, r in pairs]).to_dict())
+
+
 # inflection families the stem pass joins, words of at most two letters,
 # and few enough words that sentences repeat them
 WORDS = ("delete", "deletes", "deleted", "deleting", "set", "sets",
          "setting", "file", "files", "a", "is", "of", "x", "the")
+OTHER_WORDS = ("open", "opens", "socket", "read", "tree", "y")
 SENTENCE = st.lists(st.sampled_from(WORDS), max_size=9)
 PAIR = st.one_of(st.tuples(SENTENCE, SENTENCE),
                  SENTENCE.map(lambda s: (s, list(s))))
+# pairs of the kinds clipping and the identical-pair paths must get right:
+# identical, reversed, disjoint, and a phrase repeated more often on one
+# side than on the other
+REPEATS = st.tuples(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+                    st.integers(0, 4), st.integers(0, 4)).map(
+    lambda t: (t[0] * t[1], t[0] * t[2]))
+SCORED_PAIR = st.one_of(
+    PAIR,
+    SENTENCE.map(lambda s: (s, s[::-1])),
+    st.tuples(SENTENCE, st.lists(st.sampled_from(OTHER_WORDS), max_size=9)),
+    REPEATS,
+    REPEATS.map(lambda p: (p[1], p[0])))
 
 
 class TestFastPathsMatchReference:
@@ -468,8 +516,7 @@ class TestFastPathsMatchReference:
         stems = {}
         for pred, ref in pairs:
             matched_pred, matched_ref = set(), set()
-            keyed = X._greedy_align(pred, ref, matched_pred, matched_ref,
-                                    lambda t: t)
+            keyed = X._greedy_align(pred, ref, matched_pred, matched_ref)
             keyed += X._greedy_align(pred, ref, matched_pred, matched_ref,
                                      porter_stem)
             assert keyed == reference_alignment(pred, ref)
@@ -477,6 +524,40 @@ class TestFastPathsMatchReference:
             assert X.sentence_meteor(pred, ref) == expected
             assert X.sentence_meteor(pred, ref, stems) == expected
         assert X.corpus_bleu(pset(*pairs)) == reference_bleu(pairs)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(SCORED_PAIR, min_size=1, max_size=8))
+    @example([([], []), ([], ["a", "x"]), (["a", "x"], [])])
+    @example([(["a", "x", "a", "x", "a", "x"], ["a", "x", "a", "x"]),
+              (["the", "file", "is", "set", "of", "x"],
+               ["x", "of", "set", "is", "file", "the"])])
+    def test_score_predictions_json(self, pairs):
+        assert json.dumps(X.score_predictions(pset(*pairs)).to_dict()) \
+            == reference_report(pairs)
+
+
+def test_score_predictions_calls_each_metric_per_record(monkeypatch):
+    # perfbench traces corpus_bleu, sentence_meteor and sentence_similarity
+    # through these module globals, once per set and once per record
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(X, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("corpus_bleu", "sentence_meteor", "sentence_similarity"):
+        monkeypatch.setattr(X, name, counting(name))
+    preds = pset((["gets", "the", "file"], ["gets", "the", "file"]),
+                 (["sets", "x"], ["sets", "the", "x"]),
+                 ([], ["a"]))
+    X.score_predictions(preds)
+    assert calls == {"corpus_bleu": 1, "sentence_meteor": 3,
+                     "sentence_similarity": 3}
 
 
 class TestStemMemo:
