@@ -45,13 +45,6 @@ class Sample:
 class Corpus:
     samples: list
 
-    def __post_init__(self):
-        seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise DataError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
-
     def __len__(self):
         return len(self.samples)
 
@@ -269,15 +262,38 @@ def token_list(rec, key: str) -> list:
     return value
 
 
-def read_jsonl(path, fields, make) -> list:
+def string_id(rec) -> str:
+    """A split or prediction record's id field: a string."""
+    value = rec["id"]
+    if not isinstance(value, str):
+        raise TypeError(f"id must be a string, got {type(value).__name__}")
+    return value
+
+
+def _raw_id(rec) -> str:
+    """A raw corpus record's id field: a string, or an integer (not a
+    boolean), which reads as its decimal text."""
+    value = rec["id"]
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise TypeError(f"id must be a string or an integer, got "
+                        f"{type(value).__name__}")
+    return value
+
+
+def read_jsonl(path, fields, make, kind: str) -> list:
     """make(record) for every non-blank line of a JSON-lines file.
 
     A line that is not UTF-8 JSON (nesting too deep included), a line that
-    is not an object, a record lacking one of fields, or a
-    KeyError/TypeError/ValueError/OverflowError raised by make becomes a
-    DataError naming path:line.
+    is not an object, a record lacking one of fields, a
+    KeyError/TypeError/ValueError/OverflowError raised by make, or a made
+    item whose id an earlier line's item holds becomes a DataError naming
+    path:line. kind names the items in the last of these messages
+    ("duplicate sample id 'x'").
     """
     out = []
+    seen = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -293,9 +309,14 @@ def read_jsonl(path, fields, make) -> list:
                 if key not in rec:
                     raise DataError(f"{path}:{lineno}: missing field {key!r}")
             try:
-                out.append(make(rec))
+                item = make(rec)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record: {exc!r}") from exc
+            if item.id in seen:
+                raise DataError(f"{path}:{lineno}: duplicate {kind} id "
+                                f"{item.id!r}")
+            seen.add(item.id)
+            out.append(item)
     return out
 
 
@@ -338,7 +359,7 @@ def read_corpus_jsonl(path) -> Corpus:
             except MiniParseError as exc:
                 raise ValueError(f"invalid ast: {exc}") from exc
         return Sample(
-            id=str(rec["id"]),
+            id=_raw_id(rec),
             project=str(rec["project"]),
             code_tokens=tokenize_code(rec["code"]),
             comment_tokens=tokenize_comment(rec["comment"]),
@@ -347,7 +368,7 @@ def read_corpus_jsonl(path) -> Corpus:
         )
 
     return Corpus(samples=read_jsonl(
-        path, ("id", "project", "code", "comment"), make))
+        path, ("id", "project", "code", "comment"), make, "sample"))
 
 
 def _sample_to_record(s: Sample) -> dict:
@@ -370,7 +391,7 @@ def write_split_jsonl(corpus: Corpus, path) -> None:
 def read_split_jsonl(path) -> Corpus:
     def make(rec):
         return Sample(
-            id=str(rec["id"]),
+            id=string_id(rec),
             project=str(rec["project"]),
             code_tokens=token_list(rec, "code_tokens"),
             comment_tokens=token_list(rec, "comment_tokens"),
@@ -380,7 +401,7 @@ def read_split_jsonl(path) -> Corpus:
 
     return Corpus(samples=read_jsonl(
         path, ("id", "project", "code_tokens", "comment_tokens",
-               "code_char_len"), make))
+               "code_char_len"), make, "sample"))
 
 
 SPLITS = ("train", "val", "test")

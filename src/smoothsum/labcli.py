@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .corpus import (SPLITS, START, Corpus, PreparedData, Vocabulary,
-                     atomic_write, build_token_vocabulary, build_vocabulary,
-                     check_quantile, check_ratios, check_vocab_size,
-                     extract_action_word, filter_by_length_quantile,
-                     load_prepared_dir, read_corpus_jsonl, split_by_project,
-                     write_prepared_dir)
+from .corpus import (END, PAD, SPLITS, START, Corpus, PreparedData,
+                     Vocabulary, atomic_write, build_token_vocabulary,
+                     build_vocabulary, check_quantile, check_ratios,
+                     check_vocab_size, extract_action_word,
+                     filter_by_length_quantile, load_prepared_dir,
+                     read_corpus_jsonl, split_by_project, write_prepared_dir)
 from .errors import ConfigurationError, DataError, NumericError
 from .trainer import TrainConfig, encode_comments, encode_corpus
 
@@ -210,23 +210,19 @@ def _train_config(args) -> TrainConfig:
                        learning_rate=args.lr, seed=args.seed)
 
 
-def _chunks(count: int):
-    """Row slices of at most DECODE_CHUNK rows covering range(count)."""
-    return (slice(start, start + DECODE_CHUNK)
-            for start in range(0, count, DECODE_CHUNK))
-
-
 def decode_predictions(model: models.Model, dataset,
                        tgt_vocab: Vocabulary) -> metrics.PredictionSet:
     """Greedy-decode every sample, DECODE_CHUNK rows per batch, and pair
-    each decode with its reference tokens."""
+    each decode, less its PAD, START and END ids, with its reference
+    tokens."""
     records = []
-    for chunk in _chunks(len(dataset)):
-        ast = dataset.ast[chunk] if dataset.ast is not None else None
-        results = models.greedy_decode(model, dataset.code[chunk], ast)
-        for sample_id, reference, result in zip(
-                dataset.sample_ids[chunk], dataset.references[chunk], results):
-            predicted = [tgt_vocab.decode_id(t) for t in result.content_ids]
+    for rows in trainer.row_slices(len(dataset), DECODE_CHUNK):
+        ast = dataset.ast[rows] if dataset.ast is not None else None
+        decoded = models.greedy_decode(model, dataset.code[rows], ast)
+        for sample_id, reference, ids in zip(
+                dataset.sample_ids[rows], dataset.references[rows], decoded):
+            predicted = [tgt_vocab.decode_id(t) for t in ids
+                         if t not in (PAD, START, END)]
             records.append(metrics.PredictionRecord(
                 id=sample_id, reference=reference, predicted=predicted))
     return metrics.PredictionSet(records=records)
@@ -518,9 +514,9 @@ def cmd_actionword(args) -> int:
     for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
                                         train_config):
         predicted = []
-        for chunk in _chunks(len(test_set)):
-            code = test_set.code[chunk]
-            ast = test_set.ast[chunk] if test_set.ast is not None else None
+        for batch in trainer.row_slices(len(test_set), DECODE_CHUNK):
+            code = test_set.code[batch]
+            ast = test_set.ast[batch] if test_set.ast is not None else None
             prefix = np.full((len(code), 1), START, dtype=np.int64)
             probs = models.forward_step(ckpt.model, code, ast, prefix)[:, 0]
             predicted += [label_vocab.decode_id(4 + int(best))

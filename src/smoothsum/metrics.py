@@ -24,7 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import SPECIAL_TOKENS, atomic_write, read_jsonl, token_list
+from .corpus import (SPECIAL_TOKENS, atomic_write, read_jsonl, string_id,
+                     token_list)
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import stable_token_seed, uniform_rows
 from .stemming import porter_stem
@@ -43,13 +44,6 @@ class PredictionRecord:
 @dataclass
 class PredictionSet:
     records: list
-
-    def __post_init__(self):
-        seen = set()
-        for r in self.records:
-            if r.id in seen:
-                raise DataError(f"duplicate prediction id {r.id!r}")
-            seen.add(r.id)
 
     def __len__(self):
         return len(self.records)
@@ -422,22 +416,13 @@ def write_predictions(preds: PredictionSet, path) -> None:
 def read_predictions(path) -> PredictionSet:
     """A prediction file: one record per line with a string id that no
     earlier line holds, and ref and pred token lists."""
-    seen = set()
-
     def make(rec):
-        record_id = rec["id"]
-        if not isinstance(record_id, str):
-            raise TypeError(f"id must be a string, got "
-                            f"{type(record_id).__name__}")
-        if record_id in seen:
-            raise ValueError(f"duplicate prediction id {record_id!r}")
-        seen.add(record_id)
-        return PredictionRecord(id=record_id,
+        return PredictionRecord(id=string_id(rec),
                                 reference=token_list(rec, "ref"),
                                 predicted=token_list(rec, "pred"))
 
     return PredictionSet(records=read_jsonl(path, ("id", "ref", "pred"),
-                                            make))
+                                            make, "prediction"))
 
 
 def score_predictions(preds: PredictionSet) -> MetricReport:

@@ -10,7 +10,8 @@ transformer    embeddings + sinusoidal positions, post-norm encoder blocks
                self-attention, cross-attention, feed-forward), dropout on
                attention outputs.
 
-Each architecture has one decoder, built per batch from encoders run once.
+Every entry point takes (B, T) id batches: one row per sample. Each
+architecture has one decoder, built per batch from encoders run once.
 Every call runs the positions of a (B, L) id array after those of earlier
 calls and returns their next-token logits. A teacher-forced forward pass is
 one call over the whole prefix; greedy decoding is one call per step.
@@ -84,17 +85,6 @@ class ModelConfig:
 class Model:
     config: ModelConfig
     params: T.ParamStore
-
-
-@dataclass
-class DecodeResult:
-    """Greedy decode output: ids exclude START; include END when emitted."""
-
-    ids: list
-
-    @property
-    def content_ids(self) -> list:
-        return [i for i in self.ids if i not in (PAD, START, END)]
 
 
 def _gru_shapes(prefix: str, in_dim: int, hid: int) -> dict:
@@ -187,6 +177,9 @@ def _run_gru_encoder(model: Model, prefix: str, embed_name: str,
 
 def _validate_ids(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ConfigurationError(f"{what} ids must be a (batch, length) "
+                                 f"array, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise DataError(f"{what} id outside vocabulary of size {vocab}")
     return ids
@@ -218,14 +211,14 @@ def _gru_logits(params: T.ParamStore, states: T.Tensor, memories) -> T.Tensor:
 
 
 def _validate_sources(cfg: ModelConfig, code_ids, ast_ids):
-    """Checked source ids, plus AST ids for ast_attendgru (which needs
-    them); other architectures ignore ast_ids."""
+    """Checked (batch, length) source ids, plus AST ids for ast_attendgru
+    (which needs them); other architectures ignore ast_ids."""
     code_ids = _validate_ids(code_ids, cfg.src_vocab, "source")
     if cfg.arch == "ast_attendgru":
         if ast_ids is None:
             raise DataError("ast_attendgru requires AST token ids")
         ast_ids = _validate_ids(ast_ids, cfg.ast_vocab, "ast")
-        if ast_ids.shape[:-1] != code_ids.shape[:-1]:
+        if len(ast_ids) != len(code_ids):
             raise ConfigurationError(
                 f"AST ids {ast_ids.shape} and source ids {code_ids.shape} "
                 f"differ in batch size")
@@ -360,8 +353,6 @@ def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
     cfg = model.config
     code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
     prefix_ids = _validate_ids(prefix_ids, cfg.tgt_vocab, "comment")
-    if code_ids.ndim != 2 or prefix_ids.ndim != 2:
-        raise ConfigurationError("forward expects (batch, length) id arrays")
     if training and cfg.dropout_rate > 0 and rng is None:
         raise ConfigurationError("training forward pass needs an rng")
     return _decoder(model, code_ids, ast_ids, training, rng)(prefix_ids)
@@ -394,25 +385,13 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
                                     mask), count
 
 
-def greedy_decode(model: Model, code_ids, ast_ids=None):
-    """Argmax decoding from START until END or comment_len - 1 tokens; ties
-    break toward the lowest index (np.argmax convention).
-
-    code_ids is one (T,) row, which returns one DecodeResult, or a (B, T)
-    batch, which returns a list of B results (ast_ids shaped alike). A
-    batch runs until every row has emitted END; each row's result stops at
-    its own END.
+def greedy_decode(model: Model, code_ids, ast_ids) -> list:
+    """Argmax decoding of a (B, T) batch from START until every row has
+    emitted END, or for comment_len - 1 steps; ties break toward the lowest
+    index (np.argmax convention). Returns one id list per row, without
+    START, running through the row's END when it emitted one.
     """
     cfg = model.config
-    code_ids = np.asarray(code_ids, dtype=np.int64)
-    single = code_ids.ndim == 1
-    if code_ids.ndim not in (1, 2):
-        raise ConfigurationError(
-            "greedy_decode expects a (length,) row or a (batch, length) array")
-    if single:
-        code_ids = code_ids[None]
-        if ast_ids is not None:
-            ast_ids = np.asarray(ast_ids, dtype=np.int64).reshape(1, -1)
     code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
 
     with T.no_grad():
@@ -428,9 +407,8 @@ def greedy_decode(model: Model, code_ids, ast_ids=None):
             if finished.all():
                 break
 
-    results = [DecodeResult(ids[:ids.index(END) + 1] if END in ids else ids)
-               for ids in np.stack(emitted, axis=1).tolist()]
-    return results[0] if single else results
+    return [ids[:ids.index(END) + 1] if END in ids else ids
+            for ids in np.stack(emitted, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------

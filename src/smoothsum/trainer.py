@@ -95,11 +95,15 @@ def encode_corpus(corpus: Corpus, config: models.ModelConfig,
                   src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                   ast_vocab: Vocabulary | None = None) -> EncodedDataset:
     """Sources are encoded bare, comments wrapped in START/END; the AST
-    stream (SBT tokens) is encoded bare against its own vocabulary."""
+    stream (SBT tokens) is encoded bare against its own vocabulary. A
+    sample without code tokens is refused: attention over its all-PAD
+    source row would have no position to attend to."""
     if not corpus.samples:
         raise DataError("cannot encode an empty corpus")
     code_rows, ast_rows = [], []
     for s in corpus.samples:
+        if not s.code_tokens:
+            raise DataError(f"sample {s.id!r} has no code tokens")
         code_rows.append(encode_sequence(s.code_tokens, src_vocab,
                                          config.code_len, False))
         if config.arch == "ast_attendgru":
@@ -174,26 +178,24 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
 
 
-def _batches(order, batch_size):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
+def row_slices(count: int, size: int):
+    """Slices of at most size consecutive rows covering range(count)."""
+    return (slice(start, start + size) for start in range(0, count, size))
 
 
-def validation_token_accuracy(model: models.Model,
-                              dataset: EncodedDataset,
-                              batch_size: int = 64) -> float:
+def validation_token_accuracy(model: models.Model, dataset: EncodedDataset,
+                              batch_size: int) -> float:
     """Fraction of non-PAD target positions where the argmax next-token
     prediction equals the gold token under teacher forcing."""
     if len(dataset) == 0:
         raise DataError("cannot compute accuracy on an empty dataset")
     hits = 0
     total = 0
-    for batch in _batches(list(range(len(dataset))), batch_size):
-        idx = np.asarray(batch)
-        comments = dataset.comments[idx]
+    for rows in row_slices(len(dataset), batch_size):
+        comments = dataset.comments[rows]
         prefix, targets = comments[:, :-1], comments[:, 1:]
-        ast = dataset.ast[idx] if dataset.ast is not None else None
-        probs = models.forward_step(model, dataset.code[idx], ast, prefix)
+        ast = dataset.ast[rows] if dataset.ast is not None else None
+        probs = models.forward_step(model, dataset.code[rows], ast, prefix)
         predicted = probs.argmax(axis=-1)
         mask = targets != PAD
         hits += int((predicted[mask] == targets[mask]).sum())
@@ -229,8 +231,9 @@ def train(model: models.Model, train_set: EncodedDataset,
         dropout_rng = Rng(config.seed).derive("dropout", epoch)
         loss_total = 0.0
         token_total = 0
-        for batch_index, batch in enumerate(_batches(order, config.batch_size)):
-            idx = np.asarray(batch)
+        for batch_index, rows in enumerate(row_slices(len(order),
+                                                      config.batch_size)):
+            idx = np.asarray(order[rows])
             ast = train_set.ast[idx] if train_set.ast is not None else None
             model.params.zero_grads()
             loss, count = models.sequence_loss(
@@ -252,8 +255,7 @@ def train(model: models.Model, train_set: EncodedDataset,
             raise NumericError(
                 f"epoch {epoch} loss {epoch_loss} fell below the analytic "
                 f"floor {floor}")
-        accuracy = validation_token_accuracy(model, val_set,
-                                             batch_size=config.batch_size)
+        accuracy = validation_token_accuracy(model, val_set, config.batch_size)
         history.records.append(EpochRecord(
             epoch=epoch, loss_nats=epoch_loss, val_accuracy=accuracy,
             seconds=time.perf_counter() - started))

@@ -17,7 +17,8 @@ from smoothsum import metrics as X
 from smoothsum import models as M
 from smoothsum import trainer as TR
 from smoothsum.astkit import enumerate_leaf_paths, node, sample_paths, sbt_flatten
-from smoothsum.corpus import Corpus, Sample, build_vocabulary, split_by_project
+from smoothsum.corpus import (END, PAD, START, Corpus, Sample, build_vocabulary,
+                              split_by_project)
 from smoothsum.rng import Rng
 from smoothsum.smoothing import loss_floor, smooth_targets
 from smoothsum.synthetic import generate_samples, write_corpus_jsonl
@@ -96,8 +97,9 @@ def test_c3_loss_floor_law_single_sample_overfit():
         assert all(r.loss_nats >= floor - 1e-9 for r in history.records)
         if eps == 0.0:
             assert final < 0.05
-            decoded = M.greedy_decode(ckpt.model, dataset.code[0])
-            tokens = [tgt_vocab.decode_id(i) for i in decoded.content_ids]
+            decoded = M.greedy_decode(ckpt.model, dataset.code[0:1], None)[0]
+            tokens = [tgt_vocab.decode_id(i) for i in decoded
+                      if i not in (PAD, START, END)]
             assert tokens == sample.comment_tokens
         else:
             assert final <= floor * 1.05
@@ -186,8 +188,9 @@ def test_c6_sixty_four_pair_memorization():
     ckpt, _ = TR.train(model, dataset, dataset, train_config)
     exact = 0
     for i in range(len(dataset)):
-        decoded = M.greedy_decode(ckpt.model, dataset.code[i])
-        tokens = [tgt_vocab.decode_id(t) for t in decoded.content_ids]
+        decoded = M.greedy_decode(ckpt.model, dataset.code[i:i + 1], None)[0]
+        tokens = [tgt_vocab.decode_id(t) for t in decoded
+                  if t not in (PAD, START, END)]
         exact += tokens == dataset.references[i]
     assert exact / len(dataset) >= 0.95
     assert time.perf_counter() - started < 300.0
@@ -218,10 +221,12 @@ def test_c7_smoothing_reduces_unique_words():
         ckpt, _ = TR.train(model, train_set, val_set, train_config)
         records = []
         for i in range(len(test_set)):
-            decoded = M.greedy_decode(ckpt.model, test_set.code[i])
+            decoded = M.greedy_decode(ckpt.model, test_set.code[i:i + 1],
+                                      None)[0]
             records.append(X.PredictionRecord(
                 test_set.sample_ids[i], test_set.references[i],
-                [tgt_vocab.decode_id(t) for t in decoded.content_ids]))
+                [tgt_vocab.decode_id(t) for t in decoded
+                 if t not in (PAD, START, END)]))
         report = X.diversity_report(X.PredictionSet(records))
         return report.unique_words, report.total_words
 

@@ -290,9 +290,14 @@ class TestActionWords:
 
 
 class TestCorpusFiles:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(DataError):
-            Corpus([make_sample(1, "p"), make_sample(1, "p")])
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "split.jsonl"
+        record = json.dumps({"id": "s1", "project": "p", "code_tokens": [],
+                             "comment_tokens": [], "code_char_len": 0})
+        path.write_text(f"{record}\n{record}\n")
+        with pytest.raises(DataError,
+                           match=r"split\.jsonl:2: duplicate sample id 's1'"):
+            read_split_jsonl(path)
 
     def test_raw_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -441,13 +446,16 @@ SPLIT_RECORD = st.fixed_dictionaries(
     optional={"ast": st.one_of(st.none(), st.text(max_size=10))})
 PREDICTION_RECORD = st.fixed_dictionaries(
     {"id": st.just(""), "ref": TOKENS, "pred": TOKENS})
-# prediction records whose id is not a string, and records that all take
-# the id "dup", so that every one after the first repeats an id
-PREDICTION_ID_LINES = st.one_of(
-    st.tuples(PREDICTION_RECORD, NOT_A_LIST.filter(
-        lambda v: not isinstance(v, str))).map(
-        lambda t: ("bad", {**t[0], "id": t[1]})),
-    PREDICTION_RECORD.map(lambda r: ("dup", {**r, "id": "dup"})))
+
+
+def id_lines(record):
+    """Records whose id is not a string, and records that all take the id
+    "dup", so that every one after the first repeats an id."""
+    return st.one_of(
+        st.tuples(record, NOT_A_LIST.filter(
+            lambda v: not isinstance(v, str))).map(
+            lambda t: ("bad", {**t[0], "id": t[1]})),
+        record.map(lambda r: ("dup", {**r, "id": "dup"})))
 
 
 class TestAtomicWrite:
@@ -537,19 +545,24 @@ class TestReadJsonlProperties:
     @given(jsonl_lines(SPLIT_RECORD,
                        ("id", "project", "code_tokens", "comment_tokens",
                         "code_char_len"),
-                       ("code_tokens", "comment_tokens")))
+                       ("code_tokens", "comment_tokens"),
+                       id_lines(SPLIT_RECORD)))
     @example([("bad", "[" * 100000)])
     @example([("bad", "1" * 5000)])
     @example([("bad", {"id": "", "project": "p", "code_tokens": [],
                        "comment_tokens": [], "code_char_len": math.inf})])
     @example([("bad", '{"id": "a", "project": "p", "code_tokens": [], '
                       '"comment_tokens": [], "code_char_len": 1e400}')])
+    @example([("bad", {"id": None, "project": "p", "code_tokens": [],
+                       "comment_tokens": [], "code_char_len": 0}),
+              ("ok", {"id": "None", "project": "p", "code_tokens": [],
+                      "comment_tokens": [], "code_char_len": 0})])
     def test_split_file(self, lines):
         check_reader(read_split_jsonl, lines)
 
     @PROPERTY_SETTINGS
     @given(jsonl_lines(PREDICTION_RECORD, ("id", "ref", "pred"),
-                       ("ref", "pred"), PREDICTION_ID_LINES))
+                       ("ref", "pred"), id_lines(PREDICTION_RECORD)))
     @example([("bad", {"id": None, "ref": [], "pred": []}),
               ("ok", {"id": "None", "ref": [], "pred": []})])
     @example([("ok", {"id": "1.5", "ref": [], "pred": []}),

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import labcli, trainer
-from smoothsum.corpus import load_prepared_dir, sbt_tokens_for_sample
+from smoothsum.astkit import sbt_from_sexpr
+from smoothsum.corpus import (SPECIAL_TOKENS, load_prepared_dir,
+                              sbt_tokens_for_sample)
 from smoothsum.errors import ConfigurationError
 from smoothsum.metrics import ComparisonResult, read_predictions
 from smoothsum.synthetic import generate_samples, write_corpus_jsonl
@@ -220,6 +222,36 @@ class TestPrepare:
         assert run_cli("prepare", "--data", str(bad), "--out",
                        str(tmp_path / "prep")) == 2
         assert "bad.jsonl:5" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("ids, line, message", [
+        ([None, "None"], 1, "id must be a string or an integer, got NoneType"),
+        ([7, "7"], 2, "duplicate sample id '7'"),
+        ([True], 1, "id must be a string or an integer, got bool")])
+    def test_bad_corpus_id_exits_2(self, tmp_path, capsys, ids, line,
+                                   message):
+        records = [dict(r) for r in VALID_CORPUS]
+        for record, value in zip(records, ids):
+            record["id"] = value
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("prepare", "--data", str(path), "--out",
+                       str(tmp_path / "prep")) == 2
+        err = assert_one_line_error(capsys)
+        assert f"corpus.jsonl:{line}:" in err and message in err
+        assert not (tmp_path / "prep").exists()
+
+    def test_integer_corpus_id_reads_as_text(self, tmp_path):
+        records = [{**r, "id": i} for i, r in enumerate(VALID_CORPUS)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("prepare", "--data", str(path), "--out",
+                       str(tmp_path / "prep"), "--src-vocab", "20",
+                       "--tgt-vocab", "20") == 0
+        prepared = load_prepared_dir(tmp_path / "prep")
+        assert sorted(s.id for split in (prepared.train, prepared.val,
+                                         prepared.test)
+                      for s in split.samples) == sorted(
+            str(i) for i in range(len(VALID_CORPUS)))
 
     def test_lone_surrogate_ast_exits_2(self, tmp_path, corpus_file, capsys):
         # a label UTF-8 cannot encode would reach vocab.ast.txt
@@ -860,6 +892,26 @@ class TestTrainPredictScore:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, split", [
+        ("train", "val"), ("predict", "test"), ("compare", "train"),
+        ("sweep", "test"), ("actionword", "val")])
+    def test_sample_without_code_tokens_exits_2_before_writing(
+            self, tmp_path, prepared_dir, checkpoint, capsys, command, split):
+        # an all-PAD source row leaves attention nothing to attend to
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / f"{split}.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[0]), "code_tokens": []}
+        lines[0] = json.dumps(record, sort_keys=True)
+        (bad / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        flags = (["--checkpoint", str(checkpoint)] if command == "predict"
+                 else ["--epochs", "1", *FAST_MODEL])
+        assert run_cli(command, "--data", str(bad), "--out", str(out),
+                       *flags) == 2
+        err = assert_one_line_error(capsys)
+        assert f"sample {record['id']!r} has no code tokens" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [
         ("train", "val"), ("compare", "test"), ("sweep", "test"),
         ("actionword", "train")])
     def test_sample_without_ast_exits_2_before_training(
@@ -986,6 +1038,94 @@ class TestActionword:
         assert lines[0].startswith("epsilon,micro_precision")
         assert [l.split(",")[0] for l in lines[1:]] == ["0", "0.1", "0.4"]
         assert (out / "actionword.md").read_text().startswith("| epsilon")
+
+
+SMALL_WORDS = ("get", "set", "file", "name", "x")
+SMALL_ASTS = ("(f (x))", "(function (name (get)) (body (file)))")
+# a sample: a comment of up to twice --comment-len 4 words, and an AST
+# that is one of SMALL_ASTS three times in four, else absent or empty
+SMALL_SAMPLE = st.fixed_dictionaries({
+    "project": st.sampled_from(("p1", "p2")),
+    "code_tokens": st.lists(st.sampled_from(SMALL_WORDS), min_size=1,
+                            max_size=6),
+    "comment_tokens": st.lists(st.sampled_from(SMALL_WORDS), min_size=1,
+                               max_size=8),
+    "code_char_len": st.integers(0, 40),
+    "ast": st.sampled_from((*SMALL_ASTS * 3, None, ""))})
+# splits of 0-3 samples, of 2-3 half of the time
+SMALL_SPLIT = st.one_of(st.lists(SMALL_SAMPLE, min_size=2, max_size=3),
+                        st.lists(SMALL_SAMPLE, max_size=3))
+SMALL_MODEL = ["--embed-dim", "8", "--hidden-dim", "8", "--code-len", "6",
+               "--ast-len", "8", "--comment-len", "4", "--heads", "2",
+               "--layers", "1", "--dropout", "0", "--batch-size", "2",
+               "--epochs", "1"]
+
+
+def write_small_prepared(directory: Path, splits, full_vocab) -> None:
+    """A prepared directory of the given split samples. Each vocabulary is
+    the specials alone, or, where full_vocab says so, the specials and
+    every word or SBT token that a sample can hold."""
+    directory.mkdir()
+    for split, samples in zip(("train", "val", "test"), splits):
+        (directory / f"{split}.jsonl").write_text("".join(
+            json.dumps({**s, "id": f"{split}{i}"}) + "\n"
+            for i, s in enumerate(samples)))
+    ast_tokens = sorted({t for text in SMALL_ASTS
+                         for t in sbt_from_sexpr(text)})
+    for name, full, tokens in zip(("src", "tgt", "ast"), full_vocab,
+                                  (SMALL_WORDS, SMALL_WORDS, ast_tokens)):
+        (directory / f"vocab.{name}.txt").write_text("\n".join(
+            [*SPECIAL_TOKENS, *(tokens if full else ())]) + "\n")
+
+
+def cli_exits_cleanly(argv, out: Path, numeric_exit: bool = False) -> None:
+    """Run argv, which writes to out. It must exit 0, or exit 2 with one
+    error: line as the last line of stderr and out absent or an empty
+    directory; with numeric_exit, exit 3 after a numeric failure is also
+    allowed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    lines = err.getvalue().splitlines()
+    if code == 3 and numeric_exit:
+        assert lines[-1].startswith("numeric failure: "), lines
+    elif code != 0:
+        assert code == 2, lines
+        assert [line.startswith("error: ") for line in lines][-1:] == [True]
+        assert sum(line.startswith("error: ") for line in lines) == 1, lines
+        assert not out.exists() or (out.is_dir() and not any(out.iterdir()))
+
+
+class TestCommandProperties:
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(st.tuples(*[SMALL_SPLIT] * 3),
+           st.one_of(st.just((True, True, True)),
+                     st.tuples(*[st.booleans()] * 3)),
+           st.sampled_from(("attendgru", "ast-attendgru", "transformer")))
+    def test_small_prepared_directories(self, splits, full_vocab, arch):
+        """train, predict, compare, sweep and actionword on splits of 0-3
+        samples, vocabularies of only the specials, comments longer than
+        --comment-len and samples without an AST."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_small_prepared(tmp / "prep", splits, full_vocab)
+            flags = ["--data", str(tmp / "prep"), "--arch", arch,
+                     *SMALL_MODEL]
+            cli_exits_cleanly(["train", *flags, "--out", str(tmp / "train")],
+                              tmp / "train")
+            cli_exits_cleanly(["predict", "--data", str(tmp / "prep"),
+                               "--checkpoint",
+                               str(tmp / "train" / "checkpoint.json"),
+                               "--out", str(tmp / "preds.jsonl")],
+                              tmp / "preds.jsonl")
+            for command in ("compare", "actionword"):
+                cli_exits_cleanly([command, *flags, "--out",
+                                   str(tmp / command)], tmp / command)
+            cli_exits_cleanly(["sweep", *flags, "--vocab-sizes", "6",
+                               "--out", str(tmp / "sweep")], tmp / "sweep",
+                              numeric_exit=True)
 
 
 def test_console_entry_point(corpus_file, tmp_path):

@@ -341,10 +341,12 @@ class TestPredictionFiles:
             with pytest.raises(DataError, match="bad.jsonl:1"):
                 X.read_predictions(tmp_path / "bad.jsonl")
 
-    def test_duplicate_ids(self):
-        with pytest.raises(DataError):
-            X.PredictionSet([X.PredictionRecord("1", [], []),
-                             X.PredictionRecord("1", [], [])])
+    def test_duplicate_ids(self, tmp_path):
+        record = json.dumps({"id": "1", "ref": [], "pred": []})
+        (tmp_path / "p.jsonl").write_text(f"{record}\n{record}\n")
+        with pytest.raises(DataError,
+                           match=r"p\.jsonl:2: duplicate prediction id '1'"):
+            X.read_predictions(tmp_path / "p.jsonl")
 
 
 def test_identical_corpus_scores_near_ceiling():

@@ -170,28 +170,28 @@ def stepper_rows(model, code_ids, ast_ids, ids):
 class TestGreedyDecode:
     def test_max_len_one(self):
         model = M.build_model(tiny_config("attendgru", comment_len=2), seed=3)
-        result = M.greedy_decode(model, CODE[0])
-        assert len(result.ids) == 1
+        result = M.greedy_decode(model, CODE[0:1], None)[0]
+        assert len(result) == 1
 
     def test_deterministic(self):
         model = M.build_model(tiny_config("transformer"), seed=3)
-        a = M.greedy_decode(model, CODE[0])
-        b = M.greedy_decode(model, CODE[0])
-        assert a.ids == b.ids
+        a = M.greedy_decode(model, CODE[0:1], None)[0]
+        b = M.greedy_decode(model, CODE[0:1], None)[0]
+        assert a == b
 
     def test_ties_break_to_lowest_index(self):
         model = M.build_model(tiny_config("attendgru", comment_len=3), seed=0)
         for name, tensor in model.params.items():
             tensor.data[:] = 0.0
-        result = M.greedy_decode(model, CODE[0])
-        assert result.ids == [PAD, PAD]  # uniform rows tie toward index 0
+        result = M.greedy_decode(model, CODE[0:1], None)[0]
+        assert result == [PAD, PAD]  # uniform rows tie toward index 0
 
     def test_logit_shift_invariance(self):
         model = M.build_model(tiny_config("attendgru"), seed=4)
-        baseline = M.greedy_decode(model, CODE[0])
+        baseline = M.greedy_decode(model, CODE[0:1], None)[0]
         model.params["out.b"].data += 7.5  # uniform shift of every logit
-        shifted = M.greedy_decode(model, CODE[0])
-        assert baseline.ids == shifted.ids
+        shifted = M.greedy_decode(model, CODE[0:1], None)[0]
+        assert baseline == shifted
 
     @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru",
                                       "transformer"])
@@ -202,21 +202,21 @@ class TestGreedyDecode:
         model = M.build_model(tiny_config(arch, comment_len=9), seed=7)
         model.params["out.b"].data[END] -= 50.0  # decode the full length
         ast = AST[:1] if arch == "ast_attendgru" else None
-        result = M.greedy_decode(model, CODE[0], ast)
-        assert len(result.ids) == 8
-        prefix = np.array([[START] + result.ids[:-1]])
+        result = M.greedy_decode(model, CODE[0:1], ast)[0]
+        assert len(result) == 8
+        prefix = np.array([[START] + result[:-1]])
         probs = M.forward_step(model, CODE[:1], ast, prefix)[0]
-        decoded = stepper_rows(model, CODE[:1], ast, np.array([result.ids]))[0]
+        decoded = stepper_rows(model, CODE[:1], ast, np.array([result]))[0]
         np.testing.assert_allclose(decoded, probs, rtol=0, atol=1e-12)
-        assert result.ids == probs.argmax(axis=-1).tolist()
+        assert result == probs.argmax(axis=-1).tolist()
 
     def test_respects_end_token(self):
         model = M.build_model(tiny_config("attendgru"), seed=5)
-        result = M.greedy_decode(model, CODE[0])
-        if END in result.ids:
-            assert result.ids[-1] == END
-        assert len(result.ids) <= 4
-        assert END not in result.content_ids
+        result = M.greedy_decode(model, CODE[0:1], None)[0]
+        if END in result:
+            assert result[-1] == END
+        assert len(result) <= 4
+        assert END not in [i for i in result if i not in (PAD, START, END)]
 
 
 BATCH_CODE = np.array([[10, 9, 8, 0, 0], [4, 4, 4, 0, 0], [9, 11, 8, 0, 11],
@@ -238,24 +238,24 @@ class TestBatchedDecode:
         model.params["out.b"].data[END] += end_bias
         ast = BATCH_AST if arch == "ast_attendgru" else None
         batch = M.greedy_decode(model, BATCH_CODE, ast)
-        singles = [M.greedy_decode(model, BATCH_CODE[i],
-                                   None if ast is None else ast[i])
+        singles = [M.greedy_decode(model, BATCH_CODE[i:i + 1],
+                                   None if ast is None else ast[i:i + 1])[0]
                    for i in range(len(BATCH_CODE))]
-        assert len({len(r.ids) for r in singles}) >= 3
+        assert len({len(r) for r in singles}) >= 3
         assert isinstance(batch, list) and len(batch) == len(singles)
-        assert all(isinstance(r, M.DecodeResult) for r in singles + batch)
+        assert all(isinstance(r, list) for r in singles + batch)
         padded = np.full((len(singles), model.config.comment_len - 1), PAD)
         for row, want in enumerate(singles):
-            padded[row, :len(want.ids)] = want.ids
+            padded[row, :len(want)] = want
         batch_rows = stepper_rows(model, BATCH_CODE, ast, padded)
         for row, (got, want) in enumerate(zip(batch, singles)):
-            assert got.ids == want.ids
-            length = len(want.ids)
+            assert got == want
+            length = len(want)
             single_rows = stepper_rows(
                 model, BATCH_CODE[row:row + 1],
                 None if ast is None else ast[row:row + 1],
                 padded[row:row + 1, :length])[0]
-            assert want.ids == single_rows.argmax(axis=-1).tolist()
+            assert want == single_rows.argmax(axis=-1).tolist()
             np.testing.assert_allclose(batch_rows[row, :length], single_rows,
                                        rtol=0, atol=1e-12)
 
@@ -265,6 +265,11 @@ class TestBatchedDecode:
             M.greedy_decode(model, CODE[None], AST[None])
         with pytest.raises(ConfigurationError):
             M.greedy_decode(model, CODE, AST[:1])
+        transformer = M.build_model(tiny_config("transformer"), seed=1)
+        with pytest.raises(ConfigurationError):  # one (T,) row
+            M.greedy_decode(transformer, CODE[0], None)
+        with pytest.raises(ConfigurationError):  # a 3-D code array
+            M.greedy_decode(transformer, CODE[None], None)
 
     def test_decode_records_no_tape(self, monkeypatch):
         model = M.build_model(tiny_config("transformer"), seed=1)
@@ -276,7 +281,7 @@ class TestBatchedDecode:
             built.append(obj)
 
         monkeypatch.setattr(T.Tensor, "__init__", recording_init)
-        M.greedy_decode(model, CODE)
+        M.greedy_decode(model, CODE, None)
         assert built
         assert not any(t.requires_grad or t._parents for t in built)
 

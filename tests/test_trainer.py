@@ -174,7 +174,7 @@ class TestTrainingLoop:
         for name in ckpt.model.params.names():
             np.testing.assert_array_equal(ckpt.model.params[name].data,
                                           shorter.model.params[name].data)
-        assert TR.validation_token_accuracy(ckpt.model, dataset) == \
+        assert TR.validation_token_accuracy(ckpt.model, dataset, 64) == \
             ckpt.val_accuracy
 
 
@@ -194,7 +194,7 @@ class TestValidationAccuracy:
             sample_ids=[str(i) for i in range(40)], code=code_ids,
             comments=comments, references=[["x"]] * 40)
         model = M.build_model(config, seed=11)
-        accuracy = TR.validation_token_accuracy(model, dataset)
+        accuracy = TR.validation_token_accuracy(model, dataset, 64)
         positions = 40 * 7
         mean = positions / n_vocab
         sigma = (positions * (1 / n_vocab) * (1 - 1 / n_vocab)) ** 0.5
@@ -204,7 +204,7 @@ class TestValidationAccuracy:
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
-        acc = TR.validation_token_accuracy(model, dataset)
+        acc = TR.validation_token_accuracy(model, dataset, 64)
         assert 0.0 <= acc <= 1.0
 
     def test_empty_dataset_rejected(self):
@@ -214,7 +214,7 @@ class TestValidationAccuracy:
         empty = TR.EncodedDataset(sample_ids=[], code=np.zeros((0, 4)),
                                   comments=np.zeros((0, 4)), references=[])
         with pytest.raises(DataError):
-            TR.validation_token_accuracy(model, empty)
+            TR.validation_token_accuracy(model, empty, 64)
 
 
 class TestCheckpointFiles:
@@ -238,7 +238,7 @@ class TestCheckpointFiles:
         ckpt, dataset = self._checkpoint()
         TR.save_checkpoint(ckpt, tmp_path / "c.json")
         loaded = TR.load_checkpoint(tmp_path / "c.json")
-        recomputed = TR.validation_token_accuracy(loaded.model, dataset)
+        recomputed = TR.validation_token_accuracy(loaded.model, dataset, 64)
         assert abs(recomputed - loaded.val_accuracy) < 1e-9
 
     def test_loaded_model_decodes_identically(self, tmp_path):
@@ -246,9 +246,9 @@ class TestCheckpointFiles:
         TR.save_checkpoint(ckpt, tmp_path / "d.json")
         loaded = TR.load_checkpoint(tmp_path / "d.json")
         for i in (0, 3, 7):
-            a = M.greedy_decode(ckpt.model, dataset.code[i])
-            b = M.greedy_decode(loaded.model, dataset.code[i])
-            assert a.ids == b.ids
+            a = M.greedy_decode(ckpt.model, dataset.code[i:i + 1], None)[0]
+            b = M.greedy_decode(loaded.model, dataset.code[i:i + 1], None)[0]
+            assert a == b
 
     def test_train_config_stored_once(self, tmp_path):
         ckpt, _ = self._checkpoint()
