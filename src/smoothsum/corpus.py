@@ -262,22 +262,24 @@ def token_list(rec, key: str) -> list:
     return value
 
 
-def string_id(rec) -> str:
-    """A split or prediction record's id field: a string."""
-    value = rec["id"]
+def string_id(rec, key: str = "id") -> str:
+    """A split or prediction record's id field (or, by the same rule, a
+    split record's project): a string."""
+    value = rec[key]
     if not isinstance(value, str):
-        raise TypeError(f"id must be a string, got {type(value).__name__}")
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
     return value
 
 
-def _raw_id(rec) -> str:
-    """A raw corpus record's id field: a string, or an integer (not a
-    boolean), which reads as its decimal text."""
-    value = rec["id"]
+def _raw_id(rec, key: str = "id") -> str:
+    """A raw corpus record's id field (or, by the same rule, its project):
+    a string, or an integer (not a boolean), which reads as its decimal
+    text."""
+    value = rec[key]
     if type(value) is int:
         return str(value)
     if not isinstance(value, str):
-        raise TypeError(f"id must be a string or an integer, got "
+        raise TypeError(f"{key} must be a string or an integer, got "
                         f"{type(value).__name__}")
     return value
 
@@ -360,7 +362,7 @@ def read_corpus_jsonl(path) -> Corpus:
                 raise ValueError(f"invalid ast: {exc}") from exc
         return Sample(
             id=_raw_id(rec),
-            project=str(rec["project"]),
+            project=_raw_id(rec, "project"),
             code_tokens=tokenize_code(rec["code"]),
             comment_tokens=tokenize_comment(rec["comment"]),
             ast_text=ast_text,
@@ -392,7 +394,7 @@ def read_split_jsonl(path) -> Corpus:
     def make(rec):
         return Sample(
             id=string_id(rec),
-            project=str(rec["project"]),
+            project=string_id(rec, "project"),
             code_tokens=token_list(rec, "code_tokens"),
             comment_tokens=token_list(rec, "comment_tokens"),
             ast_text=_ast_field(rec),

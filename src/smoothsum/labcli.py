@@ -158,10 +158,15 @@ def _add_model_flags(parser) -> None:
 
 
 def _load(args, splits=SPLITS) -> PreparedData:
-    """The named splits of --data; under --arch ast-attendgru every sample
-    of them must have an AST. Commands load before they write, so a
-    refusal leaves no files."""
+    """The named splits of --data, of which train and val, the splits a
+    command trains and validates on, must not be empty; under --arch
+    ast-attendgru every sample of them must have an AST. Commands load
+    before they write, so a refusal leaves no files."""
     prepared = load_prepared_dir(args.data, splits)
+    for split, use in (("train", "trains"), ("val", "validates")):
+        if split in splits and not len(getattr(prepared, split)):
+            raise DataError(f"{Path(args.data) / f'{split}.jsonl'} holds no "
+                            f"samples; the command {use} on it")
     if args.arch == "ast-attendgru":
         for split in splits:
             for s in getattr(prepared, split).samples:

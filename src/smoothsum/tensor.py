@@ -90,8 +90,10 @@ def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
     def bw(g):
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g, b.data.shape))
 
     return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw)
 
@@ -100,50 +102,51 @@ def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
 
     def bw(g):
-        _accumulate(a, _reduce_to(g * b.data, a.data.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g * a.data, b.data.shape))
 
     return Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient of a 2-D right operand of matmul: the sum over a's
-    leading items of a[i].T @ g[i] (a 2-D a is one item). One product per
-    item keeps each at the forward's own per-item size, where OpenBLAS
-    stays on one thread; a single product over the rows of every item is
-    large enough to be split over threads, and on a 2-core host that cost
-    more CPU than it saved (see gru_sequence). The batched np.matmul form
-    would build an (items, k, n) array and run outside BLAS."""
-    if a.ndim == 2:
-        return a.T @ g
-    a = a.reshape((-1,) + a.shape[-2:])
-    g = g.reshape((-1,) + g.shape[-2:])
-    total = a[0].T @ g[0]
-    for item in range(1, a.shape[0]):
-        total += a[item].T @ g[item]
-    return total
-
-
 def matmul(a, b) -> Tensor:
     """a @ b. A right operand of more than two dimensions must have the
-    product's leading dimensions: only a 2-D b is broadcast."""
+    product's leading dimensions: only a 2-D b is broadcast. With a 2-D b
+    the leading dimensions of a fold into rows, so the forward product,
+    a's gradient and b's gradient a^T g are each one 2-D product over
+    a.reshape(-1, k), not one per item (Appleyard et al. 2016 fold an
+    RNN's input products the same way)."""
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ConfigurationError("matmul operands must have ndim >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ConfigurationError(
             f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.data.shape[-1])
+        out = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+
+        def bw(g):
+            g = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, rows.T @ g)
+
+        return Tensor(out, parents=(a, b), backward_fn=bw)
     out = np.matmul(a.data, b.data)
-    if b.data.ndim > 2 and b.data.shape[:-2] != out.shape[:-2]:
+    if b.data.shape[:-2] != out.shape[:-2]:
         raise ConfigurationError(
             f"matmul broadcasts a right operand {b.data.shape} of more than "
             f"two dimensions to {out.shape}")
 
     def bw(g):
-        _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
-                                  a.data.shape))
-        _accumulate(b, _weight_grad(a.data, g) if b.data.ndim == 2
-                    else np.matmul(a.data.swapaxes(-1, -2), g))
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
+                                      a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return Tensor(out, parents=(a, b), backward_fn=bw)
 

@@ -147,12 +147,23 @@ class Adam:
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, t in self.params.items():
-            g = t.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            t.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # in place, with the operations and their order of
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # data -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            g, m, v = t.grad, self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            scratch = (1 - b2) * g
+            scratch *= g
+            v += scratch
+            update = np.divide(m, bias1)
+            update *= self.lr
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            update /= scratch
+            t.data -= update
 
 
 def _keep_freed_heap() -> None:

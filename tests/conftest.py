@@ -104,9 +104,25 @@ def total_size(store: T.ParamStore) -> int:
 def reference_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient of a 2-D right matmul operand as the batched product
     a^T g over a's leading dimensions, summed down by T._reduce_to: the
-    reference that matmul's per-item weight gradient is pinned to."""
+    reference that matmul's folded weight gradient is pinned to."""
     return T._reduce_to(np.matmul(a.swapaxes(-1, -2), g),
                         (a.shape[-1], g.shape[-1]))
+
+
+def reference_matmul(a, b) -> T.Tensor:
+    """a @ b as numpy's batched matmul, one product per leading item,
+    forward and backward: the reference that T.matmul's products over
+    folded rows are pinned to."""
+    a, b = T._coerce(a), T._coerce(b)
+
+    def bw(g):
+        T._accumulate(a, T._reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
+                                      a.data.shape))
+        T._accumulate(b, reference_weight_grad(a.data, g) if b.data.ndim == 2
+                      else np.matmul(a.data.swapaxes(-1, -2), g))
+
+    return T.Tensor(np.matmul(a.data, b.data), parents=(a, b),
+                    backward_fn=bw)
 
 
 def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:

@@ -439,8 +439,7 @@ RAW_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
                                           blacklist_characters="\r\n"),
                    max_size=30)
 SPLIT_RECORD = st.fixed_dictionaries(
-    {"id": st.just(""), "project": st.one_of(st.text(max_size=5),
-                                             st.integers()),
+    {"id": st.just(""), "project": st.text(max_size=5),
      "code_tokens": TOKENS, "comment_tokens": TOKENS,
      "code_char_len": st.integers(0, 10**6)},
     optional={"ast": st.one_of(st.none(), st.text(max_size=10))})
@@ -448,14 +447,18 @@ PREDICTION_RECORD = st.fixed_dictionaries(
     {"id": st.just(""), "ref": TOKENS, "pred": TOKENS})
 
 
+def not_a_string(record, key):
+    """Bad records whose key field is not a string."""
+    return st.tuples(record, NOT_A_LIST.filter(
+        lambda v: not isinstance(v, str))).map(
+        lambda t: ("bad", {**t[0], key: t[1]}))
+
+
 def id_lines(record):
     """Records whose id is not a string, and records that all take the id
     "dup", so that every one after the first repeats an id."""
-    return st.one_of(
-        st.tuples(record, NOT_A_LIST.filter(
-            lambda v: not isinstance(v, str))).map(
-            lambda t: ("bad", {**t[0], "id": t[1]})),
-        record.map(lambda r: ("dup", {**r, "id": "dup"})))
+    return st.one_of(not_a_string(record, "id"),
+                     record.map(lambda r: ("dup", {**r, "id": "dup"})))
 
 
 class TestAtomicWrite:
@@ -546,7 +549,8 @@ class TestReadJsonlProperties:
                        ("id", "project", "code_tokens", "comment_tokens",
                         "code_char_len"),
                        ("code_tokens", "comment_tokens"),
-                       id_lines(SPLIT_RECORD)))
+                       id_lines(SPLIT_RECORD)
+                       | not_a_string(SPLIT_RECORD, "project")))
     @example([("bad", "[" * 100000)])
     @example([("bad", "1" * 5000)])
     @example([("bad", {"id": "", "project": "p", "code_tokens": [],

@@ -240,6 +240,30 @@ class TestPrepare:
         assert f"corpus.jsonl:{line}:" in err and message in err
         assert not (tmp_path / "prep").exists()
 
+    @pytest.mark.parametrize("projects, code", [
+        ((None, "None", "a", "b"), 2), (("None", "a", "b"), 0)])
+    def test_project_is_a_string_or_an_integer(self, tmp_path, capsys,
+                                               projects, code):
+        # null is refused, so it cannot merge with the project "None"
+        records = [{**r, "project": projects[i % len(projects)]}
+                   for i, r in enumerate(VALID_CORPUS)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "prep"
+        assert run_cli("prepare", "--data", str(path), "--out", str(out),
+                       "--src-vocab", "20", "--tgt-vocab", "20") == code
+        if code == 2:
+            err = assert_one_line_error(capsys)
+            assert ("corpus.jsonl:1:" in err and "project must be a string "
+                    "or an integer, got NoneType" in err)
+            assert not out.exists()
+            return
+        prepared = load_prepared_dir(out)
+        assert sorted(s.project for split in (prepared.train, prepared.val,
+                                              prepared.test)
+                      for s in split.samples) == sorted(
+            r["project"] for r in records)
+
     def test_integer_corpus_id_reads_as_text(self, tmp_path):
         records = [{**r, "id": i} for i, r in enumerate(VALID_CORPUS)]
         path = tmp_path / "corpus.jsonl"
@@ -365,9 +389,11 @@ CORPUS_RECORDS = st.one_of(
               st.just(DELETE) | JSON_VALUES))
 
 
-def prepare_exits_cleanly(data: bytes) -> None:
+def prepare_exits_cleanly(data: bytes, records=None) -> None:
     """prepare on a corpus file holding data exits 0 with nothing on
-    stderr, or exits 2 with exactly one error: line."""
+    stderr, or exits 2 with exactly one error: line. On exit 0, every
+    split sample of records keeps its raw project, a string or an integer
+    read as its decimal text, so distinct raw projects stay distinct."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.jsonl"
@@ -377,6 +403,14 @@ def prepare_exits_cleanly(data: bytes) -> None:
             code = run_cli("prepare", "--data", str(path), "--out",
                            str(Path(tmp) / "prep"), "--src-vocab", "20",
                            "--tgt-vocab", "20")
+        if code == 0 and records is not None:
+            projects = {str(r["id"]): r["project"] for r in records}
+            prepared = load_prepared_dir(Path(tmp) / "prep")
+            for split in (prepared.train, prepared.val, prepared.test):
+                for sample in split.samples:
+                    project = projects[sample.id]
+                    assert isinstance(project, str) or type(project) is int
+                    assert sample.project == str(project)
     if code == 0:
         assert err.getvalue() == ""
     else:
@@ -397,9 +431,11 @@ class TestPrepareProperties:
     @given(CORPUS_RECORDS)
     @example(VALID_CORPUS)
     @example([{**r, "ast": "(\ud800)"} for r in VALID_CORPUS])
+    @example(edited_corpus(0, "project", None))
+    @example(edited_corpus(0, "project", 7))
     def test_arbitrary_field_values(self, records):
         prepare_exits_cleanly("".join(
-            json.dumps(r) + "\n" for r in records).encode())
+            json.dumps(r) + "\n" for r in records).encode(), records)
 
 
 PREDICTION_TOKENS = st.lists(st.sampled_from(
@@ -878,6 +914,35 @@ class TestTrainPredictScore:
             alone.update(tree_digest(tmp_path / size))
         assert tree_digest(both) == alone
 
+    @pytest.mark.parametrize("command, split", [
+        ("train", "train"), ("train", "val"), ("actionword", "train"),
+        ("actionword", "val")])
+    def test_empty_training_split_exits_2_naming_it(
+            self, tmp_path, prepared_dir, capsys, command, split):
+        small = copy_prepared(prepared_dir, tmp_path / "prep")
+        (small / f"{split}.jsonl").write_text("")
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(small), "--out", str(out),
+                       "--epochs", "1", *FAST_MODEL) == 2
+        err = assert_one_line_error(capsys)
+        assert f"{split}.jsonl holds no samples" in err
+        assert not out.exists()
+
+    def test_split_project_not_a_string_exits_2(self, tmp_path, prepared_dir,
+                                                capsys):
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "train.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "project": None},
+                              sort_keys=True)
+        (bad / "train.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("train", "--data", str(bad), "--out", str(out),
+                       "--epochs", "1", *FAST_MODEL) == 2
+        err = assert_one_line_error(capsys)
+        assert ("train.jsonl:2:" in err
+                and "project must be a string, got NoneType" in err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     def test_one_sample_test_split_exits_2_before_training(
             self, tmp_path, prepared_dir, capsys, command):
@@ -1078,16 +1143,20 @@ def write_small_prepared(directory: Path, splits, full_vocab) -> None:
             [*SPECIAL_TOKENS, *(tokens if full else ())]) + "\n")
 
 
-def cli_exits_cleanly(argv, out: Path, numeric_exit: bool = False) -> None:
+def cli_exits_cleanly(argv, out: Path, numeric_exit: bool = False,
+                      refusal: str | None = None) -> None:
     """Run argv, which writes to out. It must exit 0, or exit 2 with one
     error: line as the last line of stderr and out absent or an empty
     directory; with numeric_exit, exit 3 after a numeric failure is also
-    allowed."""
+    allowed. A given refusal must end the run in exit 2, and its error
+    line must hold that text."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = run_cli(*argv)
     lines = err.getvalue().splitlines()
+    if refusal is not None:
+        assert code == 2 and refusal in lines[-1], lines
     if code == 3 and numeric_exit:
         assert lines[-1].startswith("numeric failure: "), lines
     elif code != 0:
@@ -1113,8 +1182,12 @@ class TestCommandProperties:
             write_small_prepared(tmp / "prep", splits, full_vocab)
             flags = ["--data", str(tmp / "prep"), "--arch", arch,
                      *SMALL_MODEL]
+            # the first empty split that a command trains or validates on
+            refusal = next((f"{split}.jsonl holds no samples"
+                            for split, samples in zip(("train", "val"), splits)
+                            if not samples), None)
             cli_exits_cleanly(["train", *flags, "--out", str(tmp / "train")],
-                              tmp / "train")
+                              tmp / "train", refusal=refusal)
             cli_exits_cleanly(["predict", "--data", str(tmp / "prep"),
                                "--checkpoint",
                                str(tmp / "train" / "checkpoint.json"),
@@ -1122,10 +1195,11 @@ class TestCommandProperties:
                               tmp / "preds.jsonl")
             for command in ("compare", "actionword"):
                 cli_exits_cleanly([command, *flags, "--out",
-                                   str(tmp / command)], tmp / command)
+                                   str(tmp / command)], tmp / command,
+                                  refusal=refusal)
             cli_exits_cleanly(["sweep", *flags, "--vocab-sizes", "6",
                                "--out", str(tmp / "sweep")], tmp / "sweep",
-                              numeric_exit=True)
+                              numeric_exit=True, refusal=refusal)
 
 
 def test_console_entry_point(corpus_file, tmp_path):

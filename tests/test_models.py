@@ -8,7 +8,8 @@ from smoothsum.corpus import PAD, START, END
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 
-from conftest import reference_dot_attention, reference_gru_step, total_size
+from conftest import (reference_dot_attention, reference_gru_step,
+                      reference_matmul, total_size)
 
 
 def tiny_config(arch, **overrides):
@@ -457,6 +458,35 @@ class TestTapeFreed:
         assert loss.grad is not None
         for name, t in model.params.items():
             assert t.grad.shape == t.data.shape, name
+
+
+class TestFoldedMatmul:
+    """The transformer through T.matmul, whose products with a weight run
+    over folded rows, against the same model through one numpy product per
+    item."""
+
+    @staticmethod
+    def _run(model):
+        model.params.zero_grads()
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
+                                  rng=Rng(5))
+        T.backward(loss, model.params)
+        grads = {n: t.grad for n, t in model.params.items()}
+        return float(loss.data), grads, M.greedy_decode(model, CODE, None)
+
+    def test_gradients_and_decoded_ids_match_per_item_products(
+            self, monkeypatch):
+        model = M.build_model(tiny_config("transformer", layers=2,
+                                          dropout_rate=0.1, epsilon=0.1),
+                              seed=4)
+        loss, grads, ids = self._run(model)
+        monkeypatch.setattr(T, "matmul", reference_matmul)
+        ref_loss, ref_grads, ref_ids = self._run(model)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() \
+                <= 1e-12 * np.abs(ref).max(), name
+        assert ids == ref_ids
 
 
 class TestSequenceLoss:

@@ -467,23 +467,103 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, [2.0])
 
 
+def assert_close_12(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 class TestMatmulBackward:
-    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
-    def test_gradients_match_batched_reduction(self, a_shape):
+    @staticmethod
+    def _operands(a_shape, swapped):
+        """a of a_shape (heads and positions swapped by a strided view when
+        swapped), a (4, 6) weight and an output gradient of the product's
+        shape, as a strided view when swapped."""
         rng = Rng(30)
         a = T.Tensor(rng.uniform_array(a_shape) * 2 - 1, requires_grad=True)
         b = T.Tensor(rng.uniform_array((4, 6)) * 2 - 1, requires_grad=True)
-        g = rng.uniform_array(a_shape[:-1] + (6,)) * 2 - 1
-        T.backward(tensor_sum(T.mul(T.matmul(a, b), g)))
-        for grad, reference in ((b.grad, reference_weight_grad(a.data, g)),
-                                (a.grad, np.matmul(g, b.data.T))):
-            assert grad.shape == reference.shape
-            assert np.abs(grad - reference).max() \
-                <= 1e-12 * np.abs(reference).max()
+        x = T._swap_heads_and_positions(a) if swapped else a
+        g = rng.uniform_array(x.data.shape[:-1] + (6,)) * 2 - 1
+        if swapped:
+            g = np.swapaxes(np.swapaxes(g, -2, -3).copy(), -2, -3)
+        return a, b, x, g
+
+    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_gradients_match_batched_reduction(self, a_shape):
+        self._check_gradients(a_shape, swapped=False)
+
+    @pytest.mark.parametrize("a_shape, swapped", [
+        ((2, 3, 5, 4), True), ((5, 4), False)])
+    def test_gradients_of_strided_and_2d_operands(self, a_shape, swapped):
+        self._check_gradients(a_shape, swapped)
+
+    def _check_gradients(self, a_shape, swapped):
+        a, b, x, g = self._operands(a_shape, swapped)
+        assert x.data.flags.c_contiguous != swapped
+        assert g.flags.c_contiguous != swapped
+        T.backward(tensor_sum(T.mul(T.matmul(x, b), g)))
+        assert_close_12(b.grad, reference_weight_grad(x.data, g))
+        reference = np.matmul(g, b.data.T)
+        if swapped:
+            reference = np.swapaxes(reference, -2, -3)
+        assert_close_12(a.grad, reference)
+
+    @pytest.mark.parametrize("a_shape, swapped", [
+        ((3, 5, 4), False), ((2, 3, 5, 4), False), ((2, 3, 5, 4), True)])
+    def test_forward_matches_numpy(self, a_shape, swapped):
+        _, b, x, _ = self._operands(a_shape, swapped)
+        assert_close_12(T.matmul(x, b).data, np.matmul(x.data, b.data))
+
+    def test_batched_right_operand_matches_numpy(self):
+        rng = Rng(32)
+        a = T.Tensor(rng.uniform_array((2, 3, 5, 4)), requires_grad=True)
+        b = T.Tensor(rng.uniform_array((2, 3, 4, 6)), requires_grad=True)
+        g = rng.uniform_array((2, 3, 5, 6))
+        out = T.matmul(a, b)
+        np.testing.assert_array_equal(out.data, np.matmul(a.data, b.data))
+        T.backward(tensor_sum(T.mul(out, g)))
+        np.testing.assert_array_equal(a.grad, np.matmul(g, b.data.swapaxes(
+            -1, -2)))
+        np.testing.assert_array_equal(b.grad, np.matmul(a.data.swapaxes(
+            -1, -2), g))
 
     def test_broadcast_right_operand_of_three_dims_rejected(self):
         with pytest.raises(ConfigurationError, match="broadcasts"):
             T.matmul(np.ones((2, 3, 4, 5)), np.ones((3, 5, 6)))
+
+
+class TestConstantOperands:
+    @staticmethod
+    def _loss(w, x, scale, mask, table):
+        """x @ w masked, scaled and shifted by a table, so that constants
+        stand on either side of add and mul and left of matmul."""
+        h = T.matmul(x, w)
+        h = T.mul(scale, T.add(table, T.mul(h, mask)))
+        return tensor_sum(T.matmul(T.add(h, table), T.reshape(w, (4, 3))))
+
+    def test_no_gradient_is_formed_for_a_constant(self, monkeypatch):
+        rng = Rng(33)
+        values = [rng.uniform_array(shape) for shape in
+                  ((3, 4), (2, 5, 3), (1,), (2, 5, 4), (5, 4))]
+        reached = []
+        accumulate = T._accumulate
+
+        def recording(tensor, grad):
+            reached.append(tensor)
+            accumulate(tensor, grad)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
+        grads = []
+        for constant_grad in (True, False):
+            tensors = [T.Tensor(v.copy(), requires_grad=i == 0
+                                or constant_grad)
+                       for i, v in enumerate(values)]
+            reached.clear()
+            T.backward(self._loss(*tensors))
+            grads.append(tensors[0].grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+        for constant in tensors[1:]:
+            assert constant.grad is None
+            assert all(t is not constant for t in reached)
 
 
 class TestSmoothedCrossEntropy:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import models as M
+from smoothsum import tensor as T
 from smoothsum import trainer as TR
 from smoothsum.corpus import (Corpus, PAD, Sample, build_vocabulary,
                               build_token_vocabulary, sbt_tokens_for_sample)
@@ -176,6 +177,34 @@ class TestTrainingLoop:
                                           shorter.model.params[name].data)
         assert TR.validation_token_accuracy(ckpt.model, dataset, 64) == \
             ckpt.val_accuracy
+
+
+class TestAdam:
+    def test_matches_the_textbook_expression_bitwise(self):
+        rng = Rng(6)
+        store = T.ParamStore()
+        for name, shape in (("w", (3, 4)), ("b", (4,))):
+            store.add(name, rng.uniform_array(shape) * 2 - 1)
+        expected = {n: t.data.copy() for n, t in store.items()}
+        m = {n: np.zeros_like(v) for n, v in expected.items()}
+        v = {n: np.zeros_like(value) for n, value in expected.items()}
+        optimizer = TR.Adam(store, learning_rate=3e-3)
+        b1, b2 = TR.ADAM_BETA1, TR.ADAM_BETA2
+        for step in range(1, 4):
+            for name, t in store.items():
+                t.grad = rng.uniform_array(t.data.shape) * 2 - 1
+                g = t.grad
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat = m[name] / (1.0 - b1 ** step)
+                v_hat = v[name] / (1.0 - b2 ** step)
+                expected[name] = expected[name] - 3e-3 * m_hat / (
+                    np.sqrt(v_hat) + TR.ADAM_EPS)
+            optimizer.step()
+            for name, t in store.items():
+                np.testing.assert_array_equal(t.data, expected[name])
+                np.testing.assert_array_equal(optimizer.m[name], m[name])
+                np.testing.assert_array_equal(optimizer.v[name], v[name])
 
 
 class TestValidationAccuracy:
