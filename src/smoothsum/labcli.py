@@ -157,21 +157,25 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--lr", type=float, default=1e-3)
 
 
-def _load(args, splits=SPLITS) -> PreparedData:
-    """The named splits of --data, of which train and val, the splits a
-    command trains and validates on, must not be empty; under --arch
-    ast-attendgru every sample of them must have an AST. Commands load
-    before they write, so a refusal leaves no files."""
-    prepared = load_prepared_dir(args.data, splits)
-    for split, use in (("train", "trains"), ("val", "validates")):
-        if split in splits and not len(getattr(prepared, split)):
-            raise DataError(f"{Path(args.data) / f'{split}.jsonl'} holds no "
-                            f"samples; the command {use} on it")
-    if args.arch == "ast-attendgru":
+_TRAINING_USES = {"train": "trains on it", "val": "validates on it"}
+
+
+def _load(data, splits, needs_ast: bool,
+          uses=_TRAINING_USES) -> PreparedData:
+    """The named splits of the data directory. Each split in uses, a
+    subset of splits mapped to what the command does with it, must not be
+    empty; when needs_ast, every sample of the named splits must have an
+    AST. Commands load before they write, so a refusal leaves no files."""
+    prepared = load_prepared_dir(data, splits)
+    for split, use in uses.items():
+        if not len(getattr(prepared, split)):
+            raise DataError(f"{Path(data) / f'{split}.jsonl'} holds no "
+                            f"samples; the command {use}")
+    if needs_ast:
         for split in splits:
             for s in getattr(prepared, split).samples:
                 if not s.ast_text:
-                    raise DataError(f"{Path(args.data) / f'{split}.jsonl'}: "
+                    raise DataError(f"{Path(data) / f'{split}.jsonl'}: "
                                     f"sample {s.id!r} has no AST")
     return prepared
 
@@ -179,7 +183,7 @@ def _load(args, splits=SPLITS) -> PreparedData:
 def _load_paired(args) -> PreparedData:
     """_load of every split, with the 2 test samples that the paired
     t-test of compare and sweep needs."""
-    prepared = _load(args)
+    prepared = _load(args.data, SPLITS, args.arch == "ast-attendgru")
     if len(prepared.test) < 2:
         raise DataError(f"{Path(args.data) / 'test.jsonl'} holds "
                         f"{len(prepared.test)} sample(s); the paired t-test "
@@ -332,7 +336,8 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     train_config = _train_config(args)
-    prepared = _load(args, splits=("train", "val"))
+    prepared = _load(args.data, ("train", "val"),
+                     args.arch == "ast-attendgru")
     [config] = _arm_configs(args, prepared, prepared.tgt_vocab.size,
                             args.comment_len, (args.epsilon,))
     train_set, val_set = _encode(prepared, config, prepared.tgt_vocab,
@@ -348,9 +353,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    prepared = load_prepared_dir(args.data, splits=(args.split,))
     ckpt = trainer.load_checkpoint(args.checkpoint)
     config = ckpt.model.config
+    prepared = _load(args.data, (args.split,),
+                     config.arch == "ast_attendgru",
+                     uses={args.split: "decodes it"})
     sizes = [("source", config.src_vocab, prepared.src_vocab),
              ("target", config.tgt_vocab, prepared.tgt_vocab)]
     if config.arch == "ast_attendgru":
@@ -484,8 +491,11 @@ def cmd_diversity(args) -> int:
                      rep.total_words - base.total_words,
                      rep.unique_words - base.unique_words])
     if out is not None:
+        # only a table suffix goes: --out run.eps0.1 keeps its ".1"
+        if out.suffix in (".csv", ".md"):
+            out = out.with_suffix("")
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_table(rows, out.with_suffix(".csv"), out.with_suffix(".md"))
+        _write_table(rows, Path(f"{out}.csv"), Path(f"{out}.md"))
     print(render_table(rows, "csv"), end="")
     return 0
 
@@ -501,7 +511,7 @@ def cmd_actionword(args) -> int:
     """Action-word study: single-step decoders trained per epsilon in
     {0, 0.1, 0.4}; reports precision/recall/F1 and unique-word counts."""
     train_config = _train_config(args)
-    prepared = _load(args)
+    prepared = _load(args.data, SPLITS, args.arch == "ast-attendgru")
     train, val, test = (_action_word_corpus(split) for split in
                         (prepared.train, prepared.val, prepared.test))
     train_labels = [s.comment_tokens for s in train.samples]

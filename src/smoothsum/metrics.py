@@ -14,10 +14,14 @@ harmonic mean with the 0.5*(chunks/m)^3 fragmentation penalty; the synonym
 pass is deliberately out of scope. score_predictions computes the stem and
 the similarity vector of each distinct token once per scored set; a
 sentence vector adds its token vectors in sorted order and divides once.
+The paired t-test's two-sided p-value is the regularized incomplete beta
+I_{df/(df+t^2)}(df/2, 1/2), summed as a continued fraction by the
+modified Lentz method, so the module needs nothing beyond numpy.
 """
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -295,21 +299,57 @@ def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
 # statistics
 
 
+_BETA_MAX_TERMS = 200
+_BETA_TINY = sys.float_info.min / sys.float_info.epsilon
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for 0 <= x < 1: the prefactor
+    x^a (1-x)^b / (a B(a, b)) times a continued fraction summed by the
+    modified Lentz method (Press et al., Numerical Recipes, 3rd ed.,
+    sec. 6.4). The fraction converges within a few dozen terms for
+    x <= (a+1)/(a+b+2); callers above that use I_x(a, b) = 1 - I_{1-x}(b, a).
+    A fraction that has not converged after _BETA_MAX_TERMS terms (a NaN
+    argument never does) is a NumericError."""
+    if x == 0.0:
+        return 0.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x)) / a
+    # the fraction is 1/(1 + d1/(1 + d2/(1 + ...))); f tracks its
+    # denominator, with c and d clamped away from 0 as Lentz prescribes
+    f = c = 1.0
+    d = 0.0
+    for m in range(_BETA_MAX_TERMS):
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        even = (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))
+        for coeff in (odd, even):
+            d = 1.0 + coeff * d
+            d = 1.0 / (_BETA_TINY if abs(d) < _BETA_TINY else d)
+            c = 1.0 + coeff / c
+            c = _BETA_TINY if abs(c) < _BETA_TINY else c
+            delta = c * d
+            f *= delta
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
+            return front / f
+    raise NumericError(f"incomplete beta I_{x}({a}, {b}) did not converge "
+                       f"in {_BETA_MAX_TERMS} terms")
+
+
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p = I_{df/(df+t^2)}(df/2, 1/2) via the regularized
     incomplete beta."""
-    # imported here: scipy costs most of the package's import time and only
-    # the paired tests of compare and sweep need it
-    from scipy.special import betainc
-
     if df < 1:
         raise ConfigurationError(f"degrees of freedom {df} must be >= 1")
     if math.isinf(t):
         return 0.0
     if t == 0.0:
         return 1.0
+    a, b = df / 2.0, 0.5
     x = df / (df + t * t)
-    return float(betainc(df / 2.0, 0.5, x))
+    if x <= (a + 1.0) / (a + b + 2.0):
+        return _betainc(a, b, x)
+    # 1 - x from t, not by subtraction, which would cancel as x nears 1
+    return 1.0 - _betainc(b, a, t * t / (df + t * t))
 
 
 def paired_t_test(scores_a, scores_b, metric: str = "") -> ComparisonResult:

@@ -916,14 +916,16 @@ class TestTrainPredictScore:
 
     @pytest.mark.parametrize("command, split", [
         ("train", "train"), ("train", "val"), ("actionword", "train"),
-        ("actionword", "val")])
+        ("actionword", "val"), ("predict", "test")])
     def test_empty_training_split_exits_2_naming_it(
-            self, tmp_path, prepared_dir, capsys, command, split):
+            self, tmp_path, prepared_dir, checkpoint, capsys, command, split):
         small = copy_prepared(prepared_dir, tmp_path / "prep")
         (small / f"{split}.jsonl").write_text("")
         out = tmp_path / "out"
+        flags = (["--checkpoint", str(checkpoint)] if command == "predict"
+                 else ["--epochs", "1", *FAST_MODEL])
         assert run_cli(command, "--data", str(small), "--out", str(out),
-                       "--epochs", "1", *FAST_MODEL) == 2
+                       *flags) == 2
         err = assert_one_line_error(capsys)
         assert f"{split}.jsonl holds no samples" in err
         assert not out.exists()
@@ -994,6 +996,25 @@ class TestTrainPredictScore:
         assert f"{split}.jsonl: sample {record['id']!r} has no AST" in err
         assert not out.exists()
 
+    def test_predict_sample_without_ast_exits_2_naming_the_file(
+            self, tmp_path, prepared_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--data", str(prepared_dir), "--out",
+                       str(run_dir), "--arch", "ast-attendgru",
+                       "--epochs", "1", *FAST_MODEL) == 0
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "test.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[-1]), "ast": None}
+        lines[-1] = json.dumps(record, sort_keys=True)
+        (bad / "test.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        assert run_cli("predict", "--data", str(bad), "--out", str(out),
+                       "--checkpoint", str(run_dir / "checkpoint.json")) == 2
+        err = assert_one_line_error(capsys)
+        assert f"test.jsonl: sample {record['id']!r} has no AST" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_pair_layout(self, tmp_path, prepared_dir):
@@ -1041,17 +1062,20 @@ class TestDiversityCommand:
         assert lines[2].split(",")[4:] == ["0", "0"]
         assert (tmp_path / "div.md").read_text().startswith("| file")
 
-    @pytest.mark.parametrize("name", ["div.md", "div"])
+    @pytest.mark.parametrize("name", ["div.md", "div", "run.eps0.1"])
     def test_out_written_as_csv_and_md(self, tmp_path, name, capsys):
+        # a trailing .md (or .csv) is dropped; any other dotted part stays
+        stem = name.removesuffix(".md")
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps({"id": "a", "ref": ["x"],
                                      "pred": ["x", "y"]}) + "\n")
         assert run_cli("diversity", "--predictions", str(preds),
                        "--out", str(tmp_path / name)) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "div.csv", "div.md", "preds.jsonl"]
-        assert (tmp_path / "div.csv").read_text() == capsys.readouterr().out
-        assert (tmp_path / "div.md").read_text().startswith("| file")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            f"{stem}.csv", f"{stem}.md", "preds.jsonl"])
+        assert (tmp_path / f"{stem}.csv").read_text() == \
+            capsys.readouterr().out
+        assert (tmp_path / f"{stem}.md").read_text().startswith("| file")
 
     def test_out_naming_no_file_exits_2(self, tmp_path, monkeypatch,
                                         capsys):

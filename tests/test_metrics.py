@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,75 @@ class TestStudentT:
     def test_df_validation(self):
         with pytest.raises(ConfigurationError):
             X.student_t_two_sided_p(1.0, 0)
+
+
+@pytest.fixture(scope="module")
+def scipy_special():
+    return pytest.importorskip("scipy.special")
+
+
+T_SPREAD = (1e-3, 0.1, 0.5, 1.0, 1.7, 2.0, 3.4641016151, 5.0, 12.0, 100.0,
+            1e4, 1e6)
+
+
+class TestStudentTContinuedFraction:
+    """The p-value's continued fraction against closed forms, which need
+    nothing but math, and against scipy's betainc where scipy is
+    installed."""
+
+    @pytest.mark.parametrize("t", T_SPREAD)
+    def test_closed_form_df1(self, t):
+        # Cauchy: p = 1 - (2/pi) atan|t|
+        expected = 1 - 2 / math.pi * math.atan(t)
+        for signed in (t, -t):
+            assert abs(X.student_t_two_sided_p(signed, 1) - expected) < 1e-12
+
+    @pytest.mark.parametrize("t", T_SPREAD)
+    def test_closed_form_df3(self, t):
+        u = t / math.sqrt(3)
+        expected = 1 - 2 / math.pi * (math.atan(u) + u / (1 + u * u))
+        for signed in (t, -t):
+            assert abs(X.student_t_two_sided_p(signed, 3) - expected) < 1e-12
+
+    def test_nan_raises_numeric_error(self):
+        # a NaN never meets the fraction's convergence test, so the term
+        # cap refuses it instead of returning NaN
+        with pytest.raises(NumericError):
+            X.student_t_two_sided_p(math.nan, 5)
+
+    @settings(max_examples=400, derandomize=True, database=None,
+              deadline=None)
+    @given(df=st.integers(1, 1000), log_t=st.floats(-3, 6),
+           negative=st.booleans())
+    def test_matches_scipy_betainc(self, scipy_special, df, log_t, negative):
+        t = 10.0 ** log_t
+        p = X.student_t_two_sided_p(-t if negative else t, df)
+        # the oracle computes the smaller tail directly, each from the
+        # argument that t gives exactly: betainc at x = df/(df+t^2) near 1
+        # would lose the digits of 1 - x to rounding
+        expected = float(scipy_special.betainc(df / 2, 0.5, df / (df + t * t)))
+        if expected >= 0.5:
+            expected = 1 - float(scipy_special.betainc(
+                0.5, df / 2, t * t / (df + t * t)))
+        if expected >= 1e-290:
+            assert abs(p - expected) <= 1e-10 * expected
+        else:  # both underflow
+            assert abs(p - expected) <= 1e-300
+
+    def test_package_never_loads_scipy(self):
+        src = Path(X.__file__).resolve().parents[1]
+        script = ("import sys\n"
+                  "import smoothsum.labcli\n"
+                  "from smoothsum import metrics\n"
+                  "r = metrics.paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])\n"
+                  "assert abs(r.p_value - 0.074180) < 1e-6\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.partition('.')[0] == 'scipy'))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class TestDiversity:
