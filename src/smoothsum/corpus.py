@@ -41,14 +41,6 @@ class Sample:
     code_char_len: int = 0
 
 
-@dataclass
-class Corpus:
-    samples: list
-
-    def __len__(self):
-        return len(self.samples)
-
-
 def tokenize_code(raw: str) -> list:
     """camelCase/snake_case subtokens, lowercased; digit runs stay
     standalone tokens. No subtoken spans a character outside [A-Za-z0-9],
@@ -98,17 +90,16 @@ class Vocabulary:
         return cls(lines)
 
 
-def build_vocabulary(corpus: Corpus, size: int, side: str) -> Vocabulary:
+def build_vocabulary(samples: list, size: int, side: str) -> Vocabulary:
     """Specials plus the (size - 4) most frequent tokens of one side,
     ties broken lexicographically. The "ast" side counts the SBT streams
     of the samples that have an AST."""
     if side == "source":
-        streams = (s.code_tokens for s in corpus.samples)
+        streams = (s.code_tokens for s in samples)
     elif side == "target":
-        streams = (s.comment_tokens for s in corpus.samples)
+        streams = (s.comment_tokens for s in samples)
     elif side == "ast":
-        streams = (sbt_tokens_for_sample(s) for s in corpus.samples
-                   if s.ast_text)
+        streams = (sbt_tokens_for_sample(s) for s in samples if s.ast_text)
     else:
         raise ConfigurationError(f"unknown vocabulary side {side!r}")
     return build_token_vocabulary(streams, size)
@@ -154,7 +145,7 @@ def check_ratios(ratios) -> None:
         raise ConfigurationError(f"ratios {ratios} do not sum to 1")
 
 
-def split_by_project(corpus: Corpus, ratios, seed: int):
+def split_by_project(samples: list, ratios, seed: int):
     """Partition whole projects into train/val/test.
 
     Projects are shuffled deterministically under the seed, then greedily
@@ -166,18 +157,18 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     so each split gets a project.
     """
     check_ratios(ratios)
-    projects = sorted({s.project for s in corpus.samples})
+    projects = sorted({s.project for s in samples})
     if len(projects) < 3:
         raise DataError(f"need at least 3 projects, got {len(projects)}")
 
     order = list(projects)
     Rng(seed).derive("project-split").shuffle(order)
     by_project = {p: [] for p in projects}
-    for s in corpus.samples:
+    for s in samples:
         by_project[s.project].append(s)
 
     def assign(order, fill_first: bool) -> list:
-        deficits = [r * len(corpus.samples) for r in ratios]
+        deficits = [r * len(samples) for r in ratios]
         buckets = [[], [], []]
         for project in order:
             empty = fill_first and [i for i in range(3) if not buckets[i]]
@@ -190,7 +181,7 @@ def split_by_project(corpus: Corpus, ratios, seed: int):
     if not all(buckets):
         order.sort(key=lambda p: -len(by_project[p]))
         buckets = assign(order, True)
-    return tuple(Corpus(samples=b) for b in buckets)
+    return tuple(buckets)
 
 
 def check_quantile(q: float) -> None:
@@ -198,17 +189,16 @@ def check_quantile(q: float) -> None:
         raise ConfigurationError(f"quantile {q} must be in (0, 1)")
 
 
-def filter_by_length_quantile(corpus: Corpus, q: float) -> Corpus:
-    """Keep samples whose code_char_len strictly exceeds the nearest-rank
-    q-quantile of code_char_len over the corpus."""
+def filter_by_length_quantile(samples: list, q: float) -> list:
+    """The samples whose code_char_len strictly exceeds the nearest-rank
+    q-quantile of code_char_len over all of them."""
     check_quantile(q)
-    if not corpus.samples:
+    if not samples:
         raise DataError("cannot take a quantile of an empty corpus")
-    lengths = sorted(s.code_char_len for s in corpus.samples)
+    lengths = sorted(s.code_char_len for s in samples)
     rank = math.ceil(q * len(lengths))
     threshold = lengths[max(rank, 1) - 1]
-    kept = [s for s in corpus.samples if s.code_char_len > threshold]
-    return Corpus(samples=kept)
+    return [s for s in samples if s.code_char_len > threshold]
 
 
 def extract_action_word(comment_tokens) -> str:
@@ -343,9 +333,9 @@ def sbt_tokens_for_sample(sample) -> list:
             from exc
 
 
-def read_corpus_jsonl(path) -> Corpus:
-    """Read a raw corpus file and tokenize it. A given non-empty ast field
-    must read as an s-expression, whichever split its record lands in.
+def read_corpus_jsonl(path) -> list:
+    """The samples of a raw corpus file, tokenized. A given non-empty ast
+    field must read as an s-expression, whichever split its record lands in.
     A sample with no ast field gets the s-expression the mini-language
     parser derives from its code, or none when the code does not parse."""
     def make(rec):
@@ -369,8 +359,8 @@ def read_corpus_jsonl(path) -> Corpus:
             code_char_len=len(rec["code"]),
         )
 
-    return Corpus(samples=read_jsonl(
-        path, ("id", "project", "code", "comment"), make, "sample"))
+    return read_jsonl(path, ("id", "project", "code", "comment"), make,
+                      "sample")
 
 
 def _sample_to_record(s: Sample) -> dict:
@@ -384,13 +374,13 @@ def _sample_to_record(s: Sample) -> dict:
     }
 
 
-def write_split_jsonl(corpus: Corpus, path) -> None:
+def write_split_jsonl(samples: list, path) -> None:
     with atomic_write(path) as fh:
-        for s in corpus.samples:
+        for s in samples:
             fh.write(json.dumps(_sample_to_record(s), sort_keys=True) + "\n")
 
 
-def read_split_jsonl(path) -> Corpus:
+def read_split_jsonl(path) -> list:
     def make(rec):
         return Sample(
             id=string_id(rec),
@@ -401,9 +391,8 @@ def read_split_jsonl(path) -> Corpus:
             code_char_len=int(rec["code_char_len"]),
         )
 
-    return Corpus(samples=read_jsonl(
-        path, ("id", "project", "code_tokens", "comment_tokens",
-               "code_char_len"), make, "sample"))
+    return read_jsonl(path, ("id", "project", "code_tokens", "comment_tokens",
+                             "code_char_len"), make, "sample")
 
 
 SPLITS = ("train", "val", "test")
@@ -412,24 +401,24 @@ VOCAB_FILES = ("vocab.src.txt", "vocab.tgt.txt", "vocab.ast.txt")
 
 @dataclass
 class PreparedData:
-    """Contents of a prepared split directory; a split that was not loaded
-    is None."""
+    """Contents of a prepared split directory, each split a list of
+    samples; a split that was not loaded is None."""
 
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
     ast_vocab: Vocabulary
-    train: Corpus | None = None
-    val: Corpus | None = None
-    test: Corpus | None = None
+    train: list | None = None
+    val: list | None = None
+    test: list | None = None
 
 
-def write_prepared_dir(directory, train: Corpus, val: Corpus, test: Corpus,
+def write_prepared_dir(directory, train: list, val: list, test: list,
                        src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                        ast_vocab: Vocabulary) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for split, corpus in zip(SPLITS, (train, val, test)):
-        write_split_jsonl(corpus, directory / f"{split}.jsonl")
+    for split, samples in zip(SPLITS, (train, val, test)):
+        write_split_jsonl(samples, directory / f"{split}.jsonl")
     for name, vocab in zip(VOCAB_FILES, (src_vocab, tgt_vocab, ast_vocab)):
         vocab.write(directory / name)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .corpus import (END, PAD, SPLITS, START, Corpus, PreparedData,
+from .corpus import (END, PAD, SPLITS, START, PreparedData,
                      Vocabulary, atomic_write, build_token_vocabulary,
                      build_vocabulary, check_quantile, check_ratios,
                      check_vocab_size, extract_action_word,
@@ -173,7 +173,7 @@ def _load(data, splits, needs_ast: bool,
                             f"samples; the command {use}")
     if needs_ast:
         for split in splits:
-            for s in getattr(prepared, split).samples:
+            for s in getattr(prepared, split):
                 if not s.ast_text:
                     raise DataError(f"{Path(data) / f'{split}.jsonl'}: "
                                     f"sample {s.id!r} has no AST")
@@ -220,21 +220,21 @@ def _train_config(args) -> TrainConfig:
 
 
 def decode_predictions(model: models.Model, dataset,
-                       tgt_vocab: Vocabulary) -> metrics.PredictionSet:
+                       tgt_vocab: Vocabulary) -> list:
     """Greedy-decode every sample, DECODE_CHUNK rows per batch, and pair
     each decode, less its PAD, START and END ids, with its reference
-    tokens."""
+    tokens: one PredictionRecord per sample."""
     records = []
     for rows in trainer.row_slices(len(dataset), DECODE_CHUNK):
-        ast = dataset.ast[rows] if dataset.ast is not None else None
-        decoded = models.greedy_decode(model, dataset.code[rows], ast)
+        decoded = models.greedy_decode(model, dataset.code[rows],
+                                       dataset.ast[rows])
         for sample_id, reference, ids in zip(
                 dataset.sample_ids[rows], dataset.references[rows], decoded):
             predicted = [tgt_vocab.decode_id(t) for t in ids
                          if t not in (PAD, START, END)]
             records.append(metrics.PredictionRecord(
                 id=sample_id, reference=reference, predicted=predicted))
-    return metrics.PredictionSet(records=records)
+    return records
 
 
 def _eps_tag(epsilon: float) -> str:
@@ -315,12 +315,11 @@ def cmd_prepare(args) -> int:
     check_vocab_size(args.src_vocab)
     check_vocab_size(args.tgt_vocab)
     raw = read_corpus_jsonl(args.data)
-    kept = [s for s in raw.samples if s.comment_tokens and s.code_tokens]
-    dropped = len(raw.samples) - len(kept)
-    corpus = Corpus(samples=kept)
+    samples = [s for s in raw if s.comment_tokens and s.code_tokens]
+    dropped = len(raw) - len(samples)
     if args.quantile is not None:
-        corpus = filter_by_length_quantile(corpus, args.quantile)
-    train, val, test = split_by_project(corpus, ratios, args.seed)
+        samples = filter_by_length_quantile(samples, args.quantile)
+    train, val, test = split_by_project(samples, ratios, args.seed)
     src_vocab = build_vocabulary(train, args.src_vocab, "source")
     tgt_vocab = build_vocabulary(train, args.tgt_vocab, "target")
     ast_vocab = build_vocabulary(train, args.src_vocab, "ast")
@@ -500,21 +499,22 @@ def cmd_diversity(args) -> int:
     return 0
 
 
-def _action_word_corpus(split: Corpus) -> Corpus:
+def _action_word_samples(split: list) -> list:
     """split with each comment replaced by its action word, which a
     comment_len of 3 encodes as [START, action word, END]."""
-    return Corpus([replace(s, comment_tokens=[extract_action_word(
-        s.comment_tokens)]) for s in split.samples])
+    return [replace(s, comment_tokens=[extract_action_word(s.comment_tokens)])
+            for s in split]
 
 
 def cmd_actionword(args) -> int:
     """Action-word study: single-step decoders trained per epsilon in
     {0, 0.1, 0.4}; reports precision/recall/F1 and unique-word counts."""
     train_config = _train_config(args)
-    prepared = _load(args.data, SPLITS, args.arch == "ast-attendgru")
-    train, val, test = (_action_word_corpus(split) for split in
+    prepared = _load(args.data, SPLITS, args.arch == "ast-attendgru",
+                     uses={**_TRAINING_USES, "test": "decodes it"})
+    train, val, test = (_action_word_samples(split) for split in
                         (prepared.train, prepared.val, prepared.test))
-    train_labels = [s.comment_tokens for s in train.samples]
+    train_labels = [s.comment_tokens for s in train]
     label_vocab = build_token_vocabulary(
         train_labels, size=4 + len({word for [word] in train_labels}))
     configs = _arm_configs(args, prepared, label_vocab.size,
@@ -531,9 +531,9 @@ def cmd_actionword(args) -> int:
         predicted = []
         for batch in trainer.row_slices(len(test_set), DECODE_CHUNK):
             code = test_set.code[batch]
-            ast = test_set.ast[batch] if test_set.ast is not None else None
             prefix = np.full((len(code), 1), START, dtype=np.int64)
-            probs = models.forward_step(ckpt.model, code, ast, prefix)[:, 0]
+            probs = models.forward_step(ckpt.model, code, test_set.ast[batch],
+                                        prefix)[:, 0]
             predicted += [label_vocab.decode_id(4 + int(best))
                           for best in probs[:, 4:].argmax(axis=-1)]
         report = metrics.classification_report(gold, predicted)

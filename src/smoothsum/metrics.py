@@ -15,8 +15,10 @@ pass is deliberately out of scope. score_predictions computes the stem and
 the similarity vector of each distinct token once per scored set; a
 sentence vector adds its token vectors in sorted order and divides once.
 The paired t-test's two-sided p-value is the regularized incomplete beta
-I_{df/(df+t^2)}(df/2, 1/2), summed as a continued fraction by the
-modified Lentz method, so the module needs nothing beyond numpy.
+I_x(df/2, 1/2) at x = df/(df+t^2), summed as a continued fraction by the
+modified Lentz method, so the module needs nothing beyond numpy. It takes
+log x and log(1 - x), derived from |t|/sqrt(df) without forming t^2, so
+no |t| is too large for a p-value.
 """
 
 import json
@@ -43,14 +45,6 @@ class PredictionRecord:
     id: str
     reference: list
     predicted: list
-
-
-@dataclass
-class PredictionSet:
-    records: list
-
-    def __len__(self):
-        return len(self.records)
 
 
 @dataclass
@@ -127,7 +121,7 @@ def _ngrams(tokens):
                                for n in range(1, BLEU_MAX_ORDER + 1))
 
 
-def corpus_bleu(preds: PredictionSet) -> float:
+def corpus_bleu(preds: list) -> float:
     """Corpus-level BLEU with uniform 1/BLEU_MAX_ORDER weights and brevity
     penalty min(1, e^(1 - r/c)) over aggregate lengths."""
     if len(preds) == 0:
@@ -136,7 +130,7 @@ def corpus_bleu(preds: PredictionSet) -> float:
     totals = [0] * BLEU_MAX_ORDER
     candidate_len = 0
     reference_len = 0
-    for record in preds.records:
+    for record in preds:
         pred, ref = record.predicted, record.reference
         candidate_len += len(pred)
         reference_len += len(ref)
@@ -303,18 +297,18 @@ _BETA_MAX_TERMS = 200
 _BETA_TINY = sys.float_info.min / sys.float_info.epsilon
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 <= x < 1: the prefactor
-    x^a (1-x)^b / (a B(a, b)) times a continued fraction summed by the
-    modified Lentz method (Press et al., Numerical Recipes, 3rd ed.,
-    sec. 6.4). The fraction converges within a few dozen terms for
-    x <= (a+1)/(a+b+2); callers above that use I_x(a, b) = 1 - I_{1-x}(b, a).
-    A fraction that has not converged after _BETA_MAX_TERMS terms (a NaN
-    argument never does) is a NumericError."""
-    if x == 0.0:
-        return 0.0
+def _betainc(a: float, b: float, log_x: float, log_1mx: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given log x and
+    log(1 - x): the prefactor x^a (1-x)^b / (a B(a, b)), formed in logs,
+    times a continued fraction summed by the modified Lentz method (Press
+    et al., Numerical Recipes, 3rd ed., sec. 6.4). The fraction converges
+    within a few dozen terms for x <= (a+1)/(a+b+2); callers above that
+    use I_x(a, b) = 1 - I_{1-x}(b, a). A fraction that has not converged
+    after _BETA_MAX_TERMS terms (a NaN argument never does) is a
+    NumericError."""
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x)) / a
+                     + a * log_x + b * log_1mx) / a
+    x = math.exp(log_x)
     # the fraction is 1/(1 + d1/(1 + d2/(1 + ...))); f tracks its
     # denominator, with c and d clamped away from 0 as Lentz prescribes
     f = c = 1.0
@@ -336,20 +330,27 @@ def _betainc(a: float, b: float, x: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided p = I_{df/(df+t^2)}(df/2, 1/2) via the regularized
+    """Two-sided p = I_x(df/2, 1/2) at x = df/(df+t^2) via the regularized
     incomplete beta."""
     if df < 1:
         raise ConfigurationError(f"degrees of freedom {df} must be >= 1")
     if math.isinf(t):
         return 0.0
-    if t == 0.0:
+    u = abs(t) / math.sqrt(df)
+    if u == 0.0:
         return 1.0
+    # x = 1/(1+u^2) and 1 - x = u^2/(1+u^2), in logs from whichever of
+    # u^2 and 1/u^2 is at most 1, so neither overflows nor cancels
+    if u >= 1.0:
+        log_1mx = -math.log1p((1.0 / u) ** 2)
+        log_x = -2.0 * math.log(u) + log_1mx
+    else:
+        log_x = -math.log1p(u * u)
+        log_1mx = 2.0 * math.log(u) + log_x
     a, b = df / 2.0, 0.5
-    x = df / (df + t * t)
-    if x <= (a + 1.0) / (a + b + 2.0):
-        return _betainc(a, b, x)
-    # 1 - x from t, not by subtraction, which would cancel as x nears 1
-    return 1.0 - _betainc(b, a, t * t / (df + t * t))
+    if math.exp(log_x) <= (a + 1.0) / (a + b + 2.0):
+        return _betainc(a, b, log_x, log_1mx)
+    return 1.0 - _betainc(b, a, log_1mx, log_x)
 
 
 def paired_t_test(scores_a, scores_b, metric: str = "") -> ComparisonResult:
@@ -385,10 +386,10 @@ def paired_t_test(scores_a, scores_b, metric: str = "") -> ComparisonResult:
 # diversity and classification
 
 
-def diversity_report(preds: PredictionSet) -> DiversityReport:
+def diversity_report(preds: list) -> DiversityReport:
     """Word counts over predicted tokens only; PAD/START/END excluded."""
     counts = Counter()
-    for record in preds.records:
+    for record in preds:
         counts.update(t for t in record.predicted
                       if t not in _EXCLUDED_FROM_DIVERSITY)
     total = sum(counts.values())
@@ -400,6 +401,16 @@ def diversity_report(preds: PredictionSet) -> DiversityReport:
     )
 
 
+def _class_stats(hits: int, predicted: int, gold: int) -> ClassStats:
+    """Precision hits/predicted, recall hits/gold and their F1; each is 0
+    where its denominator is."""
+    precision = hits / predicted if predicted else 0.0
+    recall = hits / gold if gold else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return ClassStats(precision, recall, f1)
+
+
 def classification_report(gold, predicted) -> ClassificationReport:
     """Per-class precision/recall/F1 with micro and macro aggregates over
     the union of gold and predicted label sets."""
@@ -407,26 +418,12 @@ def classification_report(gold, predicted) -> ClassificationReport:
     predicted = list(predicted)
     if len(gold) != len(predicted):
         raise DataError("gold and predicted label lists differ in length")
-    labels = sorted(set(gold) | set(predicted))
-    per_class = {}
-    tp_sum = fp_sum = fn_sum = 0
-    for label in labels:
-        tp = sum(1 for g, p in zip(gold, predicted) if g == label and p == label)
-        fp = sum(1 for g, p in zip(gold, predicted) if g != label and p == label)
-        fn = sum(1 for g, p in zip(gold, predicted) if g == label and p != label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        per_class[label] = ClassStats(precision, recall, f1)
-        tp_sum += tp
-        fp_sum += fp
-        fn_sum += fn
-    micro_p = tp_sum / (tp_sum + fp_sum) if tp_sum + fp_sum else 0.0
-    micro_r = tp_sum / (tp_sum + fn_sum) if tp_sum + fn_sum else 0.0
-    micro_f = (2 * micro_p * micro_r / (micro_p + micro_r)
-               if micro_p + micro_r else 0.0)
-    if labels:
+    hits = Counter(g for g, p in zip(gold, predicted) if g == p)
+    gold_counts, predicted_counts = Counter(gold), Counter(predicted)
+    per_class = {label: _class_stats(hits[label], predicted_counts[label],
+                                     gold_counts[label])
+                 for label in sorted(gold_counts.keys() | predicted_counts)}
+    if per_class:
         macro = ClassStats(
             precision=float(np.mean([c.precision for c in per_class.values()])),
             recall=float(np.mean([c.recall for c in per_class.values()])),
@@ -436,7 +433,7 @@ def classification_report(gold, predicted) -> ClassificationReport:
         macro = ClassStats(0.0, 0.0, 0.0)
     return ClassificationReport(
         per_class=per_class,
-        micro=ClassStats(micro_p, micro_r, micro_f),
+        micro=_class_stats(hits.total(), len(predicted), len(gold)),
         macro=macro,
     )
 
@@ -445,27 +442,27 @@ def classification_report(gold, predicted) -> ClassificationReport:
 # prediction files
 
 
-def write_predictions(preds: PredictionSet, path) -> None:
+def write_predictions(preds: list, path) -> None:
     with atomic_write(path) as fh:
-        for r in preds.records:
+        for r in preds:
             fh.write(json.dumps(
                 {"id": r.id, "ref": r.reference, "pred": r.predicted},
                 sort_keys=True) + "\n")
 
 
-def read_predictions(path) -> PredictionSet:
-    """A prediction file: one record per line with a string id that no
-    earlier line holds, and ref and pred token lists."""
+def read_predictions(path) -> list:
+    """The PredictionRecords of a prediction file: one record per line
+    with a string id that no earlier line holds, and ref and pred token
+    lists."""
     def make(rec):
         return PredictionRecord(id=string_id(rec),
                                 reference=token_list(rec, "ref"),
                                 predicted=token_list(rec, "pred"))
 
-    return PredictionSet(records=read_jsonl(path, ("id", "ref", "pred"),
-                                            make, "prediction"))
+    return read_jsonl(path, ("id", "ref", "pred"), make, "prediction")
 
 
-def score_predictions(preds: PredictionSet) -> MetricReport:
+def score_predictions(preds: list) -> MetricReport:
     """All three metrics over one prediction set. Stems and similarity
     vectors are computed once per distinct token of the set, and kept
     only for this call."""
@@ -473,13 +470,12 @@ def score_predictions(preds: PredictionSet) -> MetricReport:
         raise DataError("cannot score an empty prediction set")
     stems = {}
     embedder = HashedBagEmbedder()
-    embedder.add_tokens(t for r in preds.records
-                        for t in (*r.predicted, *r.reference))
+    embedder.add_tokens(t for r in preds for t in (*r.predicted, *r.reference))
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),
         meteor_scores=[sentence_meteor(r.predicted, r.reference, stems)
-                       for r in preds.records],
+                       for r in preds],
         similarity_scores=[sentence_similarity(r.predicted, r.reference,
                                                embedder)
-                           for r in preds.records],
+                           for r in preds],
     )

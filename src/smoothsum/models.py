@@ -387,8 +387,9 @@ def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
 
 def greedy_decode(model: Model, code_ids, ast_ids) -> list:
     """Argmax decoding of a (B, T) batch from START until every row has
-    emitted END, or for comment_len - 1 steps; ties break toward the lowest
-    index (np.argmax convention). Returns one id list per row, without
+    emitted END, or for comment_len - 1 steps; each step emits the argmax
+    of the logits, with exact ties broken toward the lowest index
+    (np.argmax convention). Returns one id list per row, without
     START, running through the row's END when it emitted one.
     """
     cfg = model.config
@@ -401,7 +402,7 @@ def greedy_decode(model: Model, code_ids, ast_ids) -> list:
         emitted = []
         for _ in range(cfg.comment_len - 1):
             logits = decode(tokens[:, None])
-            tokens = T.softmax(logits, axis=-1).data[:, 0].argmax(axis=-1)
+            tokens = logits.data[:, 0].argmax(axis=-1)
             emitted.append(tokens)
             finished |= tokens == END
             if finished.all():

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import models, tensor as T
-from .corpus import (PAD, Corpus, Vocabulary, atomic_write, encode_sequence,
+from .corpus import (PAD, Vocabulary, atomic_write, encode_sequence,
                      sbt_tokens_for_sample)
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import Rng
@@ -79,57 +79,58 @@ class Checkpoint:
 
 @dataclass
 class EncodedDataset:
-    """Corpus encoded against fixed vocabularies and model lengths."""
+    """Samples encoded against fixed vocabularies and model lengths. ast
+    has no columns when the architecture reads no AST."""
 
     sample_ids: list
     code: np.ndarray
     comments: np.ndarray
-    ast: np.ndarray | None = None
+    ast: np.ndarray
     references: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.sample_ids)
 
 
-def encode_corpus(corpus: Corpus, config: models.ModelConfig,
+def encode_corpus(samples: list, config: models.ModelConfig,
                   src_vocab: Vocabulary, tgt_vocab: Vocabulary,
                   ast_vocab: Vocabulary | None = None) -> EncodedDataset:
     """Sources are encoded bare, comments wrapped in START/END; the AST
     stream (SBT tokens) is encoded bare against its own vocabulary. A
     sample without code tokens is refused: attention over its all-PAD
     source row would have no position to attend to."""
-    if not corpus.samples:
+    if not samples:
         raise DataError("cannot encode an empty corpus")
+    reads_ast = config.arch == "ast_attendgru"
+    if reads_ast and ast_vocab is None:
+        raise ConfigurationError("ast_attendgru needs an AST vocabulary")
     code_rows, ast_rows = [], []
-    for s in corpus.samples:
+    for s in samples:
         if not s.code_tokens:
             raise DataError(f"sample {s.id!r} has no code tokens")
         code_rows.append(encode_sequence(s.code_tokens, src_vocab,
                                          config.code_len, False))
-        if config.arch == "ast_attendgru":
-            if ast_vocab is None:
-                raise ConfigurationError("ast_attendgru needs an AST vocabulary")
-            ast_rows.append(encode_sequence(sbt_tokens_for_sample(s), ast_vocab,
-                                            config.ast_len, False))
+        ast_rows.append(encode_sequence(sbt_tokens_for_sample(s), ast_vocab,
+                                        config.ast_len, False)
+                        if reads_ast else [])
     # references are capped at the trainable content length so decode and
     # reference lengths stay commensurate
     max_content = config.comment_len - 2
     return EncodedDataset(
-        sample_ids=[s.id for s in corpus.samples],
+        sample_ids=[s.id for s in samples],
         code=np.array(code_rows, dtype=np.int64),
-        comments=encode_comments(corpus, tgt_vocab, config.comment_len),
-        ast=np.array(ast_rows, dtype=np.int64) if ast_rows else None,
-        references=[list(s.comment_tokens[:max_content])
-                    for s in corpus.samples],
+        comments=encode_comments(samples, tgt_vocab, config.comment_len),
+        ast=np.array(ast_rows, dtype=np.int64),
+        references=[list(s.comment_tokens[:max_content]) for s in samples],
     )
 
 
-def encode_comments(corpus: Corpus, tgt_vocab: Vocabulary,
+def encode_comments(samples: list, tgt_vocab: Vocabulary,
                     comment_len: int) -> np.ndarray:
-    """The comments of corpus wrapped in START/END: the one side of an
+    """The comments of samples wrapped in START/END: the one side of an
     EncodedDataset that depends on the target vocabulary."""
     return np.array([encode_sequence(s.comment_tokens, tgt_vocab, comment_len,
-                                     True) for s in corpus.samples],
+                                     True) for s in samples],
                     dtype=np.int64)
 
 
@@ -205,8 +206,8 @@ def validation_token_accuracy(model: models.Model, dataset: EncodedDataset,
     for rows in row_slices(len(dataset), batch_size):
         comments = dataset.comments[rows]
         prefix, targets = comments[:, :-1], comments[:, 1:]
-        ast = dataset.ast[rows] if dataset.ast is not None else None
-        probs = models.forward_step(model, dataset.code[rows], ast, prefix)
+        probs = models.forward_step(model, dataset.code[rows],
+                                    dataset.ast[rows], prefix)
         predicted = probs.argmax(axis=-1)
         mask = targets != PAD
         hits += int((predicted[mask] == targets[mask]).sum())
@@ -245,11 +246,10 @@ def train(model: models.Model, train_set: EncodedDataset,
         for batch_index, rows in enumerate(row_slices(len(order),
                                                       config.batch_size)):
             idx = np.asarray(order[rows])
-            ast = train_set.ast[idx] if train_set.ast is not None else None
             model.params.zero_grads()
             loss, count = models.sequence_loss(
-                model, train_set.code[idx], ast, train_set.comments[idx],
-                training=True, rng=dropout_rng)
+                model, train_set.code[idx], train_set.ast[idx],
+                train_set.comments[idx], training=True, rng=dropout_rng)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericError(

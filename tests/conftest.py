@@ -5,7 +5,7 @@ import pytest
 
 from smoothsum import tensor as T
 from smoothsum.astkit import AstNode
-from smoothsum.corpus import Corpus, Sample, tokenize_code, tokenize_comment
+from smoothsum.corpus import Sample, tokenize_code, tokenize_comment
 from smoothsum.errors import ConfigurationError
 from smoothsum.rng import Rng
 from smoothsum.smoothing import smooth_target_matrix
@@ -33,7 +33,7 @@ def samples_from_records(records):
 
 @pytest.fixture
 def toy_corpus():
-    return Corpus(samples_from_records(generate_samples(120, seed=5)))
+    return samples_from_records(generate_samples(120, seed=5))
 
 
 def random_tree(rng: Rng, max_nodes: int) -> AstNode:

@@ -17,7 +17,7 @@ from smoothsum import metrics as X
 from smoothsum import models as M
 from smoothsum import trainer as TR
 from smoothsum.astkit import enumerate_leaf_paths, node, sample_paths, sbt_flatten
-from smoothsum.corpus import (END, PAD, START, Corpus, Sample, build_vocabulary,
+from smoothsum.corpus import (END, PAD, START, Sample, build_vocabulary,
                               split_by_project)
 from smoothsum.rng import Rng
 from smoothsum.smoothing import loss_floor, smooth_targets
@@ -80,7 +80,7 @@ def test_c3_loss_floor_law_single_sample_overfit():
                     code_tokens=["open", "file", "handle"],
                     comment_tokens=["opens", "the", "file", "handle"],
                     code_char_len=20)
-    corpus = Corpus([sample])
+    corpus = [sample]
     src_vocab = build_vocabulary(corpus, 20, "source")
     tgt_vocab = build_vocabulary(corpus, 20, "target")
     for eps in (0.0, 0.1, 0.4):
@@ -111,8 +111,8 @@ def test_c3_loss_floor_law_single_sample_overfit():
 
 
 def test_c4_bleu_worked_pair():
-    preds = X.PredictionSet([X.PredictionRecord(
-        "1", ["a", "b", "c", "d", "e"], ["a", "b", "c", "d"])])
+    preds = [X.PredictionRecord(
+        "1", ["a", "b", "c", "d", "e"], ["a", "b", "c", "d"])]
     assert abs(X.corpus_bleu(preds) - 0.778801) < 1e-6
 
 
@@ -175,7 +175,7 @@ def test_c5_sampling_returns_everything_when_small():
 def test_c6_sixty_four_pair_memorization():
     started = time.perf_counter()
     records = generate_samples(64, seed=11, unique_pairs=True)
-    corpus = Corpus(samples_from_records(records))
+    corpus = samples_from_records(records)
     src_vocab = build_vocabulary(corpus, 300, "source")
     tgt_vocab = build_vocabulary(corpus, 300, "target")
     config = M.ModelConfig("attendgru", src_vocab.size, tgt_vocab.size,
@@ -202,7 +202,7 @@ def test_c6_sixty_four_pair_memorization():
 
 def test_c7_smoothing_reduces_unique_words():
     started = time.perf_counter()
-    corpus = Corpus(samples_from_records(generate_samples(700, seed=21)))
+    corpus = samples_from_records(generate_samples(700, seed=21))
     train, val, test = split_by_project(corpus, (0.8, 0.1, 0.1), seed=5)
     assert len(train) >= 500
     src_vocab = build_vocabulary(train, 300, "source")
@@ -227,7 +227,7 @@ def test_c7_smoothing_reduces_unique_words():
                 test_set.sample_ids[i], test_set.references[i],
                 [tgt_vocab.decode_id(t) for t in decoded
                  if t not in (PAD, START, END)]))
-        report = X.diversity_report(X.PredictionSet(records))
+        report = X.diversity_report(records)
         return report.unique_words, report.total_words
 
     unique_plain, unique_smooth, total_plain, total_smooth = [], [], [], []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smoothsum.astkit import import_sexpr, sbt_flatten
-from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
+from smoothsum.corpus import (PAD, START, END, UNK, Sample,
                               SPECIAL_TOKENS, Vocabulary, atomic_write,
                               build_token_vocabulary, build_vocabulary,
                               encode_sequence, extract_action_word,
@@ -18,8 +18,8 @@ from smoothsum.corpus import (PAD, START, END, UNK, Corpus, Sample,
                               tokenize_code, tokenize_comment,
                               write_prepared_dir)
 from smoothsum.errors import ConfigurationError, DataError
-from smoothsum.metrics import (PredictionRecord, PredictionSet,
-                               read_predictions, write_predictions)
+from smoothsum.metrics import (PredictionRecord, read_predictions,
+                               write_predictions)
 from smoothsum.rng import Rng
 from smoothsum.stemming import porter_stem
 
@@ -63,7 +63,7 @@ class TestVocabulary:
         tokens = [t for t, c in freqs.items() for _ in range(c)]
         s = Sample(id="s", project="p", code_tokens=tokens,
                    comment_tokens=tokens, code_char_len=1)
-        return Corpus([s])
+        return [s]
 
     def test_frequency_order(self):
         vocab = build_vocabulary(self._corpus({"a": 3, "b": 2, "c": 1}), 6,
@@ -89,7 +89,7 @@ class TestVocabulary:
                    for i, ast in enumerate(asts)]
         expected = build_token_vocabulary(
             [sbt_flatten(import_sexpr(ast)) for ast in asts if ast], 12)
-        assert build_vocabulary(Corpus(samples), 12, "ast") == expected
+        assert build_vocabulary(samples, 12, "ast") == expected
 
     def test_unknown_side(self):
         with pytest.raises(ConfigurationError):
@@ -151,12 +151,12 @@ class TestEncodeSequence:
 def greedy_split(corpus, ratios, seed):
     """The sample ids of each split under the deficit rule alone, with no
     fallback for an empty split."""
-    order = sorted({s.project for s in corpus.samples})
+    order = sorted({s.project for s in corpus})
     Rng(seed).derive("project-split").shuffle(order)
-    deficits = [r * len(corpus.samples) for r in ratios]
+    deficits = [r * len(corpus) for r in ratios]
     splits = [[], [], []]
     for project in order:
-        ids = [s.id for s in corpus.samples if s.project == project]
+        ids = [s.id for s in corpus if s.project == project]
         which = max(range(3), key=lambda i: (deficits[i], -i))
         splits[which] += ids
         deficits[which] -= len(ids)
@@ -169,7 +169,7 @@ class TestSplitByProject:
         for p, count in sizes.items():
             for i in range(count):
                 samples.append(make_sample(f"{p}x{i}", p))
-        return Corpus(samples)
+        return samples
 
     def test_ten_projects_even(self):
         corpus = self._corpus({f"p{i}": 10 for i in range(10)})
@@ -182,11 +182,11 @@ class TestSplitByProject:
         sizes = {f"p{i}": 1 + rng.randint(20) for i in range(9)}
         corpus = self._corpus(sizes)
         train, val, test = split_by_project(corpus, (0.7, 0.15, 0.15), 3)
-        all_ids = sorted(s.id for c in (train, val, test) for s in c.samples)
-        assert all_ids == sorted(s.id for s in corpus.samples)
+        all_ids = sorted(s.id for c in (train, val, test) for s in c)
+        assert all_ids == sorted(s.id for s in corpus)
         assignment = {}
         for split, c in (("train", train), ("val", val), ("test", test)):
-            for s in c.samples:
+            for s in c:
                 assert assignment.setdefault(s.project, split) == split
 
     def test_deterministic(self):
@@ -194,7 +194,7 @@ class TestSplitByProject:
         a = split_by_project(corpus, (0.8, 0.1, 0.1), 42)
         b = split_by_project(corpus, (0.8, 0.1, 0.1), 42)
         for ca, cb in zip(a, b):
-            assert [s.id for s in ca.samples] == [s.id for s in cb.samples]
+            assert [s.id for s in ca] == [s.id for s in cb]
 
     def test_too_few_projects(self):
         with pytest.raises(DataError):
@@ -207,7 +207,7 @@ class TestSplitByProject:
         for seed in (2, 3, 4):
             assert not all(greedy_split(corpus, (0.8, 0.1, 0.1), seed))
             train, val, test = split_by_project(corpus, (0.8, 0.1, 0.1), seed)
-            assert {s.project for s in train.samples} == {"c"}
+            assert {s.project for s in train} == {"c"}
             assert (len(train), len(val), len(test)) == (80, 10, 10)
 
     @settings(max_examples=300, deadline=None, database=None,
@@ -220,14 +220,14 @@ class TestSplitByProject:
     def test_fallback_only_where_a_split_is_empty(self, sizes, ratios, seed):
         corpus = self._corpus({f"p{i}": n for i, n in enumerate(sizes)})
         greedy = greedy_split(corpus, ratios, seed)
-        splits = [[s.id for s in c.samples]
+        splits = [[s.id for s in c]
                   for c in split_by_project(corpus, ratios, seed)]
         if all(greedy):
             assert splits == greedy
         else:
             assert all(splits)
             assert sorted(sum(splits, [])) == \
-                sorted(s.id for s in corpus.samples)
+                sorted(s.id for s in corpus)
 
     def test_bad_ratios(self):
         corpus = self._corpus({f"p{i}": 5 for i in range(4)})
@@ -238,16 +238,16 @@ class TestSplitByProject:
 
 class TestQuantileFilter:
     def _corpus(self, lengths):
-        return Corpus([make_sample(i, f"p{i}", code_len=l)
-                       for i, l in enumerate(lengths)])
+        return [make_sample(i, f"p{i}", code_len=l)
+                for i, l in enumerate(lengths)]
 
     def test_decile_on_one_to_ten(self):
         kept = filter_by_length_quantile(self._corpus(range(1, 11)), 0.9)
-        assert [s.code_char_len for s in kept.samples] == [10]
+        assert [s.code_char_len for s in kept] == [10]
 
     def test_quartile_on_one_to_four(self):
         kept = filter_by_length_quantile(self._corpus([1, 2, 3, 4]), 0.75)
-        assert [s.code_char_len for s in kept.samples] == [4]
+        assert [s.code_char_len for s in kept] == [4]
 
     def test_all_equal_gives_empty(self):
         for q in (0.1, 0.5, 0.9):
@@ -265,12 +265,12 @@ class TestQuantileFilter:
                             if sum(x <= v for x in lengths) / len(lengths) >= q)
             expected = sorted(i for i, l in enumerate(lengths) if l > threshold)
             kept = filter_by_length_quantile(self._corpus(lengths), q)
-            got = sorted(int(s.id[1:]) for s in kept.samples)
+            got = sorted(int(s.id[1:]) for s in kept)
             assert got == expected, (trial, lengths, q)
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            filter_by_length_quantile(Corpus([]), 0.5)
+            filter_by_length_quantile([], 0.5)
 
     def test_bad_quantile(self):
         with pytest.raises(ConfigurationError):
@@ -309,10 +309,10 @@ class TestCorpusFiles:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         corpus = read_corpus_jsonl(path)
-        assert [s.id for s in corpus.samples] == ["a", "b"]
-        assert corpus.samples[0].comment_tokens == ["gets", "one"]
-        assert corpus.samples[1].ast_text == "(function (name (f)))"
-        assert corpus.samples[0].code_char_len == len(rows[0]["code"])
+        assert [s.id for s in corpus] == ["a", "b"]
+        assert corpus[0].comment_tokens == ["gets", "one"]
+        assert corpus[1].ast_text == "(function (name (f)))"
+        assert corpus[0].code_char_len == len(rows[0]["code"])
 
     def test_missing_ast_derived_from_code(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -321,7 +321,7 @@ class TestCorpusFiles:
                 {"id": "b", "project": "p", "code": "int f(){return",
                  "comment": "c"}]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        derived, unparsed = read_corpus_jsonl(path).samples
+        derived, unparsed = read_corpus_jsonl(path)
         assert derived.ast_text == \
             "(function (type (int)) (name (f)) (params) (body (return (1))))"
         assert unparsed.ast_text is None
@@ -340,13 +340,13 @@ class TestCorpusFiles:
 
     def test_prepared_dir_round_trip(self, tmp_path):
         def corpus(ids):
-            return Corpus([make_sample(i, f"p{i}") for i in ids])
+            return [make_sample(i, f"p{i}") for i in ids]
         vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
         write_prepared_dir(tmp_path / "prep", corpus([1, 2]), corpus([3]),
                            corpus([4]), vocab, vocab, vocab)
         prepared = load_prepared_dir(tmp_path / "prep")
-        assert [s.id for s in prepared.train.samples] == ["s1", "s2"]
-        assert [s.id for s in prepared.test.samples] == ["s4"]
+        assert [s.id for s in prepared.train] == ["s1", "s2"]
+        assert [s.id for s in prepared.test] == ["s4"]
         assert prepared.ast_vocab.tokens == vocab.tokens
 
     def test_prepared_dir_missing_file(self, tmp_path):
@@ -355,13 +355,13 @@ class TestCorpusFiles:
 
     def test_prepared_dir_reads_only_requested_splits(self, tmp_path):
         vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
-        write_prepared_dir(tmp_path, Corpus([make_sample(1, "p1")]),
-                           Corpus([make_sample(2, "p2")]),
-                           Corpus([make_sample(3, "p3")]), vocab, vocab,
+        write_prepared_dir(tmp_path, [make_sample(1, "p1")],
+                           [make_sample(2, "p2")],
+                           [make_sample(3, "p3")], vocab, vocab,
                            vocab)
         (tmp_path / "test.jsonl").unlink()
         prepared = load_prepared_dir(tmp_path, splits=("train", "val"))
-        assert [s.id for s in prepared.val.samples] == ["s2"]
+        assert [s.id for s in prepared.val] == ["s2"]
         assert prepared.test is None
         for splits in (("test",), ("train", "val", "test")):
             with pytest.raises(DataError, match="test.jsonl"):
@@ -476,7 +476,7 @@ class TestAtomicWrite:
         records = [PredictionRecord("a", ["x"], ["x"]),
                    PredictionRecord("b", ["y"], [object()])]
         with pytest.raises(TypeError):
-            write_predictions(PredictionSet(records=records), path)
+            write_predictions(records, path)
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from smoothsum import labcli, trainer
 from smoothsum.astkit import sbt_from_sexpr
-from smoothsum.corpus import (SPECIAL_TOKENS, load_prepared_dir,
+from smoothsum.corpus import (SPECIAL_TOKENS, SPLITS, load_prepared_dir,
                               sbt_tokens_for_sample)
 from smoothsum.errors import ConfigurationError
 from smoothsum.metrics import ComparisonResult, read_predictions
@@ -261,7 +261,7 @@ class TestPrepare:
         prepared = load_prepared_dir(out)
         assert sorted(s.project for split in (prepared.train, prepared.val,
                                               prepared.test)
-                      for s in split.samples) == sorted(
+                      for s in split) == sorted(
             r["project"] for r in records)
 
     def test_integer_corpus_id_reads_as_text(self, tmp_path):
@@ -274,7 +274,7 @@ class TestPrepare:
         prepared = load_prepared_dir(tmp_path / "prep")
         assert sorted(s.id for split in (prepared.train, prepared.val,
                                          prepared.test)
-                      for s in split.samples) == sorted(
+                      for s in split) == sorted(
             str(i) for i in range(len(VALID_CORPUS)))
 
     def test_lone_surrogate_ast_exits_2(self, tmp_path, corpus_file, capsys):
@@ -407,7 +407,7 @@ def prepare_exits_cleanly(data: bytes, records=None) -> None:
             projects = {str(r["id"]): r["project"] for r in records}
             prepared = load_prepared_dir(Path(tmp) / "prep")
             for split in (prepared.train, prepared.val, prepared.test):
-                for sample in split.samples:
+                for sample in split:
                     project = projects[sample.id]
                     assert isinstance(project, str) or type(project) is int
                     assert sample.project == str(project)
@@ -905,7 +905,7 @@ class TestTrainPredictScore:
         prepared = load_prepared_dir(prepared_dir)
         assert sorted(passes) == sorted(
             s.id for split in (prepared.train, prepared.val, prepared.test)
-            for s in split.samples)
+            for s in split)
         # and each size writes what a sweep over that size alone writes
         alone = {}
         for size in ("40", "60"):
@@ -916,7 +916,7 @@ class TestTrainPredictScore:
 
     @pytest.mark.parametrize("command, split", [
         ("train", "train"), ("train", "val"), ("actionword", "train"),
-        ("actionword", "val"), ("predict", "test")])
+        ("actionword", "val"), ("actionword", "test"), ("predict", "test")])
     def test_empty_training_split_exits_2_naming_it(
             self, tmp_path, prepared_dir, checkpoint, capsys, command, split):
         small = copy_prepared(prepared_dir, tmp_path / "prep")
@@ -1206,10 +1206,14 @@ class TestCommandProperties:
             write_small_prepared(tmp / "prep", splits, full_vocab)
             flags = ["--data", str(tmp / "prep"), "--arch", arch,
                      *SMALL_MODEL]
+            def first_empty(names):
+                """The refusal of the first empty split of names, a prefix
+                of train, val, test."""
+                return next((f"{split}.jsonl holds no samples"
+                             for split, samples in zip(names, splits)
+                             if not samples), None)
             # the first empty split that a command trains or validates on
-            refusal = next((f"{split}.jsonl holds no samples"
-                            for split, samples in zip(("train", "val"), splits)
-                            if not samples), None)
+            refusal = first_empty(("train", "val"))
             cli_exits_cleanly(["train", *flags, "--out", str(tmp / "train")],
                               tmp / "train", refusal=refusal)
             cli_exits_cleanly(["predict", "--data", str(tmp / "prep"),
@@ -1217,10 +1221,13 @@ class TestCommandProperties:
                                str(tmp / "train" / "checkpoint.json"),
                                "--out", str(tmp / "preds.jsonl")],
                               tmp / "preds.jsonl")
-            for command in ("compare", "actionword"):
-                cli_exits_cleanly([command, *flags, "--out",
-                                   str(tmp / command)], tmp / command,
-                                  refusal=refusal)
+            cli_exits_cleanly(["compare", *flags, "--out",
+                               str(tmp / "compare")], tmp / "compare",
+                              refusal=refusal)
+            # actionword also decodes the test split
+            cli_exits_cleanly(["actionword", *flags, "--out",
+                               str(tmp / "actionword")], tmp / "actionword",
+                              refusal=first_empty(SPLITS))
             cli_exits_cleanly(["sweep", *flags, "--vocab-sizes", "6",
                                "--out", str(tmp / "sweep")], tmp / "sweep",
                               numeric_exit=True, refusal=refusal)

@@ -19,10 +19,10 @@ from smoothsum.stemming import porter_stem
 
 
 def pset(*pairs):
-    return X.PredictionSet([
+    return [
         X.PredictionRecord(str(i), list(ref), list(pred))
         for i, (pred, ref) in enumerate(pairs)
-    ])
+    ]
 
 
 class TestCorpusBleu:
@@ -53,7 +53,7 @@ class TestCorpusBleu:
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
-            X.corpus_bleu(X.PredictionSet([]))
+            X.corpus_bleu([])
 
     def test_all_empty_predictions_zero(self):
         preds = pset(([], ["a", "b"]))
@@ -296,6 +296,15 @@ class TestStudentTContinuedFraction:
         for signed in (t, -t):
             assert abs(X.student_t_two_sided_p(signed, 3) - expected) < 1e-12
 
+    @pytest.mark.parametrize("t", [1e154, 1.4e154, 1e200, 1e300])
+    def test_closed_form_df1_beyond_t_squared(self, t):
+        # t * t overflows above about 1.34e154; p = (2/pi) atan(1/|t|)
+        # is still a normal float there
+        expected = 2 / math.pi * math.atan(1 / t)
+        for signed in (t, -t):
+            p = X.student_t_two_sided_p(signed, 1)
+            assert abs(p - expected) <= 1e-12 * expected
+
     def test_nan_raises_numeric_error(self):
         # a NaN never meets the fraction's convergence test, so the term
         # cap refuses it instead of returning NaN
@@ -345,7 +354,7 @@ class TestDiversity:
         assert report.avg_frequency == 1.5
 
     def test_empty(self):
-        report = X.diversity_report(X.PredictionSet([]))
+        report = X.diversity_report([])
         assert (report.total_words, report.unique_words,
                 report.avg_frequency) == (0, 0, 0.0)
 
@@ -651,7 +660,7 @@ class TestStemMemo:
         report = X.score_predictions(self.PREDS)
         assert report.meteor_scores == [reference_meteor(r.predicted,
                                                          r.reference)
-                                        for r in self.PREDS.records]
+                                        for r in self.PREDS]
         assert calls and max(calls.values()) == 1
         first = dict(calls)
         calls.clear()

@@ -187,6 +187,16 @@ class TestGreedyDecode:
         result = M.greedy_decode(model, CODE[0:1], None)[0]
         assert result == [PAD, PAD]  # uniform rows tie toward index 0
 
+    def test_argmax_of_logits_not_of_rounded_probabilities(self):
+        # logits 0 and 5e-324 are distinct, but their softmax rounds them
+        # to one probability, whose argmax would pick index 4
+        model = M.build_model(tiny_config("attendgru", comment_len=3), seed=0)
+        model.params["out.w"].data[:] = 0.0
+        model.params["out.b"].data[:] = -10.0
+        model.params["out.b"].data[4] = 0.0
+        model.params["out.b"].data[5] = 5e-324
+        assert M.greedy_decode(model, CODE[0:1], None)[0] == [5, 5]
+
     def test_logit_shift_invariance(self):
         model = M.build_model(tiny_config("attendgru"), seed=4)
         baseline = M.greedy_decode(model, CODE[0:1], None)[0]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from smoothsum import models as M
 from smoothsum import tensor as T
 from smoothsum import trainer as TR
-from smoothsum.corpus import (Corpus, PAD, Sample, build_vocabulary,
+from smoothsum.corpus import (PAD, Sample, build_vocabulary,
                               build_token_vocabulary, sbt_tokens_for_sample)
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
@@ -20,8 +20,8 @@ from conftest import b64, samples_from_records
 
 
 def small_corpus(n=24, seed=3):
-    return Corpus(samples_from_records(generate_samples(n, seed=seed,
-                                                        unique_pairs=True)))
+    return samples_from_records(generate_samples(n, seed=seed,
+                                                 unique_pairs=True))
 
 
 def build_setup(corpus, epsilon=0.0, hidden=16, arch="attendgru"):
@@ -30,7 +30,7 @@ def build_setup(corpus, epsilon=0.0, hidden=16, arch="attendgru"):
     ast_vocab = None
     if arch == "ast_attendgru":
         ast_vocab = build_token_vocabulary(
-            [sbt_tokens_for_sample(s) for s in corpus.samples], 300)
+            [sbt_tokens_for_sample(s) for s in corpus], 300)
     config = M.ModelConfig(arch, src_vocab.size, tgt_vocab.size,
                            embed_dim=hidden, hidden_dim=hidden, code_len=24,
                            ast_len=40, comment_len=8, heads=2, layers=1,
@@ -48,6 +48,12 @@ class TestEncodeCorpus:
         assert dataset.comments.shape == (len(corpus), 8)
         assert len(dataset.references) == len(corpus)
 
+    def test_no_ast_columns_without_ast_arch(self):
+        for arch in ("attendgru", "transformer"):
+            _, dataset, _, _ = build_setup(small_corpus(), arch=arch)
+            assert dataset.ast.shape == (len(dataset), 0)
+            assert dataset.ast.dtype == np.int64
+
     def test_ast_encoding(self):
         corpus = small_corpus()
         config, dataset, _, _ = build_setup(corpus, arch="ast_attendgru")
@@ -64,7 +70,7 @@ class TestEncodeCorpus:
     def test_missing_ast_rejected(self):
         sample = Sample(id="x", project="p", code_tokens=["a"],
                         comment_tokens=["b"], ast_text=None, code_char_len=1)
-        corpus = Corpus([sample])
+        corpus = [sample]
         with pytest.raises(DataError):
             build_setup(corpus, arch="ast_attendgru")
 
@@ -72,7 +78,7 @@ class TestEncodeCorpus:
         corpus = small_corpus()
         config, _, src_vocab, tgt_vocab = build_setup(corpus)
         with pytest.raises(DataError):
-            TR.encode_corpus(Corpus([]), config,
+            TR.encode_corpus([], config,
                              src_vocab, tgt_vocab)
 
 
@@ -221,7 +227,8 @@ class TestValidationAccuracy:
         comments[:, 0] = 1
         dataset = TR.EncodedDataset(
             sample_ids=[str(i) for i in range(40)], code=code_ids,
-            comments=comments, references=[["x"]] * 40)
+            comments=comments, ast=np.zeros((40, 0), dtype=np.int64),
+            references=[["x"]] * 40)
         model = M.build_model(config, seed=11)
         accuracy = TR.validation_token_accuracy(model, dataset, 64)
         positions = 40 * 7
@@ -241,7 +248,8 @@ class TestValidationAccuracy:
         config, dataset, _, _ = build_setup(corpus)
         model = M.build_model(config, seed=1)
         empty = TR.EncodedDataset(sample_ids=[], code=np.zeros((0, 4)),
-                                  comments=np.zeros((0, 4)), references=[])
+                                  comments=np.zeros((0, 4)),
+                                  ast=np.zeros((0, 0)), references=[])
         with pytest.raises(DataError):
             TR.validation_token_accuracy(model, empty, 64)
 
