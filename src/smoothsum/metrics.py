@@ -18,7 +18,9 @@ The paired t-test's two-sided p-value is the regularized incomplete beta
 I_x(df/2, 1/2) at x = df/(df+t^2), summed as a continued fraction by the
 modified Lentz method, so the module needs nothing beyond numpy. It takes
 log x and log(1 - x), derived from |t|/sqrt(df) without forming t^2, so
-no |t| is too large for a p-value.
+no |t| is too large for a p-value; the fraction's terms and log B(df/2,
+1/2) are formed without cancellation, so p keeps its digits up to df in
+the millions.
 """
 
 import json
@@ -295,36 +297,53 @@ def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
 
 _BETA_MAX_TERMS = 200
 _BETA_TINY = sys.float_info.min / sys.float_info.epsilon
+_LOG_GAMMA_HALF = 0.5 * math.log(math.pi)  # log Gamma(1/2) = log sqrt(pi)
 
 
-def _betainc(a: float, b: float, log_x: float, log_1mx: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given log x and
-    log(1 - x): the prefactor x^a (1-x)^b / (a B(a, b)), formed in logs,
-    times a continued fraction summed by the modified Lentz method (Press
-    et al., Numerical Recipes, 3rd ed., sec. 6.4). The fraction converges
-    within a few dozen terms for x <= (a+1)/(a+b+2); callers above that
-    use I_x(a, b) = 1 - I_{1-x}(b, a). A fraction that has not converged
-    after _BETA_MAX_TERMS terms (a NaN argument never does) is a
-    NumericError."""
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * log_x + b * log_1mx) / a
-    x = math.exp(log_x)
-    # the fraction is 1/(1 + d1/(1 + d2/(1 + ...))); f tracks its
-    # denominator, with c and d clamped away from 0 as Lentz prescribes
-    f = c = 1.0
+def _log_gamma_ratio_half(n: float) -> float:
+    """log Gamma(n + 1/2) - log Gamma(n) for n >= 1/2. Each log-gamma is
+    about n log n, so their difference loses digits as n grows; from
+    n = 16 on, the difference comes from its asymptotic series in 1/n,
+    derived from Stirling's (DLMF 5.11.1), truncated below 4e-3 / n^11."""
+    if n < 16.0:
+        return math.lgamma(n + 0.5) - math.lgamma(n)
+    x = 1.0 / n
+    x2 = x * x
+    series = x * (-1 / 8 + x2 * (1 / 192 + x2 * (-1 / 640 + x2 * (
+        17 / 14336 - x2 * (31 / 18432)))))
+    return 0.5 * math.log(n) + series
+
+
+def _betainc(a: float, b: float, log_x: float, log_1mx: float,
+             log_beta: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given log x,
+    log(1 - x) and log B(a, b): the prefactor x^a (1-x)^b / B(a, b),
+    formed in logs, over the continued fraction b0 + a1/(b1 + a2/(b2 +
+    ...)) of DiDonato and Morris (1992, ACM TOMS 18(3), BFRAC), summed by
+    the modified Lentz method. Its terms take 1 - x as given and hold no
+    1 - x of their own, so none cancels when x is near 1, where a large
+    df puts it. The fraction converges within a few dozen terms for
+    x <= (a+1)/(a+b+2); callers above that use I_x(a, b) = 1 - I_{1-x}(b,
+    a). A fraction that has not converged after _BETA_MAX_TERMS terms (a
+    NaN argument never does) is a NumericError."""
+    prefix = math.exp(a * log_x + b * log_1mx - log_beta)
+    x, y = math.exp(log_x), math.exp(log_1mx)
+    f = a * (a * y - b * x + 1.0) / (a + 1.0)
+    f = c = _BETA_TINY if abs(f) < _BETA_TINY else f
     d = 0.0
-    for m in range(_BETA_MAX_TERMS):
-        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
-        even = (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))
-        for coeff in (odd, even):
-            d = 1.0 + coeff * d
-            d = 1.0 / (_BETA_TINY if abs(d) < _BETA_TINY else d)
-            c = 1.0 + coeff / c
-            c = _BETA_TINY if abs(c) < _BETA_TINY else c
-            delta = c * d
-            f *= delta
+    for m in range(1, _BETA_MAX_TERMS + 1):
+        am = (a + m - 1) * (a + b + m - 1) * m * (b - m) * x * x \
+            / (a + 2 * m - 1) ** 2
+        bm = (m + m * (b - m) * x / (a + 2 * m - 1)
+              + (a + m) * (a * y - b * x + 1 + m * (2 - x)) / (a + 2 * m + 1))
+        d = bm + am * d
+        d = 1.0 / (_BETA_TINY if abs(d) < _BETA_TINY else d)
+        c = bm + am / c
+        c = _BETA_TINY if abs(c) < _BETA_TINY else c
+        delta = c * d
+        f *= delta
         if abs(delta - 1.0) <= sys.float_info.epsilon:
-            return front / f
+            return prefix / f
     raise NumericError(f"incomplete beta I_{x}({a}, {b}) did not converge "
                        f"in {_BETA_MAX_TERMS} terms")
 
@@ -348,9 +367,11 @@ def student_t_two_sided_p(t: float, df: int) -> float:
         log_x = -math.log1p(u * u)
         log_1mx = 2.0 * math.log(u) + log_x
     a, b = df / 2.0, 0.5
+    # log B(a, 1/2) = log Gamma(1/2) - (log Gamma(a + 1/2) - log Gamma(a))
+    log_beta = _LOG_GAMMA_HALF - _log_gamma_ratio_half(a)
     if math.exp(log_x) <= (a + 1.0) / (a + b + 2.0):
-        return _betainc(a, b, log_x, log_1mx)
-    return 1.0 - _betainc(b, a, log_1mx, log_x)
+        return _betainc(a, b, log_x, log_1mx, log_beta)
+    return 1.0 - _betainc(b, a, log_1mx, log_x, log_beta)
 
 
 def paired_t_test(scores_a, scores_b, metric: str = "") -> ComparisonResult:

@@ -200,13 +200,13 @@ def _encode_gru(model: Model, code_ids, ast_ids):
 def _gru_logits(params: T.ParamStore, states: T.Tensor, memories) -> T.Tensor:
     """Logits (B, L, V) for decoder states (B, L, H): one attention
     context per memory, and the output projection of [contexts..., state]
-    as one (B*L, kH) @ (kH, V) matmul."""
+    as one (B*L, kH) @ (kH, V) linear node."""
     contexts = [T.dot_attention(states, memory, mask=mask)[0]
                 for memory, mask in memories]
     features = T.concat(contexts + [states], axis=-1)
     batch, length, width = features.data.shape
-    logits = T.add(T.matmul(T.reshape(features, (batch * length, width)),
-                            params["out.w"]), params["out.b"])
+    logits = T.linear(T.reshape(features, (batch * length, width)),
+                      params["out.w"], params["out.b"])
     return T.reshape(logits, (batch, length, logits.data.shape[-1]))
 
 
@@ -247,10 +247,9 @@ def _gru_decoder(model: Model, code_ids, ast_ids):
 
 
 def _transformer_ff(params: T.ParamStore, prefix: str, x: T.Tensor) -> T.Tensor:
-    hidden = T.relu(T.add(T.matmul(x, params[f"{prefix}.w1"]),
-                          params[f"{prefix}.b1"]))
-    return T.add(T.matmul(hidden, params[f"{prefix}.w2"]),
-                 params[f"{prefix}.b2"])
+    hidden = T.relu(T.linear(x, params[f"{prefix}.w1"],
+                             params[f"{prefix}.b1"]))
+    return T.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _encode_transformer(model: Model, code_ids, drop):
@@ -334,7 +333,7 @@ def _transformer_decoder(model: Model, code_ids, training: bool, rng):
         for i in range(cfg.layers):
             y, cache[i] = _decoder_layer(model, i, y, cache[i], causal,
                                          cross[i], src_mask, drop)
-        return T.add(T.matmul(y, p["out.w"]), p["out.b"])
+        return T.linear(y, p["out.w"], p["out.b"])
 
     return decode
 
@@ -359,10 +358,11 @@ def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
 
 
 def forward_step(model: Model, code_ids, ast_ids, comment_prefix_ids) -> np.ndarray:
-    """Teacher-forcing inference: probability rows per prefix position."""
+    """Teacher-forcing inference: probability rows per prefix position,
+    formed in the memory of the logits."""
     with T.no_grad():
         logits = forward_logits(model, code_ids, ast_ids, comment_prefix_ids)
-        return T.softmax(logits, axis=-1).data
+    return T.softmax_in_place(logits.data)
 
 
 def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,

@@ -62,12 +62,15 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+def _accumulate(tensor: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add grad to tensor's gradient. fresh marks a float64 array that the
+    calling closure allocated for this tensor alone: the first write takes
+    it over. Any other grad is copied on the first write, as it may be a
+    view, or handed to two parents (add)."""
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        # a copy: grad may be a view, or handed to two parents (add)
-        tensor.grad = np.array(grad, dtype=np.float64)
+        tensor.grad = grad if fresh else np.array(grad, dtype=np.float64)
     else:
         tensor.grad += grad
 
@@ -103,9 +106,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accumulate(a, _reduce_to(g * b.data, a.data.shape))
+            _accumulate(a, _reduce_to(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _reduce_to(g * a.data, b.data.shape))
+            _accumulate(b, _reduce_to(g * a.data, b.data.shape), fresh=True)
 
     return Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
 
@@ -124,17 +127,7 @@ def matmul(a, b) -> Tensor:
         raise ConfigurationError(
             f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
     if b.data.ndim == 2:
-        rows = a.data.reshape(-1, a.data.shape[-1])
-        out = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
-
-        def bw(g):
-            g = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, rows.T @ g)
-
-        return Tensor(out, parents=(a, b), backward_fn=bw)
+        return _row_product(a, b)
     out = np.matmul(a.data, b.data)
     if b.data.shape[:-2] != out.shape[:-2]:
         raise ConfigurationError(
@@ -144,11 +137,46 @@ def matmul(a, b) -> Tensor:
     def bw(g):
         if a.requires_grad:
             _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
-                                      a.data.shape))
+                                      a.data.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g), fresh=True)
 
     return Tensor(out, parents=(a, b), backward_fn=bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a 2-D weight w and a bias b over its columns, as one
+    tape node: matmul's product over folded rows with b added in place.
+    Values and gradients are those of add(matmul(x, w), b)."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if (x.data.ndim < 2 or w.data.ndim != 2
+            or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ConfigurationError(f"linear shapes {x.data.shape} @ "
+                                 f"{w.data.shape} + {b.data.shape}")
+    return _row_product(x, w, b)
+
+
+def _row_product(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """The node of matmul with a 2-D right operand, and of linear: x @ w
+    (+ bias) over x's leading dimensions folded into rows."""
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    out = rows @ w.data
+    if bias is not None:
+        out += bias.data
+
+    def bw(g):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _reduce_to(g, bias.data.shape), fresh=True)
+        g = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data.T).reshape(x.data.shape), fresh=True)
+        if w.requires_grad:
+            _accumulate(w, rows.T @ g, fresh=True)
+
+    parents = (x, w) if bias is None else (x, w, bias)
+    return Tensor(out.reshape(x.data.shape[:-1] + w.data.shape[-1:]),
+                  parents=parents, backward_fn=bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -194,7 +222,7 @@ def select(a, index: int, axis: int) -> Tensor:
     def bw(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        _accumulate(a, full)
+        _accumulate(a, full, fresh=True)
 
     return Tensor(a.data[key], parents=(a,), backward_fn=bw)
 
@@ -211,21 +239,28 @@ def relu(a) -> Tensor:
     a = _coerce(a)
 
     def bw(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0), fresh=True)
 
     return Tensor(np.maximum(a.data, 0.0), parents=(a,), backward_fn=bw)
 
 
+def softmax_in_place(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Max-subtracted exponentiation of a float64 array along axis, in x's
+    own memory; returns x. Rows sum to 1 and order is preserved."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
 def softmax(a, axis=-1) -> Tensor:
-    """Max-subtracted exponentiation; rows sum to 1 and order is preserved."""
+    """softmax_in_place over a copy of a."""
     a = _coerce(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_in_place(a.data.copy(), axis)
 
     def bw(g):
         dot = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(a, p * (g - dot))
+        _accumulate(a, p * (g - dot), fresh=True)
 
     return Tensor(p, parents=(a,), backward_fn=bw)
 
@@ -238,7 +273,7 @@ def log_softmax(a, axis=-1) -> Tensor:
     p = np.exp(y)
 
     def bw(g):
-        _accumulate(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - p * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return Tensor(y, parents=(a,), backward_fn=bw)
 
@@ -275,7 +310,7 @@ def smoothed_cross_entropy(logits, targets, epsilon: float, mask) -> Tensor:
         gold = np.take_along_axis(probs, targets, axis=-1)
         np.put_along_axis(probs, targets, gold - gold_extra, axis=-1)
         np.multiply(probs, (mask * (scale * g))[..., None], out=probs)
-        _accumulate(logits, probs)
+        _accumulate(logits, probs, fresh=True)
 
     return Tensor((per_position * mask).sum() * -scale, parents=(logits,),
                   backward_fn=bw)
@@ -297,24 +332,29 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def layer_norm(x, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalization over the last axis with learned gain and bias."""
+    """Normalization over the last axis with learned gain and bias. The
+    input is centred once: the variance is np.var's sum of squares over
+    the centred values, divided by the width."""
     x = _coerce(x)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mean) * inv
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes))
-        _accumulate(bias, g.sum(axis=reduce_axes))
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes), fresh=True)
+        _accumulate(bias, g.sum(axis=reduce_axes), fresh=True)
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) \
-            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, term * inv)
+        dot = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * dot
+        gx *= inv
+        _accumulate(x, gx, fresh=True)
 
-    return Tensor(xhat * gain.data + bias.data, parents=(x, gain, bias),
-                  backward_fn=bw)
+    return Tensor(out, parents=(x, gain, bias), backward_fn=bw)
 
 
 def apply_dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
@@ -361,12 +401,13 @@ def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
 
     with one x [Wz|Wr|Wh] matmul per step. The backward pass runs
     backpropagation through time in one closure (Appleyard et al. 2016).
-    Every matmul, forward and backward, covers one position: a product
-    over all batch * steps rows is large enough for OpenBLAS to split it
-    over threads, and on a 2-core host its waiting pool thread made a
-    small model's training about twice as slow and its time vary from
-    run to run. Only the bias gradients are summed over all positions
-    after the loop."""
+    Every matmul, forward and backward, covers one position. Folding the
+    input product x [Wz|Wr|Wh] and the weight gradients over all batch *
+    steps rows out of the time loop had no net effect inside a training
+    run at the C7 shape (hidden 64, batch 32): the backward closure took
+    10-15% less time and the forward 10-20% more, and the low bits of the
+    gradients changed. Only the bias gradients are summed over all
+    positions after the loop."""
     x, h0 = _coerce(x), _coerce(h0)
     _, uz, bz, _, ur, br, _, uh, bh = (t.data for t in weights.tensors)
     w, hid = weights.w, uh.shape[0]
@@ -418,8 +459,8 @@ def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
             grads += [d_w[:, cols], d_u, d_b[cols]]
         for tensor, grad in zip(weights.tensors, grads):
             _accumulate(tensor, grad)
-        _accumulate(x, dx)
-        _accumulate(h0, dh)
+        _accumulate(x, dx, fresh=True)
+        _accumulate(h0, dh, fresh=True)
 
     return Tensor(np.stack(states[1:], axis=1), parents=parents,
                   backward_fn=bw)
@@ -463,40 +504,78 @@ def dot_attention(queries, memory, mask=None):
     return matmul(weights, mem), weights
 
 
-def _swap_heads_and_positions(t: Tensor) -> Tensor:
-    """(..., length, heads, d) <-> (..., heads, length, d)."""
-    nd = t.data.ndim
-    return transpose(t, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
-
-
 def split_heads(x, heads: int) -> Tensor:
-    """(..., length, d) -> (..., heads, length, d / heads)."""
+    """(..., length, d) -> (..., heads, length, d / heads) as one tape node:
+    a view forward; backward writes the gradient into one new array."""
     x = _coerce(x)
     d_model = x.data.shape[-1]
     if d_model % heads != 0:
         raise ConfigurationError(
             f"model dim {d_model} not divisible by {heads} heads")
-    return _swap_heads_and_positions(
-        reshape(x, x.data.shape[:-1] + (heads, d_model // heads)))
+    split = x.data.shape[:-1] + (heads, d_model // heads)
+
+    def bw(g):
+        dx = np.empty(x.data.shape)
+        dx.reshape(split)[...] = g.swapaxes(-2, -3)
+        _accumulate(x, dx, fresh=True)
+
+    return Tensor(x.data.reshape(split).swapaxes(-2, -3), parents=(x,),
+                  backward_fn=bw)
+
+
+def scaled_dot_attention(qh, kh, vh, mask=None) -> Tensor:
+    """softmax(qh kh^T / sqrt(d_head) + mask) vh of head-split queries
+    (..., heads, Tq, d_head) over keys and values (..., heads, Tk, d_head),
+    heads merged back into (..., Tq, heads * d_head), as one tape node (a
+    fused attention kernel in numpy, as Dao et al. 2022 fuse it on a GPU).
+    mask is boolean (attend = True), broadcastable to (Tq, Tk) per item
+    and applied before the softmax. The node keeps the probabilities p
+    only, and its backward pass forms dv = p^T g, the softmax gradient
+    p * (g v^T - rowsum(p * g v^T)) and from it dq and dk, with the
+    operations, and so the values, of the matmul, mul, add, softmax and
+    transpose nodes that it replaces."""
+    qh, kh, vh = _coerce(qh), _coerce(kh), _coerce(vh)
+    lead = qh.data.shape[:-2]
+    if (qh.data.ndim < 3 or kh.data.shape[:-2] != lead
+            or vh.data.shape[:-2] != lead
+            or kh.data.shape[-1] != qh.data.shape[-1]
+            or vh.data.shape[-2] != kh.data.shape[-2]):
+        raise ConfigurationError(f"attention dims {qh.data.shape}, "
+                                 f"{kh.data.shape}, {vh.data.shape}")
+    scale = 1.0 / np.sqrt(qh.data.shape[-1])
+    p = np.matmul(qh.data, kh.data.swapaxes(-1, -2))
+    p *= scale
+    if mask is not None:
+        p += np.expand_dims(_check_attention_mask(mask), axis=-3)
+    softmax_in_place(p)
+    ctx = np.matmul(p, vh.data).swapaxes(-2, -3)  # (..., Tq, heads, d_head)
+    by_position = ctx.shape
+
+    def bw(g):
+        g = g.reshape(by_position).swapaxes(-2, -3)
+        if vh.requires_grad:
+            _accumulate(vh, np.matmul(p.swapaxes(-1, -2), g), fresh=True)
+        if not (qh.requires_grad or kh.requires_grad):
+            return
+        ds = np.matmul(g, vh.data.swapaxes(-1, -2))
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        if qh.requires_grad:
+            _accumulate(qh, np.matmul(ds, kh.data), fresh=True)
+        if kh.requires_grad:
+            _accumulate(kh, np.matmul(qh.data.swapaxes(-1, -2), ds)
+                        .swapaxes(-1, -2), fresh=True)
+
+    return Tensor(ctx.reshape(ctx.shape[:-2] + (-1,)), parents=(qh, kh, vh),
+                  backward_fn=bw)
 
 
 def attend_projected(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor,
                      mask=None) -> Tensor:
-    """Scaled dot-product attention (scale 1/sqrt(d_head)) of head-split
-    queries over head-split keys and values, heads concatenated and
-    projected by wo. mask is boolean (attend = True), broadcastable to
-    (queries, keys) and applied before the softmax."""
-    d_head = qh.data.shape[-1]
-    nd = kh.data.ndim
-    kt = transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = mul(matmul(qh, kt), 1.0 / np.sqrt(d_head))
-    if mask is not None:
-        additive = _check_attention_mask(mask)
-        scores = add(scores, np.expand_dims(additive, axis=-3))
-    weights = softmax(scores, axis=-1)
-    ctx = _swap_heads_and_positions(matmul(weights, vh))  # (.., Tq, heads, dh)
-    ctx = reshape(ctx, ctx.data.shape[:-2] + (-1,))
-    return matmul(ctx, wo)
+    """scaled_dot_attention of head-split queries over head-split keys and
+    values, projected by wo."""
+    return matmul(scaled_dot_attention(qh, kh, vh, mask), wo)
 
 
 def multi_head_attention(queries, keys, values, heads: int,

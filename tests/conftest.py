@@ -96,6 +96,20 @@ def tensor_sum(a, axis=None) -> T.Tensor:
     return T.Tensor(a.data.sum(axis=axis), parents=(a,), backward_fn=bw)
 
 
+def taped_nodes(loss: T.Tensor) -> list:
+    """Every node of loss's graph that holds a backward closure."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        tensor = stack.pop()
+        if id(tensor) in seen:
+            continue
+        seen.add(id(tensor))
+        if tensor._backward_fn is not None:
+            nodes.append(tensor)
+        stack.extend(tensor._parents)
+    return nodes
+
+
 def total_size(store: T.ParamStore) -> int:
     """Number of scalar parameters in a store."""
     return sum(t.data.size for _, t in store.items())
@@ -123,6 +137,43 @@ def reference_matmul(a, b) -> T.Tensor:
 
     return T.Tensor(np.matmul(a.data, b.data), parents=(a, b),
                     backward_fn=bw)
+
+
+def reference_linear(x, w, b) -> T.Tensor:
+    """x @ w + b as a matmul node and an add node: the reference that
+    T.linear is pinned to."""
+    return T.add(T.matmul(x, w), b)
+
+
+def swap_heads_and_positions(t: T.Tensor) -> T.Tensor:
+    """(..., length, heads, d) <-> (..., heads, length, d) as a transpose
+    node."""
+    nd = t.data.ndim
+    return T.transpose(t, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+
+
+def reference_split_heads(x, heads: int) -> T.Tensor:
+    """(..., length, d) -> (..., heads, length, d / heads) as a reshape
+    node and a transpose node: the reference that T.split_heads is pinned
+    to."""
+    x = T._coerce(x)
+    return swap_heads_and_positions(
+        T.reshape(x, x.data.shape[:-1] + (heads, x.data.shape[-1] // heads)))
+
+
+def reference_attention(qh, kh, vh, mask=None) -> T.Tensor:
+    """Scaled dot-product attention of head-split operands, heads merged,
+    composed of matmul, mul, add, softmax, transpose and reshape nodes: the
+    reference that T.scaled_dot_attention is pinned to."""
+    nd = kh.data.ndim
+    kt = T.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+    scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(qh.data.shape[-1]))
+    if mask is not None:
+        additive = T._check_attention_mask(mask)
+        scores = T.add(scores, np.expand_dims(additive, axis=-3))
+    weights = T.softmax(scores, axis=-1)
+    ctx = swap_heads_and_positions(T.matmul(weights, vh))
+    return T.reshape(ctx, ctx.data.shape[:-2] + (-1,))
 
 
 def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:

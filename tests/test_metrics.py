@@ -5,6 +5,7 @@ import subprocess
 import sys
 import types
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -313,22 +314,32 @@ class TestStudentTContinuedFraction:
 
     @settings(max_examples=400, derandomize=True, database=None,
               deadline=None)
-    @given(df=st.integers(1, 1000), log_t=st.floats(-3, 6),
+    @given(df=st.integers(1, 10 ** 6), log_t=st.floats(-3, 6),
            negative=st.booleans())
-    def test_matches_scipy_betainc(self, scipy_special, df, log_t, negative):
+    def test_matches_scipy_stdtr(self, scipy_special, df, log_t, negative):
         t = 10.0 ** log_t
         p = X.student_t_two_sided_p(-t if negative else t, df)
-        # the oracle computes the smaller tail directly, each from the
-        # argument that t gives exactly: betainc at x = df/(df+t^2) near 1
-        # would lose the digits of 1 - x to rounding
-        expected = float(scipy_special.betainc(df / 2, 0.5, df / (df + t * t)))
-        if expected >= 0.5:
-            expected = 1 - float(scipy_special.betainc(
-                0.5, df / 2, t * t / (df + t * t)))
+        # the oracle reads t itself: betainc would need x = df/(df+t^2),
+        # whose rounding alone moves I_x(df/2, 1/2) by up to df/2 ulps
+        expected = 2 * float(scipy_special.stdtr(df, -t))
         if expected >= 1e-290:
-            assert abs(p - expected) <= 1e-10 * expected
+            assert abs(p - expected) <= 1e-12 * expected
         else:  # both underflow
             assert abs(p - expected) <= 1e-300
+
+    @pytest.mark.parametrize("n", [0.5, 1, 7.5, 15, 15.5, 16, 16.5, 17,
+                                   100, 1000.5, 20000.5, 10 ** 5])
+    def test_log_gamma_ratio_half(self, n):
+        # exact in rationals: Gamma(k + 1/2) / Gamma(k) = sqrt(pi) k
+        # C(2k, k) / 4^k, and Gamma(k + 1) / Gamma(k + 1/2) = 4^k /
+        # (sqrt(pi) C(2k, k)); only the float of the ratio and its log round
+        k = int(n)
+        central = Fraction(math.comb(2 * k, k), 4 ** k)
+        if n == k:
+            expected = 0.5 * math.log(math.pi) + math.log(k * central)
+        else:
+            expected = -0.5 * math.log(math.pi) - math.log(central)
+        assert abs(X._log_gamma_ratio_half(n) - expected) <= 2e-14
 
     def test_package_never_loads_scipy(self):
         src = Path(X.__file__).resolve().parents[1]

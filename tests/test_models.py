@@ -8,8 +8,9 @@ from smoothsum.corpus import PAD, START, END
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 
-from conftest import (reference_dot_attention, reference_gru_step,
-                      reference_matmul, total_size)
+from conftest import (reference_attention, reference_dot_attention,
+                      reference_gru_step, reference_linear, reference_matmul,
+                      reference_split_heads, taped_nodes, total_size)
 
 
 def tiny_config(arch, **overrides):
@@ -460,8 +461,8 @@ class TestTapeFreed:
         model.params.zero_grads()
         loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
                                   rng=Rng(5))
+        assert {id(t) for t in taped} == {id(t) for t in taped_nodes(loss)}
         T.backward(loss, model.params)
-        assert len(taped) > 50
         for node in taped:
             assert node._backward_fn is T._spent and node._parents == ()
             assert node.grad is None or node is loss
@@ -491,12 +492,72 @@ class TestFoldedMatmul:
                               seed=4)
         loss, grads, ids = self._run(model)
         monkeypatch.setattr(T, "matmul", reference_matmul)
+        monkeypatch.setattr(T, "linear", lambda x, w, b: T.add(
+            reference_matmul(x, w), b))
         ref_loss, ref_grads, ref_ids = self._run(model)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for name, ref in ref_grads.items():
             assert np.abs(grads[name] - ref).max() \
                 <= 1e-12 * np.abs(ref).max(), name
         assert ids == ref_ids
+
+
+class TestFusedTransformerNodes:
+    """The transformer through its fused nodes (one per attention core,
+    head split and biased linear layer) against the same model through
+    the per-op compositions that they replace."""
+
+    @staticmethod
+    def _model():
+        return M.build_model(tiny_config("transformer", layers=2,
+                                         dropout_rate=0.1, epsilon=0.1),
+                             seed=4)
+
+    def test_loss_gradients_and_decoded_ids_are_bitwise_equal(
+            self, monkeypatch):
+        model = self._model()
+        results = [TestFoldedMatmul._run(model)]
+        monkeypatch.setattr(T, "scaled_dot_attention", reference_attention)
+        monkeypatch.setattr(T, "split_heads", reference_split_heads)
+        monkeypatch.setattr(T, "linear", reference_linear)
+        results.append(TestFoldedMatmul._run(model))
+        (loss, grads, ids), (ref_loss, ref_grads, ref_ids) = results
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+        assert ids == ref_ids
+
+    def test_forward_step_matches_softmax_node(self):
+        model = self._model()
+        probs = M.forward_step(model, CODE, None, COMMENTS[:, :-1])
+        with T.no_grad():
+            logits = M.forward_logits(model, CODE, None, COMMENTS[:, :-1])
+        assert probs.tobytes() == T.softmax(logits, axis=-1).data.tobytes()
+
+    def test_step_tape_size(self):
+        # the per-op compositions taped 161 nodes for this step
+        model = self._model()
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
+                                  rng=Rng(5))
+        assert len(taped_nodes(loss)) == 92
+
+    @pytest.mark.parametrize("arch", ["transformer", "attendgru"])
+    def test_no_gradient_shares_memory(self, arch):
+        # backward without zero_grads, so every parameter's first gradient
+        # is handed over by a closure; may_share_memory also flags disjoint
+        # slices of one buffer, such as the GRU's packed gate gradients
+        model = M.build_model(tiny_config(arch, dropout_rate=0.1,
+                                          epsilon=0.1), seed=4)
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
+                                  rng=Rng(5))
+        T.backward(loss, model.params)
+        items = model.params.items()
+        for name, t in items:
+            for other_name, other in items:
+                assert not np.may_share_memory(t.grad, other.data), \
+                    (name, other_name)
+                assert other is t or not np.may_share_memory(
+                    t.grad, other.grad), (name, other_name)
 
 
 class TestSequenceLoss:

@@ -8,8 +8,10 @@ from smoothsum.corpus import PAD
 from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng, stable_token_seed, uniform_rows
 
-from conftest import (reference_gru_step, reference_smoothed_loss,
-                      reference_weight_grad, tanh, tensor_sum)
+from conftest import (reference_attention, reference_gru_step,
+                      reference_linear, reference_smoothed_loss,
+                      reference_split_heads, reference_weight_grad,
+                      swap_heads_and_positions, tanh, tensor_sum)
 
 
 def zero_gru_params(in_dim, hid):
@@ -415,6 +417,30 @@ class TestBackward:
         T.backward(loss, store)
         np.testing.assert_allclose(w.grad, [7.0])
 
+    @pytest.mark.parametrize("case", ["linear", "attention"])
+    def test_input_used_twice_by_fused_nodes_accumulates(self, case):
+        # h and b take their first gradient over, without a copy, from a
+        # fused node; the second use must add to it and nothing else
+        rng = Rng(34)
+        w_data = rng.uniform_array((2, 2, 3, 3)) * 2 - 1
+        weights = [T.Tensor(rng.uniform_array((3, 3)) * 2 - 1)
+                   for _ in range(2)]
+        g = rng.uniform_array((2, 2, 3, 3)) * 2 - 1
+        grads = []
+        for linear, attention in ((T.linear, T.scaled_dot_attention),
+                                  (reference_linear, reference_attention)):
+            w = T.Tensor(w_data.copy(), requires_grad=True)
+            b = T.Tensor(np.linspace(-1.0, 1.0, 3), requires_grad=True)
+            h = T.mul(w, 2.0)
+            if case == "linear":
+                out = T.add(linear(h, weights[0], b),
+                            linear(h, weights[1], b))
+            else:
+                out = T.add(T.reshape(attention(h, h, h), g.shape), b)
+            T.backward(tensor_sum(T.mul(out, g)))
+            grads.append(w.grad.tobytes() + b.grad.tobytes())
+        assert grads[0] == grads[1]
+
     def test_nonfinite_gradient_names_parameter(self):
         store = T.ParamStore()
         bad = store.add("bad_param", np.array([1.0]))
@@ -481,7 +507,7 @@ class TestMatmulBackward:
         rng = Rng(30)
         a = T.Tensor(rng.uniform_array(a_shape) * 2 - 1, requires_grad=True)
         b = T.Tensor(rng.uniform_array((4, 6)) * 2 - 1, requires_grad=True)
-        x = T._swap_heads_and_positions(a) if swapped else a
+        x = swap_heads_and_positions(a) if swapped else a
         g = rng.uniform_array(x.data.shape[:-1] + (6,)) * 2 - 1
         if swapped:
             g = np.swapaxes(np.swapaxes(g, -2, -3).copy(), -2, -3)
@@ -531,6 +557,76 @@ class TestMatmulBackward:
             T.matmul(np.ones((2, 3, 4, 5)), np.ones((3, 5, 6)))
 
 
+def forward_and_gradients(build, shapes, seed):
+    """Forward value and leaf gradients, as bytes, of build over fresh
+    leaves of the given shapes, backpropagated from a random weighted sum
+    of the output."""
+    rng = Rng(seed)
+    values = [rng.uniform_array(shape) * 2 - 1 for shape in shapes]
+    leaves = [T.Tensor(v, requires_grad=True) for v in values]
+    out = build(*leaves)
+    weights = rng.uniform_array(out.data.shape) * 2 - 1
+    T.backward(tensor_sum(T.mul(out, weights)))
+    return [out.data.shape, out.data.tobytes()] + [
+        leaf.grad.tobytes() for leaf in leaves]
+
+
+ATTENTION_CASES = {
+    # (query, key/value) shapes before the head split, heads, mask
+    "key-mask": ((2, 3, 8), (2, 5, 8), 2,
+                 np.array([[[True] * 3 + [False] * 2], [[True] * 5]])),
+    "no-mask": ((2, 3, 8), (2, 5, 8), 2, None),
+    "causal-after-past": ((2, 2, 8), (2, 5, 8), 4, T.causal_mask(2, 3)),
+    "3-d": ((4, 6), (4, 6), 3, T.causal_mask(4)),
+    "4-d-self": ((3, 4, 6), (3, 4, 6), 2, T.causal_mask(4)),
+}
+
+
+class TestFusedNodes:
+    """scaled_dot_attention, split_heads and linear, one tape node each,
+    against the per-op compositions they replace: forward values and every
+    gradient bitwise equal."""
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_attention_matches_per_op_composition(self, case):
+        q_shape, kv_shape, heads, mask = ATTENTION_CASES[case]
+        results = []
+        for split, attention in ((T.split_heads, T.scaled_dot_attention),
+                                 (reference_split_heads, reference_attention)):
+            def build(q, k, v):
+                return attention(split(q, heads), split(k, heads),
+                                 split(v, heads), mask)
+
+            results.append(forward_and_gradients(
+                build, (q_shape, kv_shape, kv_shape), seed=35))
+        assert results[0] == results[1]
+
+    def test_attention_of_head_split_leaves(self):
+        # contiguous operands, as a decoder's self-attention keys and
+        # values are once its cache is concatenated in front of them
+        results = [forward_and_gradients(
+            lambda q, k, v: attention(q, k, v, T.causal_mask(3, 2)),
+            ((2, 2, 3, 4), (2, 2, 5, 4), (2, 2, 5, 4)), seed=36)
+            for attention in (T.scaled_dot_attention, reference_attention)]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (5, 4), (2, 1, 3, 4)])
+    def test_linear_matches_matmul_and_add(self, x_shape):
+        results = [forward_and_gradients(
+            linear, (x_shape, (4, 6), (6,)), seed=37)
+            for linear in (T.linear, reference_linear)]
+        assert results[0] == results[1]
+
+    def test_attention_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError, match="attention dims"):
+            T.scaled_dot_attention(np.ones((2, 3, 4)), np.ones((2, 5, 3)),
+                                   np.ones((2, 5, 3)))
+
+    def test_linear_bias_must_match_columns(self):
+        with pytest.raises(ConfigurationError, match="linear shapes"):
+            T.linear(np.ones((2, 4)), np.ones((4, 6)), np.ones(4))
+
+
 class TestConstantOperands:
     @staticmethod
     def _loss(w, x, scale, mask, table):
@@ -547,9 +643,9 @@ class TestConstantOperands:
         reached = []
         accumulate = T._accumulate
 
-        def recording(tensor, grad):
+        def recording(tensor, grad, fresh=False):
             reached.append(tensor)
-            accumulate(tensor, grad)
+            accumulate(tensor, grad, fresh)
 
         monkeypatch.setattr(T, "_accumulate", recording)
         grads = []
@@ -564,6 +660,32 @@ class TestConstantOperands:
         for constant in tensors[1:]:
             assert constant.grad is None
             assert all(t is not constant for t in reached)
+
+    @pytest.mark.parametrize("node", ["linear", "attention"])
+    def test_fused_node_forms_no_gradient_for_a_constant(self, node,
+                                                          monkeypatch):
+        rng = Rng(38)
+        reached = []
+        accumulate = T._accumulate
+
+        def recording(tensor, grad, fresh=False):
+            reached.append(tensor)
+            accumulate(tensor, grad, fresh)
+
+        monkeypatch.setattr(T, "_accumulate", recording)
+        shapes = ([(2, 3, 4), (4, 5), (5,)] if node == "linear"
+                  else [(2, 2, 3, 4)] * 3)
+        fn = T.linear if node == "linear" else T.scaled_dot_attention
+        for trained in range(3):
+            tensors = [T.Tensor(rng.uniform_array(shape), requires_grad=i
+                                == trained) for i, shape in enumerate(shapes)]
+            reached.clear()
+            T.backward(tensor_sum(fn(*tensors)))
+            assert tensors[trained].grad is not None
+            for i, constant in enumerate(tensors):
+                if i != trained:
+                    assert constant.grad is None
+                    assert all(t is not constant for t in reached)
 
 
 class TestSmoothedCrossEntropy:
