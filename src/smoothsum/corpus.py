@@ -261,6 +261,18 @@ def string_id(rec, key: str = "id") -> str:
     return value
 
 
+def _char_count(rec) -> int:
+    """A split record's code_char_len field: a non-negative integer, not a
+    boolean."""
+    value = rec["code_char_len"]
+    if type(value) is not int:
+        raise TypeError(f"code_char_len must be an integer, got "
+                        f"{type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"code_char_len must not be negative, got {value}")
+    return value
+
+
 def _raw_id(rec, key: str = "id") -> str:
     """A raw corpus record's id field (or, by the same rule, its project):
     a string, or an integer (not a boolean), which reads as its decimal
@@ -388,7 +400,7 @@ def read_split_jsonl(path) -> list:
             code_tokens=token_list(rec, "code_tokens"),
             comment_tokens=token_list(rec, "comment_tokens"),
             ast_text=_ast_field(rec),
-            code_char_len=int(rec["code_char_len"]),
+            code_char_len=_char_count(rec),
         )
 
     return read_jsonl(path, ("id", "project", "code_tokens", "comment_tokens",

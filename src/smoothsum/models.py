@@ -187,13 +187,14 @@ def _validate_ids(ids: np.ndarray, vocab: int, what: str) -> np.ndarray:
 
 def _encode_gru(model: Model, code_ids, ast_ids):
     """Runs the encoders once. Returns the final source state, which seeds
-    the decoder, and one (states, mask) attention memory per encoder."""
+    the decoder, and one (states (B, T, H), key mask (B, 1, T)) attention
+    memory per encoder."""
     src_states, state = _run_gru_encoder(model, "enc_gru", "src_embed",
                                          code_ids)
-    memories = [(src_states, code_ids != PAD)]
+    memories = [(src_states, (code_ids != PAD)[:, None, :])]
     if model.config.arch == "ast_attendgru":
         ast_states, _ = _run_gru_encoder(model, "ast_gru", "ast_embed", ast_ids)
-        memories.append((ast_states, ast_ids != PAD))
+        memories.append((ast_states, (ast_ids != PAD)[:, None, :]))
     return state, memories
 
 
@@ -201,7 +202,7 @@ def _gru_logits(params: T.ParamStore, states: T.Tensor, memories) -> T.Tensor:
     """Logits (B, L, V) for decoder states (B, L, H): one attention
     context per memory, and the output projection of [contexts..., state]
     as one (B*L, kH) @ (kH, V) linear node."""
-    contexts = [T.dot_attention(states, memory, mask=mask)[0]
+    contexts = [T.dot_attention(states, memory, mask=mask)
                 for memory, mask in memories]
     features = T.concat(contexts + [states], axis=-1)
     batch, length, width = features.data.shape

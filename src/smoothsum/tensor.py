@@ -114,34 +114,20 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """a @ b. A right operand of more than two dimensions must have the
-    product's leading dimensions: only a 2-D b is broadcast. With a 2-D b
-    the leading dimensions of a fold into rows, so the forward product,
-    a's gradient and b's gradient a^T g are each one 2-D product over
+    """a @ b for a 2-D right operand b, broadcast over the leading
+    dimensions of a. Those fold into rows, so the forward product, a's
+    gradient and b's gradient a^T g are each one 2-D product over
     a.reshape(-1, k), not one per item (Appleyard et al. 2016 fold an
     RNN's input products the same way)."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ConfigurationError("matmul operands must have ndim >= 2")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ConfigurationError(
+            f"matmul takes a left operand of ndim >= 2 and a 2-D right "
+            f"operand, not {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ConfigurationError(
             f"matmul shape mismatch {a.data.shape} @ {b.data.shape}")
-    if b.data.ndim == 2:
-        return _row_product(a, b)
-    out = np.matmul(a.data, b.data)
-    if b.data.shape[:-2] != out.shape[:-2]:
-        raise ConfigurationError(
-            f"matmul broadcasts a right operand {b.data.shape} of more than "
-            f"two dimensions to {out.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(np.matmul(g, b.data.swapaxes(-1, -2)),
-                                      a.data.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g), fresh=True)
-
-    return Tensor(out, parents=(a, b), backward_fn=bw)
+    return _row_product(a, b)
 
 
 def linear(x, w, b) -> Tensor:
@@ -158,8 +144,8 @@ def linear(x, w, b) -> Tensor:
 
 
 def _row_product(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """The node of matmul with a 2-D right operand, and of linear: x @ w
-    (+ bias) over x's leading dimensions folded into rows."""
+    """The node of matmul and of linear: x @ w (+ bias) over x's leading
+    dimensions folded into rows."""
     rows = x.data.reshape(-1, x.data.shape[-1])
     out = rows @ w.data
     if bias is not None:
@@ -186,16 +172,6 @@ def reshape(a, shape) -> Tensor:
         _accumulate(a, g.reshape(a.data.shape))
 
     return Tensor(a.data.reshape(shape), parents=(a,), backward_fn=bw)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _coerce(a)
-    inverse = np.argsort(axes)
-
-    def bw(g):
-        _accumulate(a, g.transpose(inverse))
-
-    return Tensor(a.data.transpose(axes), parents=(a,), backward_fn=bw)
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -487,23 +463,6 @@ def _check_attention_mask(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, _NEG_INF)
 
 
-def dot_attention(queries, memory, mask=None):
-    """Multiplicative attention of every query position over a memory:
-    scores are dot products of (B, L, d) queries against (B, T, d) memory
-    states, and positions where the (B, T) mask is False get -inf before
-    the softmax. Returns (context (B, L, d), weights (B, L, T))."""
-    q, mem = _coerce(queries), _coerce(memory)
-    if (q.data.ndim != 3 or mem.data.ndim != 3
-            or q.data.shape[-1] != mem.data.shape[-1]):
-        raise ConfigurationError(
-            f"attention dims {q.data.shape} vs {mem.data.shape}")
-    scores = matmul(q, transpose(mem, (0, 2, 1)))  # (B, L, T)
-    if mask is not None:
-        scores = add(scores, _check_attention_mask(mask)[:, None, :])
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, mem), weights
-
-
 def split_heads(x, heads: int) -> Tensor:
     """(..., length, d) -> (..., heads, length, d / heads) as one tape node:
     a view forward; backward writes the gradient into one new array."""
@@ -523,17 +482,40 @@ def split_heads(x, heads: int) -> Tensor:
                   backward_fn=bw)
 
 
+def dot_attention(queries, memory, mask=None) -> Tensor:
+    """Multiplicative attention of every query position over a memory:
+    the context (B, L, d) of (B, L, d) queries over (B, T, d) memory
+    states, which are both the keys and the values. mask is boolean
+    (attend = True), broadcastable to (B, L, T); a (B, 1, T) key mask
+    leaves out the memory's padding. The node of scaled_dot_attention over
+    one head, unscaled."""
+    q, mem = _coerce(queries), _coerce(memory)
+    if (q.data.ndim != 3 or mem.data.ndim != 3
+            or q.data.shape[-1] != mem.data.shape[-1]):
+        raise ConfigurationError(
+            f"attention dims {q.data.shape} vs {mem.data.shape}")
+    memory_head = split_heads(mem, 1)
+    return _attention(split_heads(q, 1), memory_head, memory_head, mask, 1.0)
+
+
 def scaled_dot_attention(qh, kh, vh, mask=None) -> Tensor:
     """softmax(qh kh^T / sqrt(d_head) + mask) vh of head-split queries
     (..., heads, Tq, d_head) over keys and values (..., heads, Tk, d_head),
     heads merged back into (..., Tq, heads * d_head), as one tape node (a
     fused attention kernel in numpy, as Dao et al. 2022 fuse it on a GPU).
     mask is boolean (attend = True), broadcastable to (Tq, Tk) per item
-    and applied before the softmax. The node keeps the probabilities p
-    only, and its backward pass forms dv = p^T g, the softmax gradient
-    p * (g v^T - rowsum(p * g v^T)) and from it dq and dk, with the
-    operations, and so the values, of the matmul, mul, add, softmax and
-    transpose nodes that it replaces."""
+    and applied before the softmax."""
+    qh = _coerce(qh)
+    return _attention(qh, kh, vh, mask, 1.0 / np.sqrt(qh.data.shape[-1]))
+
+
+def _attention(qh, kh, vh, mask, scale: float) -> Tensor:
+    """The attention node of dot_attention and scaled_dot_attention:
+    softmax(qh kh^T * scale + mask) vh, heads merged. The node keeps the
+    probabilities p only, and its backward pass forms dv = p^T g, the
+    softmax gradient p * (g v^T - rowsum(p * g v^T)) and from it dq and
+    dk, with the operations, and so the values, of the matmul, mul, add,
+    softmax and transpose nodes that it replaces."""
     qh, kh, vh = _coerce(qh), _coerce(kh), _coerce(vh)
     lead = qh.data.shape[:-2]
     if (qh.data.ndim < 3 or kh.data.shape[:-2] != lead
@@ -542,7 +524,6 @@ def scaled_dot_attention(qh, kh, vh, mask=None) -> Tensor:
             or vh.data.shape[-2] != kh.data.shape[-2]):
         raise ConfigurationError(f"attention dims {qh.data.shape}, "
                                  f"{kh.data.shape}, {vh.data.shape}")
-    scale = 1.0 / np.sqrt(qh.data.shape[-1])
     p = np.matmul(qh.data, kh.data.swapaxes(-1, -2))
     p *= scale
     if mask is not None:

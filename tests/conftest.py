@@ -145,11 +145,28 @@ def reference_linear(x, w, b) -> T.Tensor:
     return T.add(T.matmul(x, w), b)
 
 
+def transpose(a, axes) -> T.Tensor:
+    """a.transpose(axes) as a tape node, for the per-op references."""
+    a = T._coerce(a)
+    inverse = np.argsort(axes)
+
+    def bw(g):
+        T._accumulate(a, g.transpose(inverse))
+
+    return T.Tensor(a.data.transpose(axes), parents=(a,), backward_fn=bw)
+
+
+def swap_last_axes(t: T.Tensor) -> T.Tensor:
+    """(..., m, n) -> (..., n, m) as a transpose node."""
+    nd = t.data.ndim
+    return transpose(t, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+
+
 def swap_heads_and_positions(t: T.Tensor) -> T.Tensor:
     """(..., length, heads, d) <-> (..., heads, length, d) as a transpose
     node."""
     nd = t.data.ndim
-    return T.transpose(t, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
+    return transpose(t, tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1))
 
 
 def reference_split_heads(x, heads: int) -> T.Tensor:
@@ -165,15 +182,24 @@ def reference_attention(qh, kh, vh, mask=None) -> T.Tensor:
     """Scaled dot-product attention of head-split operands, heads merged,
     composed of matmul, mul, add, softmax, transpose and reshape nodes: the
     reference that T.scaled_dot_attention is pinned to."""
-    nd = kh.data.ndim
-    kt = T.transpose(kh, tuple(range(nd - 2)) + (nd - 1, nd - 2))
-    scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(qh.data.shape[-1]))
+    scores = T.mul(reference_matmul(qh, swap_last_axes(kh)),
+                   1.0 / np.sqrt(qh.data.shape[-1]))
     if mask is not None:
         additive = T._check_attention_mask(mask)
         scores = T.add(scores, np.expand_dims(additive, axis=-3))
     weights = T.softmax(scores, axis=-1)
-    ctx = swap_heads_and_positions(T.matmul(weights, vh))
+    ctx = swap_heads_and_positions(reference_matmul(weights, vh))
     return T.reshape(ctx, ctx.data.shape[:-2] + (-1,))
+
+
+def reference_gru_attention(queries, memory, mask=None) -> T.Tensor:
+    """Context (B, L, d) of (B, L, d) queries over (B, T, d) memory states,
+    composed of matmul, transpose, add and softmax nodes: the reference
+    that T.dot_attention is pinned to."""
+    scores = reference_matmul(queries, swap_last_axes(memory))
+    if mask is not None:
+        scores = T.add(scores, T._check_attention_mask(mask))
+    return reference_matmul(T.softmax(scores, axis=-1), memory)
 
 
 def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:
@@ -211,9 +237,10 @@ def reference_dot_attention(state, states, mask):
     """Context (B, d) of one (B, d) decoder state over (B, T, d) states,
     composed of per-op tape nodes."""
     query = T.reshape(state, state.data.shape + (1,))
-    scores = T.reshape(T.matmul(states, query), states.data.shape[:-1])
+    scores = T.reshape(reference_matmul(states, query),
+                       states.data.shape[:-1])
     scores = T.add(scores, np.where(mask, 0.0, -1e30))
     weights = T.reshape(T.softmax(scores, axis=-1),
                         (states.data.shape[0], 1, -1))
-    return T.reshape(T.matmul(weights, states),
+    return T.reshape(reference_matmul(weights, states),
                      (states.data.shape[0], states.data.shape[-1]))

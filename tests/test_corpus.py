@@ -299,6 +299,18 @@ class TestCorpusFiles:
                            match=r"split\.jsonl:2: duplicate sample id 's1'"):
             read_split_jsonl(path)
 
+    @pytest.mark.parametrize("length", ["12", True, 3.9, -5, 1e3])
+    def test_code_char_len_must_be_a_non_negative_integer(self, tmp_path,
+                                                          length):
+        path = tmp_path / "split.jsonl"
+        good = {"id": "s1", "project": "p", "code_tokens": [],
+                "comment_tokens": [], "code_char_len": 4}
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, "id": "s2",
+                                      "code_char_len": length}) + "\n")
+        with pytest.raises(DataError, match=r"split\.jsonl:2: "):
+            read_split_jsonl(path)
+
     def test_raw_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rows = [

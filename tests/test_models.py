@@ -9,7 +9,8 @@ from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.rng import Rng
 
 from conftest import (reference_attention, reference_dot_attention,
-                      reference_gru_step, reference_linear, reference_matmul,
+                      reference_gru_attention, reference_gru_step,
+                      reference_linear, reference_matmul,
                       reference_split_heads, taped_nodes, total_size)
 
 
@@ -558,6 +559,43 @@ class TestFusedTransformerNodes:
                     (name, other_name)
                 assert other is t or not np.may_share_memory(
                     t.grad, other.grad), (name, other_name)
+
+
+class TestFusedGruAttention:
+    """The GRU models through T.dot_attention, the attention node of the
+    transformer over one head, against the same models through the per-op
+    chain that it replaces."""
+
+    @staticmethod
+    def _run(model, ast):
+        model.params.zero_grads()
+        loss, _ = M.sequence_loss(model, CODE, ast, COMMENTS)
+        T.backward(loss, model.params)
+        grads = {n: t.grad for n, t in model.params.items()}
+        return float(loss.data), grads, M.greedy_decode(model, CODE, ast)
+
+    @pytest.mark.parametrize("arch", ["attendgru", "ast_attendgru"])
+    def test_loss_gradients_and_decoded_ids_are_bitwise_equal(
+            self, arch, monkeypatch):
+        model = M.build_model(tiny_config(arch, epsilon=0.1), seed=4)
+        ast = AST if arch == "ast_attendgru" else None
+        results = [self._run(model, ast)]
+        monkeypatch.setattr(T, "dot_attention", reference_gru_attention)
+        results.append(self._run(model, ast))
+        (loss, grads, ids), (ref_loss, ref_grads, ref_ids) = results
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+        assert ids == ref_ids
+
+    @pytest.mark.parametrize("arch, nodes", [("attendgru", 13),
+                                             ("ast_attendgru", 18)])
+    def test_step_tape_size(self, arch, nodes):
+        # the per-op chain taped 15 and 22 nodes for this step
+        model = M.build_model(tiny_config(arch, epsilon=0.1), seed=4)
+        ast = AST if arch == "ast_attendgru" else None
+        loss, _ = M.sequence_loss(model, CODE, ast, COMMENTS)
+        assert len(taped_nodes(loss)) == nodes
 
 
 class TestSequenceLoss:
