@@ -20,6 +20,7 @@ the SBT into a tree) and parse_mini_function.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, MiniParseError
@@ -132,18 +133,23 @@ def _scan(source: str) -> list:
     return pairs
 
 
-def _lex(source: str) -> list:
-    """Token strings, then two "" end-of-input sentinels. Text that is
-    ASCII, holds only grammar characters and has at most MAX_DEPTH opening
-    brackets in all can neither fail to lex nor nest too deep, so one
-    findall takes it; other text goes through _scan."""
+def grammar_tokens(text: str) -> list:
+    """The digit runs, ASCII identifiers and grammar symbols of any text,
+    in order, skipping every other character. On text the parser accepts
+    these are its tokens."""
+    return _TOKEN_RE.findall(text)
+
+
+def _lex(source: str, found: list) -> list:
+    """Token strings, then two "" end-of-input sentinels; found is
+    grammar_tokens(source). Text that is ASCII, holds only grammar
+    characters and has at most MAX_DEPTH opening brackets in all can
+    neither fail to lex nor nest too deep, so found holds its tokens; other
+    text goes through _scan."""
     if (source.isascii() and not _OTHER_RE.search(source)
             and source.count("(") + source.count("{") <= MAX_DEPTH):
-        tokens = _TOKEN_RE.findall(source)
-    else:
-        tokens = [text for text, _ in _scan(source)]
-    tokens += ("", "")
-    return tokens
+        return [*found, "", ""]
+    return [text for text, _ in _scan(source)] + ["", ""]
 
 
 def _is_ident(tok: str) -> bool:
@@ -158,9 +164,9 @@ class _Parser:
     character ("" is end of input), and a token's position is worked out
     only when a parse fails."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, found: list):
         self.source = source
-        self.tokens = _lex(source)
+        self.tokens = _lex(source, found)
         self.pos = 0
         self.out = []
 
@@ -328,7 +334,13 @@ def mini_function_sexpr(source: str) -> str:
     render_sexpr would write it. Syntax errors are raised first; a tree
     deeper than MAX_DEPTH (operator chains deepen it without nesting
     brackets) is refused after the parse."""
-    parser = _Parser(source)
+    return _function_sexpr(source, grammar_tokens(source))
+
+
+def _function_sexpr(source: str, found: list) -> str:
+    """mini_function_sexpr(source) for a caller that has already taken
+    found = grammar_tokens(source), which the parser then reuses."""
+    parser = _Parser(source, found)
     parser.parse_function()
     text = "".join(parser.out)
     if _nests_too_deep(text):
@@ -409,6 +421,22 @@ def sbt_from_sexpr(text: str) -> list:
     if i + 1 != end:
         raise MiniParseError("trailing content after s-expression")
     return out
+
+
+def sbt_counts(texts) -> Counter:
+    """How often each token occurs in the SBT streams of s-expression
+    texts, read from their atoms alone. Every atom is one node, and the SBT
+    writes each node as "(", label, ")", label: each label counts twice per
+    node, and "(" and ")" once per node. The texts are not checked, so each
+    must be one that sbt_from_sexpr accepts."""
+    atoms = Counter()
+    for text in texts:
+        atoms.update(_ATOM_RE.findall(text))
+    counts = Counter({label: 2 * n for label, n in atoms.items()})
+    nodes = atoms.total()
+    if nodes:
+        counts["("] = counts[")"] = nodes
+    return counts
 
 
 def sbt_flatten(root: AstNode) -> list:

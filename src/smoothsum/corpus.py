@@ -16,13 +16,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .astkit import mini_function_sexpr, sbt_from_sexpr
+# _function_sexpr is the parser's entry for a source whose grammar tokens
+# the caller has already found, so read_corpus_jsonl lexes each source once
+from .astkit import _function_sexpr, grammar_tokens, sbt_counts, sbt_from_sexpr
 from .errors import ConfigurationError, DataError, MiniParseError
 from .rng import Rng
 from .stemming import porter_stem
 
 PAD, START, END, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<PAD>", "<START>", "<END>", "<UNK>")
+_SPECIALS = frozenset(SPECIAL_TOKENS)
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -45,7 +48,22 @@ def tokenize_code(raw: str) -> list:
     """camelCase/snake_case subtokens, lowercased; digit runs stay
     standalone tokens. No subtoken spans a character outside [A-Za-z0-9],
     so that splits the text first."""
-    return [sub.lower() for sub in _SUBTOKEN_RE.findall(raw)]
+    return _subtokens(grammar_tokens(raw), {})
+
+
+def _subtokens(tokens, memo: dict) -> list:
+    """tokenize_code of the text whose grammar_tokens are tokens: the
+    lowercased subtokens of each token in turn. No subtoken crosses a
+    token's edge, since a grammar token ends only at a character outside
+    [A-Za-z0-9_] or between a digit run and a letter. memo maps each token
+    seen so far to its subtokens, so equal subtokens share one string."""
+    out = []
+    for tok in tokens:
+        subs = memo.get(tok)
+        if subs is None:
+            subs = memo[tok] = [sub.lower() for sub in _SUBTOKEN_RE.findall(tok)]
+        out += subs
+    return out
 
 
 def tokenize_comment(raw: str) -> list:
@@ -87,22 +105,31 @@ class Vocabulary:
             raise DataError(f"vocabulary file {path} is not UTF-8") from exc
         if lines[:4] != list(SPECIAL_TOKENS):
             raise DataError(f"vocabulary file {path} lacks the special tokens")
+        first_line = {}
+        for lineno, token in enumerate(lines, start=1):
+            if not token:
+                raise DataError(f"{path}:{lineno}: empty token")
+            if token in first_line:
+                raise DataError(f"{path}:{lineno}: token {token!r} repeats "
+                                f"line {first_line[token]}")
+            first_line[token] = lineno
         return cls(lines)
 
 
 def build_vocabulary(samples: list, size: int, side: str) -> Vocabulary:
     """Specials plus the (size - 4) most frequent tokens of one side,
     ties broken lexicographically. The "ast" side counts the SBT streams
-    of the samples that have an AST."""
+    of the samples that have an AST from the nodes of their s-expressions
+    (astkit.sbt_counts), which read_corpus_jsonl has already checked."""
     if side == "source":
-        streams = (s.code_tokens for s in samples)
-    elif side == "target":
-        streams = (s.comment_tokens for s in samples)
-    elif side == "ast":
-        streams = (sbt_tokens_for_sample(s) for s in samples if s.ast_text)
-    else:
-        raise ConfigurationError(f"unknown vocabulary side {side!r}")
-    return build_token_vocabulary(streams, size)
+        return build_token_vocabulary((s.code_tokens for s in samples), size)
+    if side == "target":
+        return build_token_vocabulary((s.comment_tokens for s in samples),
+                                      size)
+    if side == "ast":
+        return _ranked_vocabulary(
+            sbt_counts(s.ast_text for s in samples if s.ast_text), size)
+    raise ConfigurationError(f"unknown vocabulary side {side!r}")
 
 
 def check_vocab_size(size: int) -> None:
@@ -111,11 +138,15 @@ def check_vocab_size(size: int) -> None:
 
 
 def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
-    """Vocabulary over arbitrary token sequences (used for SBT streams)."""
-    check_vocab_size(size)
+    """Vocabulary over arbitrary token sequences."""
     counts = Counter()
     for toks in token_lists:
         counts.update(toks)
+    return _ranked_vocabulary(counts, size)
+
+
+def _ranked_vocabulary(counts: Counter, size: int) -> Vocabulary:
+    check_vocab_size(size)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     tokens = list(SPECIAL_TOKENS) + [t for t, _ in ranked[: size - 4]]
     return Vocabulary(tokens)
@@ -347,28 +378,40 @@ def sbt_tokens_for_sample(sample) -> list:
 
 def read_corpus_jsonl(path) -> list:
     """The samples of a raw corpus file, tokenized. A given non-empty ast
-    field must read as an s-expression, whichever split its record lands in.
-    A sample with no ast field gets the s-expression the mini-language
-    parser derives from its code, or none when the code does not parse."""
+    field must read as an s-expression with no special token for a label,
+    whichever split its record lands in. A sample with no ast field gets
+    the s-expression the mini-language parser derives from its code, or
+    none when the code does not parse. Each code is lexed once: its
+    grammar tokens give its code tokens, and the parser's tokens wherever
+    the parser's fast path would find them."""
+    memo = {}
+
     def make(rec):
         ast_text = _ast_field(rec)
+        code = rec["code"]
+        found = grammar_tokens(code)
         if ast_text is None:
             try:
-                ast_text = mini_function_sexpr(rec["code"])
+                ast_text = _function_sexpr(code, found)
             except MiniParseError:
                 pass
         elif ast_text:
             try:
-                sbt_from_sexpr(ast_text)
+                sbt = sbt_from_sexpr(ast_text)
             except MiniParseError as exc:
                 raise ValueError(f"invalid ast: {exc}") from exc
+            # such a label would repeat a special token in vocab.ast.txt
+            reserved = "<" in ast_text and _SPECIALS.intersection(sbt)
+            if reserved:
+                raise ValueError(f"ast label {min(reserved)!r} is a special "
+                                 "token")
         return Sample(
             id=_raw_id(rec),
             project=_raw_id(rec, "project"),
-            code_tokens=tokenize_code(rec["code"]),
+            code_tokens=_subtokens(found, memo),
             comment_tokens=tokenize_comment(rec["comment"]),
             ast_text=ast_text,
-            code_char_len=len(rec["code"]),
+            code_char_len=len(code),
         )
 
     return read_jsonl(path, ("id", "project", "code", "comment"), make,
@@ -386,10 +429,14 @@ def _sample_to_record(s: Sample) -> dict:
     }
 
 
+# json.dumps(..., sort_keys=True) would build a new encoder per record
+_SPLIT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_split_jsonl(samples: list, path) -> None:
     with atomic_write(path) as fh:
         for s in samples:
-            fh.write(json.dumps(_sample_to_record(s), sort_keys=True) + "\n")
+            fh.write(_SPLIT_ENCODER.encode(_sample_to_record(s)) + "\n")
 
 
 def read_split_jsonl(path) -> list:

@@ -1,5 +1,8 @@
 import itertools
+import json
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,9 @@ from smoothsum.astkit import (MAX_DEPTH, AstNode, AstPath,
                               mini_function_sexpr, node, parse_mini_function,
                               render_sexpr, sample_paths, sbt_flatten,
                               sbt_from_sexpr)
-from smoothsum.corpus import tokenize_code
+from smoothsum.corpus import (Sample, build_token_vocabulary,
+                              build_vocabulary, read_corpus_jsonl,
+                              tokenize_code)
 from smoothsum.errors import ConfigurationError, DataError, MiniParseError
 from smoothsum.rng import Rng
 from smoothsum.synthetic import generate_samples
@@ -311,6 +316,77 @@ class TestFrontEndEquivalence:
             assert outcome(parse_mini_function, code) == \
                 outcome(reference.parse_mini_function, code)
             assert outcome(parse_mini_function, code)[0] == "tree"
+
+
+def accepted_or_none(text):
+    """text when sbt_from_sexpr reads it, else None: prepare keeps only
+    s-expressions that read."""
+    try:
+        sbt_from_sexpr(text)
+    except MiniParseError:
+        return None
+    return text
+
+
+# Trees whose leaves are written as bare atoms, over labels enough to give
+# ties in the SBT counts and a vocabulary cut through them.
+LEAFY_SEXPRS = st.recursive(
+    st.sampled_from(["a", "b", "c", "x1", "if", "é", "<"]),
+    lambda inner: st.tuples(st.sampled_from(["f", "a", "if", "+"]),
+                            st.lists(inner, max_size=4)).map(
+        lambda t: "(" + " ".join([t[0], *t[1]]) + ")"), max_leaves=12)
+AST_FIELDS = st.one_of(SEXPR_TEXTS.map(accepted_or_none),
+                       LEAFY_SEXPRS.map(accepted_or_none),
+                       st.none(), st.just(""))
+# ASCII and non-ASCII letters, digits, "_", the grammar's symbols and other
+# punctuation and whitespace
+CODE_TEXT = st.text(alphabet=st.sampled_from(
+    list("abyzABYZ" "éßΩЖǅ" "0189" "٣²" "_" "(){};,=+-*/" "!#.:<>?@[]^`~'\"\\"
+         " \t\n\x1c\u2028")), max_size=40)
+# Identifiers that differ in case or digits only, so one file repeats
+# tokens whose subtokens differ: the memo of a corpus read must tell them
+# apart.
+CODE_WORDS = st.lists(st.tuples(
+    st.sampled_from(["getName", "getname", "GETNAME", "GetNAME", "aB", "ab",
+                     "AB", "HTTPServer", "httpServer", "x2y", "X2Y", "_x",
+                     "9lives", "a_b", "A_B"]),
+    st.sampled_from([" ", "(", ".", "é", "-", "\n"])), max_size=10).map(
+        lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+class TestPrepareOnePass:
+    """prepare's one pass over each sample against the paths it replaced:
+    the AST vocabulary from s-expression atoms against counting SBT
+    streams, and code tokens from the grammar lexer's tokens against the
+    reference tokenizer."""
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(AST_FIELDS, max_size=10), st.integers(5, 20))
+    def test_ast_vocabulary_matches_sbt_streams(self, asts, size):
+        samples = [Sample(id=str(i), project="p", code_tokens=["a"],
+                          comment_tokens=["b"], ast_text=ast)
+                   for i, ast in enumerate(asts)]
+        expected = build_token_vocabulary(
+            [sbt_from_sexpr(ast) for ast in asts if ast], size)
+        assert build_vocabulary(samples, size, "ast") == expected
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.one_of(CODE_TEXT, CODE_WORDS, MINI_SOURCES),
+                    max_size=8))
+    def test_corpus_code_tokens_and_ast_match_reference(self, codes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(
+                json.dumps({"id": i, "project": "p", "code": code,
+                            "comment": "c"}) + "\n"
+                for i, code in enumerate(codes)), encoding="utf-8")
+            samples = read_corpus_jsonl(path)
+        for code, sample in zip(codes, samples, strict=True):
+            assert sample.code_tokens == reference.tokenize_code(code)
+            assert tokenize_code(code) == sample.code_tokens
+            derived = text_outcome(mini_function_sexpr, code)
+            assert sample.ast_text == (derived[1] if derived[0] == "value"
+                                       else None)
 
 
 def count_nodes(tree):

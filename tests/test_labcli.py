@@ -223,6 +223,35 @@ class TestPrepare:
                        str(tmp_path / "prep")) == 2
         assert "bad.jsonl:5" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("code", [5, None, ["int f(){}"]],
+                             ids=["number", "null", "list"])
+    def test_non_string_code_exits_2(self, tmp_path, corpus_file, capsys,
+                                     code):
+        lines = corpus_file.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["code"] = code
+        record.pop("ast", None)  # so the code would be parsed
+        lines[4] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep")) == 2
+        assert "bad.jsonl:5" in assert_one_line_error(capsys)
+        assert not (tmp_path / "prep").exists()
+
+    @pytest.mark.parametrize("ast", ["(<PAD> (x))", "(f <UNK> (y))"])
+    def test_special_token_ast_label_exits_2(self, tmp_path, corpus_file,
+                                             capsys, ast):
+        # vocab.ast.txt would hold the special token twice
+        lines = corpus_file.read_text().splitlines()
+        lines[4] = json.dumps({**json.loads(lines[4]), "ast": ast})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("prepare", "--data", str(bad), "--out",
+                       str(tmp_path / "prep")) == 2
+        err = assert_one_line_error(capsys)
+        assert "bad.jsonl:5" in err and "is a special token" in err
+
     @pytest.mark.parametrize("ids, line, message", [
         ([None, "None"], 1, "id must be a string or an integer, got NoneType"),
         ([7, "7"], 2, "duplicate sample id '7'"),
@@ -667,6 +696,29 @@ class TestTrainPredictScore:
                        str(tmp_path / "run"), "--epochs", "1",
                        *FAST_MODEL) == 2
         assert "vocab.src.txt" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("line, token, message", [
+        (7, None, "token {line5!r} repeats line 5"),  # None: line 5's token
+        (6, "", "empty token"),
+        (7, "<UNK>", "token '<UNK>' repeats line 4"),
+    ], ids=["repeated-token", "empty-line", "repeated-special"])
+    def test_malformed_target_vocabulary_exits_2(
+            self, tmp_path, prepared_dir, checkpoint, capsys, command, line,
+            token, message):
+        # the file keeps its size, so only the check on its lines refuses it
+        bad = copy_prepared(prepared_dir, tmp_path / "prep")
+        lines = (bad / "vocab.tgt.txt").read_text().splitlines()
+        lines[line - 1] = lines[4] if token is None else token
+        (bad / "vocab.tgt.txt").write_text("\n".join(lines) + "\n")
+        out = tmp_path / ("run" if command == "train" else "p.jsonl")
+        extra = (["--epochs", "1", *FAST_MODEL] if command == "train"
+                 else ["--checkpoint", str(checkpoint)])
+        assert run_cli(command, "--data", str(bad), "--out", str(out),
+                       *extra) == 2
+        expected = f"vocab.tgt.txt:{line}: " + message.format(line5=lines[4])
+        assert expected in assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_non_utf8_target_vocabulary_exits_2(self, tmp_path, prepared_dir,
                                                  checkpoint, capsys):

@@ -22,6 +22,11 @@ one `sha256  path` line per file, sorted by path; command output goes to
 standard error. No output holds a wall-clock value, so two runs print the
 same lines wherever they run, and two checkouts print the same lines when
 they write the same bytes.
+
+`tests/pipeline_digest.txt` holds the lines, below a header naming the
+numpy build (`numpy_build`) that printed them; `tests/test_digest.py`
+runs `digest_lines` and compares. A change that moves output bytes on
+purpose replaces the lines in that file.
 """
 
 import contextlib
@@ -84,6 +89,30 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def digest_lines(directory) -> list:
+    """Run the pipeline inside an empty directory and return one
+    `sha256  path` line per file it wrote, sorted by path. The working
+    directory is restored afterwards."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        pipeline()
+        return [f"{digest(path)}  {path.as_posix()}" for path in
+                sorted(p for p in Path(".").rglob("*") if p.is_file())]
+    finally:
+        os.chdir(previous)
+
+
+def numpy_build() -> dict:
+    """The numpy version and the BLAS name and version it was built with,
+    from numpy.show_config: the build on which the lines were printed."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
 def main(argv) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
@@ -93,10 +122,8 @@ def main(argv) -> int:
     if any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 1
-    os.chdir(out)
-    pipeline()
-    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
-        print(f"{digest(path)}  {path.as_posix()}")
+    for line in digest_lines(out):
+        print(line)
     return 0
 
 
