@@ -3,17 +3,23 @@ similarity, paired t-tests, diversity counts and classification reports.
 
 BLEU is corpus-level (clipped n-gram counts pooled over the prediction
 set, uniform 0.25 weights for n = 1..4, hard zero when any order has no
-overlap). Per record it counts the reference's n-grams of all orders into
-one table; each pred n-gram that finds a count left takes one, which
-clips it. A pred identical to its ref adds its totals without counting.
-METEOR aligns unigrams in two passes: each unmatched pred token
-takes the leftmost unmatched ref token with an equal key, exact pass
-first, then stems; an identical pair is one chunk of len(pred) matches.
-It applies the classic 10PR/(R+9P)
-harmonic mean with the 0.5*(chunks/m)^3 fragmentation penalty; the synonym
-pass is deliberately out of scope. score_predictions computes the stem and
-the similarity vector of each distinct token once per scored set; a
-sentence vector adds its token vectors in sorted order and divides once.
+overlap). It counts in integer arrays over the whole set: every token
+gets an id, every pred and then every ref is laid end to end with a
+separator after each record, and an n-gram's key is the rank of its
+(n-1)-gram's key (the record, for n = 1) times the number of ids plus
+its last id, so keys stay exact however many tokens the set has. Per
+order, each (record, n-gram) key is counted on both sides and clipped to
+the smaller count. METEOR aligns unigrams in two passes: each unmatched
+pred token takes the leftmost unmatched ref token with an equal key,
+exact pass first, then stems; an identical pair is one chunk of
+len(pred) matches. It applies the classic 10PR/(R+9P) harmonic mean with
+the 0.5*(chunks/m)^3 fragmentation penalty; the synonym pass is
+deliberately out of scope. score_predictions computes the stem and the
+similarity vector of each distinct token once per scored set, and the
+whole set's similarities as one block: a sentence vector adds its token
+vectors one after another in sorted token order and divides once, and
+the norms and dot products are stacked (1, d) @ (d, 1) products, each
+equal to np.dot of its row.
 The paired t-test's two-sided p-value is the regularized incomplete beta
 I_x(df/2, 1/2) at x = df/(df+t^2), summed as a continued fraction by the
 modified Lentz method, so the module needs nothing beyond numpy. It takes
@@ -110,17 +116,15 @@ class SentenceEmbedder:
     def embed(self, tokens) -> np.ndarray:
         raise NotImplementedError
 
+    def embed_block(self, sentences) -> np.ndarray:
+        """The vectors of non-empty token lists as the rows of one array;
+        row i is embed(sentences[i])."""
+        return np.array([self.embed(tokens) for tokens in sentences],
+                        dtype=np.float64)
+
 
 # ---------------------------------------------------------------------------
 # BLEU
-
-
-def _ngrams(tokens):
-    """Every n-gram of tokens as a tuple, n = 1..BLEU_MAX_ORDER, order by
-    order."""
-    shifted = [tokens[k:] for k in range(BLEU_MAX_ORDER)]
-    return chain.from_iterable(zip(*shifted[:n])
-                               for n in range(1, BLEU_MAX_ORDER + 1))
 
 
 def corpus_bleu(preds: list) -> float:
@@ -128,28 +132,36 @@ def corpus_bleu(preds: list) -> float:
     penalty min(1, e^(1 - r/c)) over aggregate lengths."""
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
+    # every pred, then every ref, each record closed by a None separator,
+    # so no n-gram crosses records; a token's id is its first appearance
+    tokens = []
+    for side in ("predicted", "reference"):
+        for record in preds:
+            tokens += getattr(record, side)
+            tokens.append(None)
+    index = {t: i for i, t in enumerate(dict.fromkeys([None, *tokens]))}
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    lengths = [len(r.predicted) + 1 for r in preds]
+    split = sum(lengths)  # the first ref position
+    lengths += [len(r.reference) + 1 for r in preds]
+    # the key of the n-gram at position i: the rank of its (n-1)-gram's key
+    # times len(index), plus its last id; the 0-gram's key is its record.
+    # Ranks stay below len(ids), so no key overflows
+    key = np.repeat(np.tile(np.arange(len(preds)), 2), lengths)
+    valid = np.ones(len(ids), dtype=bool)
     clipped = [0] * BLEU_MAX_ORDER
     totals = [0] * BLEU_MAX_ORDER
-    candidate_len = 0
-    reference_len = 0
-    for record in preds:
-        pred, ref = record.predicted, record.reference
-        candidate_len += len(pred)
-        reference_len += len(ref)
-        for k in range(min(len(pred), BLEU_MAX_ORDER)):
-            totals[k] += len(pred) - k  # the (k+1)-grams of pred
-        if pred == ref:
-            for k in range(min(len(pred), BLEU_MAX_ORDER)):
-                clipped[k] += len(pred) - k
-            continue
-        # clip by consuming the reference's n-gram counts: each pred n-gram
-        # found with a count left takes one
-        left = Counter(_ngrams(ref))
-        for gram in filter(left.__contains__, _ngrams(pred)):
-            count = left[gram]
-            if count:
-                left[gram] = count - 1
-                clipped[len(gram) - 1] += 1
+    for k in range(BLEU_MAX_ORDER):
+        key = key[:len(ids) - k] * len(index) + ids[k:]
+        valid = valid[:len(ids) - k] & (ids[k:] != 0)
+        distinct, key = np.unique(key, return_inverse=True)
+        n = len(distinct)
+        pred = np.bincount(key[:split][valid[:split]], minlength=n)
+        ref = np.bincount(key[split:][valid[split:]], minlength=n)
+        clipped[k] = int(np.minimum(pred, ref).sum())
+        totals[k] = int(pred.sum())
+    candidate_len = split - len(preds)
+    reference_len = len(ids) - split - len(preds)
     if candidate_len == 0:
         return 0.0
     precisions = [c / t if t else 0.0 for c, t in zip(clipped, totals)]
@@ -246,49 +258,78 @@ class HashedBagEmbedder(SentenceEmbedder):
     mean of its token vectors. Deterministic across runs and platforms."""
 
     def __init__(self):
-        self._cache = {}
+        self._table = np.zeros((1, EMBED_DIM))  # row 0 pads; tokens follow
+        self._rows = {}  # token -> its row of _table
 
     def add_tokens(self, tokens) -> None:
-        """Draw the vectors of every token not yet cached, in one block."""
-        new = list(set(tokens).difference(self._cache))
+        """Draw the vectors of every token not yet in the table, in one
+        block."""
+        new = list(set(tokens).difference(self._rows))
         if new:
             seeds = [stable_token_seed("token-embed:" + t) for t in new]
             block = (uniform_rows(seeds, EMBED_DIM) - 0.5) * math.sqrt(12.0)
-            self._cache.update(zip(new, block))
+            self._rows.update(zip(new, range(len(self._table),
+                                             len(self._table) + len(new))))
+            self._table = np.concatenate([self._table, block])
 
     def embed(self, tokens) -> np.ndarray:
         if not tokens:
             return np.zeros(EMBED_DIM)
-        self.add_tokens(tokens)
-        # canonical accumulation order makes the mean exactly invariant
-        # under token permutation; rows are added one after another, as
-        # np.mean adds them along axis 0
-        rows = [self._cache[t] for t in sorted(tokens)]
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
-        return total / len(rows)
+        return self.embed_block([tokens])[0]
+
+    def embed_block(self, sentences) -> np.ndarray:
+        """Each sentence's mean in one block. Its token rows are added one
+        after another in sorted token order, as np.mean adds them along
+        axis 0, so the mean is exactly invariant under token permutation;
+        shorter sentences add the zero pad row, and x + 0.0 is x."""
+        self.add_tokens(chain.from_iterable(sentences))
+        lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
+        rows = np.fromiter(chain.from_iterable(
+            map(self._rows.__getitem__, sorted(tokens))
+            for tokens in sentences), np.intp, int(lengths.sum()))
+        filled = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.zeros(filled.shape, dtype=np.intp)
+        ids[filled] = rows  # row-major: sentence by sentence
+        total = self._table[ids[:, 0]]
+        for column in ids.T[1:]:
+            total += self._table[column]
+        return total / lengths[:, None]
+
+
+def similarity_scores(pairs, embedder: SentenceEmbedder) -> list:
+    """Per (pred, ref) pair, the cosine of the two sentence embeddings
+    clamped to [0, 1]; both empty scores 1, one empty scores 0, and
+    identical sides score 1. The other pairs are embedded in one block."""
+    scores = []
+    rest = []  # positions of the pairs that need their embeddings
+    for pred, ref in pairs:
+        if not pred or not ref:
+            scores.append(1.0 if not pred and not ref else 0.0)
+        elif list(pred) == list(ref):
+            scores.append(1.0)
+        else:
+            rest.append(len(scores))
+            scores.append(None)
+    if rest:
+        vectors = embedder.embed_block([pairs[i][0] for i in rest]
+                                       + [pairs[i][1] for i in rest])
+        # stacked (1, d) @ (d, 1) products, each np.dot of one row pair
+        a = vectors[:len(rest), None, :]
+        b = vectors[len(rest):, :, None]
+        norm_a = np.sqrt(a @ a.transpose(0, 2, 1))[:, 0, 0]
+        norm_b = np.sqrt(b.transpose(0, 2, 1) @ b)[:, 0, 0]
+        if not (norm_a.all() and norm_b.all()):
+            raise NumericError("embedder produced a zero vector for a "
+                               "non-empty token list")
+        cosines = (a @ b)[:, 0, 0] / (norm_a * norm_b)
+        for i, cosine in zip(rest, cosines.tolist()):
+            scores[i] = min(1.0, max(0.0, cosine))
+    return scores
 
 
 def sentence_similarity(pred, ref, embedder: SentenceEmbedder) -> float:
-    """Cosine of the two sentence embeddings clamped to [0, 1]; both
-    empty scores 1, one empty scores 0."""
-    if not pred and not ref:
-        return 1.0
-    if not pred or not ref:
-        return 0.0
-    if list(pred) == list(ref):
-        return 1.0
-    a = embedder.embed(pred)
-    b = embedder.embed(ref)
-    # the 2-norm as np.linalg.norm computes it for a 1-D vector
-    norm_a = math.sqrt(np.dot(a, a))
-    norm_b = math.sqrt(np.dot(b, b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise NumericError("embedder produced a zero vector for a non-empty "
-                           "token list")
-    cosine = float(np.dot(a, b) / (norm_a * norm_b))
-    return min(1.0, max(0.0, cosine))
+    """similarity_scores of one pair."""
+    return similarity_scores([(pred, ref)], embedder)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +531,10 @@ def score_predictions(preds: list) -> MetricReport:
     if len(preds) == 0:
         raise DataError("cannot score an empty prediction set")
     stems = {}
-    embedder = HashedBagEmbedder()
-    embedder.add_tokens(t for r in preds for t in (*r.predicted, *r.reference))
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),
         meteor_scores=[sentence_meteor(r.predicted, r.reference, stems)
                        for r in preds],
-        similarity_scores=[sentence_similarity(r.predicted, r.reference,
-                                               embedder)
-                           for r in preds],
+        similarity_scores=similarity_scores(
+            [(r.predicted, r.reference) for r in preds], HashedBagEmbedder()),
     )

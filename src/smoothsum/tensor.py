@@ -593,6 +593,16 @@ def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
 # parameters, backward pass, gradient checking
 
 
+def _sum_of_squares(arrays) -> float:
+    """The squares of every entry summed array by array; inf, with no
+    warning, when they overflow."""
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for a in arrays:
+            total += float((a * a).sum())
+    return total
+
+
 class ParamStore:
     """Named parameter tensors plus their gradient accumulators."""
 
@@ -622,10 +632,16 @@ class ParamStore:
             t.grad = np.zeros_like(t.data)
 
     def global_grad_norm(self) -> float:
-        total = 0.0
-        for _, t in self.items():
-            if t.grad is not None:
-                total += float((t.grad * t.grad).sum())
+        """The 2-norm of all gradients together. When the sum of squares
+        overflows though every gradient is finite, the norm is that of
+        the gradients divided by their largest |g|, times it, so a clip
+        keeps the gradients' direction instead of zeroing them."""
+        grads = [t.grad for _, t in self.items() if t.grad is not None]
+        total = _sum_of_squares(grads)
+        if np.isinf(total) and all(np.isfinite(g).all() for g in grads):
+            scale = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+            return scale * float(np.sqrt(_sum_of_squares(
+                [g / scale for g in grads])))
         return float(np.sqrt(total))
 
     def scale_grads(self, factor: float) -> None:

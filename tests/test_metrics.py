@@ -632,9 +632,83 @@ class TestFastPathsMatchReference:
             == reference_report(pairs)
 
 
+LONG_SENTENCE = st.lists(st.sampled_from(WORDS), min_size=1, max_size=40)
+LONG_PAIR = st.one_of(st.tuples(LONG_SENTENCE, LONG_SENTENCE),
+                      LONG_SENTENCE.map(lambda s: (s, list(s))),
+                      LONG_SENTENCE.map(lambda s: (s, s[:-1] + s)))
+
+
+def loop_similarity(pred, ref, vectors):
+    """One pair's similarity as a per-record loop: rows added one after
+    another in sorted token order, np.dot for the norms and the cosine;
+    vectors memoizes drawn_alone."""
+    if not pred and not ref:
+        return 1.0
+    if not pred or not ref:
+        return 0.0
+    if list(pred) == list(ref):
+        return 1.0
+
+    def embed(tokens):
+        total = None
+        for t in sorted(tokens):
+            if t not in vectors:
+                vectors[t] = drawn_alone(t)
+            total = vectors[t].copy() if total is None else total + vectors[t]
+        return total / len(tokens)
+
+    a, b = embed(pred), embed(ref)
+    norm_a = math.sqrt(np.dot(a, a))
+    norm_b = math.sqrt(np.dot(b, b))
+    return min(1.0, max(0.0, float(np.dot(a, b) / (norm_a * norm_b))))
+
+
+class TestSetLevelKernels:
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(LONG_PAIR, min_size=1, max_size=12))
+    def test_score_predictions_json_long_sentences(self, pairs):
+        assert json.dumps(X.score_predictions(pset(*pairs)).to_dict()) \
+            == reference_report(pairs)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.one_of(LONG_PAIR, st.tuples(SENTENCE, SENTENCE)),
+                    min_size=1, max_size=12))
+    def test_similarity_bitwise_equal_to_per_record_loop(self, pairs):
+        vectors = {}
+        expected = [loop_similarity(p, r, vectors).hex() for p, r in pairs]
+        embedder = X.HashedBagEmbedder()
+        assert [x.hex() for x in X.similarity_scores(pairs, embedder)] \
+            == expected
+        assert [X.sentence_similarity(p, r, embedder).hex()
+                for p, r in pairs] == expected
+
+    def test_bleu_keys_do_not_overflow_with_many_distinct_tokens(self):
+        # 131,071 distinct tokens and the separator make 2^17 ids. Packed
+        # into one int64 without rank compression, a 4-gram's key is
+        # a*2^51 + b*2^34 + c*2^17 + d mod 2^64, so first ids 8,192 apart
+        # collide: the second record's two 4-grams must not match
+        tokens = ["t%d" % i for i in range((1 << 17) - 1)]
+        pairs = [(tokens, tokens[:4]),
+                 (tokens[10:11] + tokens[30:35:2],
+                  tokens[10 + 8192:11 + 8192] + tokens[30:35:2])]
+        assert X.corpus_bleu(pset(*pairs)) == reference_bleu(pairs)
+
+    def test_stub_zero_vector_raises_the_numeric_message(self):
+        class ZeroForB(X.SentenceEmbedder):
+            def embed(self, tokens):
+                return np.zeros(2) if tokens == ["b"] else np.ones(2)
+
+        with pytest.raises(NumericError, match="^embedder produced a zero "
+                           "vector for a non-empty token list$"):
+            X.similarity_scores([(["a"], ["c"]), (["a"], ["b"])], ZeroForB())
+
+
 def test_score_predictions_calls_each_metric_per_record(monkeypatch):
-    # perfbench traces corpus_bleu, sentence_meteor and sentence_similarity
-    # through these module globals, once per set and once per record
+    # perfbench traces corpus_bleu, sentence_meteor and similarity_scores
+    # through these module globals: BLEU and similarity once per set,
+    # METEOR once per record
     calls = Counter()
 
     def counting(name):
@@ -645,14 +719,14 @@ def test_score_predictions_calls_each_metric_per_record(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("corpus_bleu", "sentence_meteor", "sentence_similarity"):
+    for name in ("corpus_bleu", "sentence_meteor", "similarity_scores"):
         monkeypatch.setattr(X, name, counting(name))
     preds = pset((["gets", "the", "file"], ["gets", "the", "file"]),
                  (["sets", "x"], ["sets", "the", "x"]),
                  ([], ["a"]))
     X.score_predictions(preds)
     assert calls == {"corpus_bleu": 1, "sentence_meteor": 3,
-                     "sentence_similarity": 3}
+                     "similarity_scores": 1}
 
 
 class TestStemMemo:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smoothsum import tensor as T
 from smoothsum.corpus import PAD
 from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng, stable_token_seed, uniform_rows
+from smoothsum.trainer import GRAD_CLIP_NORM
 
 from conftest import (reference_attention, reference_gru_step,
                       reference_linear, reference_smoothed_loss,
@@ -769,3 +771,21 @@ class TestParamStore:
         assert abs(store.global_grad_norm() - 6.0) < 1e-12
         store.scale_grads(0.5)
         np.testing.assert_allclose(w.grad, np.full(4, 1.5))
+
+    def test_clip_of_an_overflowing_norm_keeps_the_direction(self):
+        # the squares of 2e154 overflow: the norm must still be finite,
+        # so trainer's clip scales the gradients instead of zeroing them
+        store = T.ParamStore()
+        a = store.add("a", np.zeros(3))
+        b = store.add("b", np.zeros(2))
+        store.zero_grads()
+        a.grad[:] = [2e154, -1.0, 3.0]
+        b.grad[:] = [4.0, 5.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = store.global_grad_norm()
+        assert norm == pytest.approx(2e154)
+        store.scale_grads(GRAD_CLIP_NORM / norm)
+        np.testing.assert_allclose(a.grad, [5.0, -2.5e-154, 7.5e-154],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(b.grad, [1e-153, 1.25e-153], rtol=1e-12)

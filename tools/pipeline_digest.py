@@ -8,6 +8,9 @@ of this checkout's `src/` in-process, inside OUT_DIR, on relative paths:
 
 - a 240-sample synthetic corpus with `ast` removed from every other
   record, and `prepare`;
+- a prediction file made from the test split's references, each edited
+  by the next kind in turn (identical, drop-last, reversed, disjoint,
+  stem variant), and `score`, so the digest covers a BLEU above 0;
 - `compare` for each architecture (3 epochs), with both prediction files
   `score`d;
 - `sweep --vocab-sizes 40,60 --epochs 1`;
@@ -31,6 +34,7 @@ purpose replaces the lines in that file.
 
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -44,6 +48,16 @@ FAST_MODEL = ("--embed-dim", "16", "--hidden-dim", "16", "--code-len", "20",
               "--comment-len", "8", "--batch-size", "32", "--lr", "2e-3",
               "--dropout", "0", "--heads", "2", "--layers", "1")
 ARCHS = ("attendgru", "transformer", "ast-attendgru")
+# words of no synthetic comment, for the disjoint edit
+DISJOINT_WORDS = ("zebra", "quartz", "violin", "harbor", "meadow", "lantern")
+EDITS = {
+    "identical": list,
+    "drop-last": lambda tokens: tokens[:-1],
+    "reversed": lambda tokens: tokens[::-1],
+    "disjoint": lambda tokens: [DISJOINT_WORDS[i % len(DISJOINT_WORDS)]
+                                for i in range(len(tokens))],
+    "stem-variant": lambda tokens: [t + "s" for t in tokens],
+}
 
 
 def run(*argv) -> None:
@@ -53,12 +67,31 @@ def run(*argv) -> None:
         raise SystemExit(f"smoothsum {' '.join(argv)}: exit {code}")
 
 
+def write_edited_predictions(split: Path, path: Path) -> None:
+    """One prediction per record of split: its reference, edited by the
+    kinds of EDITS in turn."""
+    with open(split, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    edits = list(EDITS.values())
+    path.parent.mkdir()
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, record in enumerate(records):
+            ref = record["comment_tokens"]
+            fh.write(json.dumps({"id": record["id"], "ref": ref,
+                                 "pred": edits[i % len(edits)](ref)},
+                                sort_keys=True) + "\n")
+
+
 def pipeline() -> None:
     records = generate_samples(240, seed=5)
     for record in records[1::2]:
         del record["ast"]
     write_corpus_jsonl(records, "corpus.jsonl")
     run("prepare", "--data", "corpus.jsonl", "--out", "prep", "--seed", "11")
+    write_edited_predictions(Path("prep/test.jsonl"),
+                             Path("test_edits/predictions.jsonl"))
+    run("score", "--predictions", "test_edits/predictions.jsonl", "--out",
+        "test_edits/scores")
     predictions = []
     for arch in ARCHS:
         out = f"cmp_{arch}"
