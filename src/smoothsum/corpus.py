@@ -103,7 +103,7 @@ class Vocabulary:
             lines = Path(path).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise DataError(f"vocabulary file {path} is not UTF-8") from exc
-        if lines[:4] != list(SPECIAL_TOKENS):
+        if lines[:len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
             raise DataError(f"vocabulary file {path} lacks the special tokens")
         first_line = {}
         for lineno, token in enumerate(lines, start=1):
@@ -117,7 +117,7 @@ class Vocabulary:
 
 
 def build_vocabulary(samples: list, size: int, side: str) -> Vocabulary:
-    """Specials plus the (size - 4) most frequent tokens of one side,
+    """Specials plus the most frequent tokens of one side, size in all,
     ties broken lexicographically. The "ast" side counts the SBT streams
     of the samples that have an AST from the nodes of their s-expressions
     (astkit.sbt_counts), which read_corpus_jsonl has already checked."""
@@ -133,8 +133,9 @@ def build_vocabulary(samples: list, size: int, side: str) -> Vocabulary:
 
 
 def check_vocab_size(size: int) -> None:
-    if size < 5:
-        raise ConfigurationError(f"vocabulary size {size} below minimum of 5")
+    if size <= len(SPECIAL_TOKENS):
+        raise ConfigurationError(f"vocabulary size {size} below minimum of "
+                                 f"{len(SPECIAL_TOKENS) + 1}")
 
 
 def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
@@ -148,8 +149,8 @@ def build_token_vocabulary(token_lists, size: int) -> Vocabulary:
 def _ranked_vocabulary(counts: Counter, size: int) -> Vocabulary:
     check_vocab_size(size)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    tokens = list(SPECIAL_TOKENS) + [t for t, _ in ranked[: size - 4]]
-    return Vocabulary(tokens)
+    tokens = [t for t, _ in ranked[:size - len(SPECIAL_TOKENS)]]
+    return Vocabulary(list(SPECIAL_TOKENS) + tokens)
 
 
 def encode_sequence(tokens, vocab: Vocabulary, max_len: int,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, models, trainer
-from .corpus import (END, PAD, SPLITS, START, PreparedData,
+from .corpus import (END, PAD, SPECIAL_TOKENS, SPLITS, START, PreparedData,
                      Vocabulary, atomic_write, build_token_vocabulary,
                      build_vocabulary, check_quantile, check_ratios,
                      check_vocab_size, extract_action_word,
@@ -253,13 +253,12 @@ def _encode(prepared: PreparedData, config: models.ModelConfig,
                           prepared.ast_vocab) for split in splits]
 
 
-def _train_arms(args, configs, train_set, val_set,
-                train_config: TrainConfig):
-    """Train one model per arm config, each built from --seed, on the same
-    encoded splits, and log each epoch with its wall-clock seconds. Yields
-    (epsilon, checkpoint, history)."""
+def _train_arms(configs, train_set, val_set, train_config: TrainConfig):
+    """Train one model per arm config, each built from train_config.seed,
+    on the same encoded splits, and log each epoch with its wall-clock
+    seconds. Yields (epsilon, checkpoint, history)."""
     for config in configs:
-        model = models.build_model(config, seed=args.seed)
+        model = models.build_model(config, seed=train_config.seed)
         ckpt, history = trainer.train(model, train_set, val_set, train_config)
         for r in history.records:
             _log(f"eps={_fmt_eps(config.epsilon)} epoch {r.epoch} loss "
@@ -268,7 +267,7 @@ def _train_arms(args, configs, train_set, val_set,
         yield config.epsilon, ckpt, history
 
 
-def _experiment_arms(args, encoded, configs, tgt_vocab: Vocabulary,
+def _experiment_arms(encoded, configs, tgt_vocab: Vocabulary,
                      train_config: TrainConfig):
     """Train one arm per config on the encoded train, val and test splits
     and score its test decodes. Yields (epsilon tag, checkpoint,
@@ -276,7 +275,7 @@ def _experiment_arms(args, encoded, configs, tgt_vocab: Vocabulary,
     against the epsilon = 0 row."""
     train_set, val_set, test_set = encoded
     baseline = None
-    for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
+    for epsilon, ckpt, _ in _train_arms(configs, train_set, val_set,
                                         train_config):
         _log(f"eps={_fmt_eps(epsilon)} vocab={tgt_vocab.size} "
              f"best epoch {ckpt.epoch} val_acc {ckpt.val_accuracy:.4f}")
@@ -343,7 +342,7 @@ def cmd_train(args) -> int:
                                  prepared.train, prepared.val)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    [(_, ckpt, history)] = _train_arms(args, [config], train_set, val_set,
+    [(_, ckpt, history)] = _train_arms([config], train_set, val_set,
                                        train_config)
     trainer.save_checkpoint(ckpt, out_dir / "checkpoint.json")
     history.write_csv(out_dir / "history.csv")
@@ -419,7 +418,7 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for tag, ckpt, preds, row in _experiment_arms(
-            args, encoded, configs, prepared.tgt_vocab, train_config):
+            encoded, configs, prepared.tgt_vocab, train_config):
         trainer.save_checkpoint(ckpt, out_dir / f"checkpoint_eps{tag}.json")
         metrics.write_predictions(preds, out_dir / f"predictions_eps{tag}.jsonl")
         rows.append(row)
@@ -435,6 +434,9 @@ def cmd_sweep(args) -> int:
     same vocabulary size. A numeric failure still writes the rows done so
     far for its vocabulary size, then stops the sweep."""
     sizes = _parse_list(args.vocab_sizes, int, "--vocab-sizes")
+    repeated = [size for i, size in enumerate(sizes) if size in sizes[:i]]
+    if repeated:
+        raise ConfigurationError(f"--vocab-sizes lists {repeated[0]} twice")
     train_config = _train_config(args)
     prepared = _load_paired(args)
     grid = []
@@ -458,7 +460,7 @@ def cmd_sweep(args) -> int:
         failure = None
         try:
             for tag, _, preds, row in _experiment_arms(
-                    args, encoded, configs, tgt_vocab, train_config):
+                    encoded, configs, tgt_vocab, train_config):
                 metrics.write_predictions(
                     preds, out_dir / f"sweep_v{size}_eps{tag}.jsonl")
                 rows.append(row)
@@ -515,8 +517,9 @@ def cmd_actionword(args) -> int:
     train, val, test = (_action_word_samples(split) for split in
                         (prepared.train, prepared.val, prepared.test))
     train_labels = [s.comment_tokens for s in train]
+    specials = len(SPECIAL_TOKENS)
     label_vocab = build_token_vocabulary(
-        train_labels, size=4 + len({word for [word] in train_labels}))
+        train_labels, size=specials + len({word for [word] in train_labels}))
     configs = _arm_configs(args, prepared, label_vocab.size,
                            comment_len=3, epsilons=ACTIONWORD_EPSILONS)
     train_set, val_set, test_set = _encode(prepared, configs[0], label_vocab,
@@ -526,7 +529,7 @@ def cmd_actionword(args) -> int:
     gold = [word for [word] in test_set.references]
     rows = [["epsilon", "micro_precision", "micro_recall", "micro_f1",
              "macro_f1", "unique_predicted"]]
-    for epsilon, ckpt, _ in _train_arms(args, configs, train_set, val_set,
+    for epsilon, ckpt, _ in _train_arms(configs, train_set, val_set,
                                         train_config):
         predicted = []
         for batch in trainer.row_slices(len(test_set), DECODE_CHUNK):
@@ -534,8 +537,8 @@ def cmd_actionword(args) -> int:
             prefix = np.full((len(code), 1), START, dtype=np.int64)
             probs = models.forward_step(ckpt.model, code, test_set.ast[batch],
                                         prefix)[:, 0]
-            predicted += [label_vocab.decode_id(4 + int(best))
-                          for best in probs[:, 4:].argmax(axis=-1)]
+            predicted += [label_vocab.decode_id(specials + int(best))
+                          for best in probs[:, specials:].argmax(axis=-1)]
         report = metrics.classification_report(gold, predicted)
         unique_predicted = len(set(predicted))
         _log(f"actionword eps={_fmt_eps(epsilon)} micro_f1 "

@@ -162,8 +162,6 @@ def corpus_bleu(preds: list) -> float:
         totals[k] = int(pred.sum())
     candidate_len = split - len(preds)
     reference_len = len(ids) - split - len(preds)
-    if candidate_len == 0:
-        return 0.0
     precisions = [c / t if t else 0.0 for c, t in zip(clipped, totals)]
     if any(p == 0.0 for p in precisions):
         return 0.0

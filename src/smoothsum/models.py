@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import tensor as T
-from .corpus import PAD, START, END
+from .corpus import END, PAD, SPECIAL_TOKENS, START
 from .errors import ConfigurationError, DataError
 from .rng import Rng
 
@@ -54,7 +54,7 @@ class ModelConfig:
                      "code_len", "comment_len", "heads", "layers"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.src_vocab < 5 or self.tgt_vocab < 5:
+        if min(self.src_vocab, self.tgt_vocab) <= len(SPECIAL_TOKENS):
             raise ConfigurationError("vocabularies must include the specials")
         for name in ("code_len", "comment_len"):
             if getattr(self, name) < 2:
@@ -76,9 +76,10 @@ class ModelConfig:
         if self.arch == "ast_attendgru":
             if self.ast_len < 2:
                 raise ConfigurationError("ast_attendgru requires ast_len >= 2")
-            if self.ast_vocab < 5:
+            if self.ast_vocab <= len(SPECIAL_TOKENS):
                 raise ConfigurationError(
-                    "ast_attendgru requires an ast_vocab of at least 5")
+                    "ast_attendgru requires an ast_vocab of at least "
+                    f"{len(SPECIAL_TOKENS) + 1}")
 
 
 @dataclass
@@ -88,15 +89,8 @@ class Model:
 
 
 def _gru_shapes(prefix: str, in_dim: int, hid: int) -> dict:
-    shapes = {}
-    for key in T.GRU_KEYS:
-        if key.startswith("w"):
-            shapes[f"{prefix}.{key}"] = (in_dim, hid)
-        elif key.startswith("u"):
-            shapes[f"{prefix}.{key}"] = (hid, hid)
-        else:
-            shapes[f"{prefix}.{key}"] = (hid,)
-    return shapes
+    shapes = {"w": (in_dim, hid), "u": (hid, hid), "b": (hid,)}
+    return {f"{prefix}.{key}": shapes[key[0]] for key in T.GRU_KEYS}
 
 
 def _attn_shapes(prefix: str, d: int) -> dict:
@@ -162,8 +156,8 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
-def _gru_weights(params: T.ParamStore, prefix: str) -> T.GruWeights:
-    return T.GruWeights({key: params[f"{prefix}.{key}"] for key in T.GRU_KEYS})
+def _gru_weights(params: T.ParamStore, prefix: str) -> dict:
+    return {key: params[f"{prefix}.{key}"] for key in T.GRU_KEYS}
 
 
 def _run_gru_encoder(model: Model, prefix: str, embed_name: str,
@@ -292,13 +286,13 @@ def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
         kh = T.concat([past[0], kh], axis=-2)
         vh = T.concat([past[1], vh], axis=-2)
     qh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wq"]), heads)
-    self_attn = T.attend_projected(qh, kh, vh, p[f"dec{i}.self.wo"],
-                                   mask=causal)
+    self_attn = T.matmul(T.scaled_dot_attention(qh, kh, vh, causal),
+                         p[f"dec{i}.self.wo"])
     y = T.layer_norm(T.add(y, drop(self_attn)),
                      p[f"dec{i}.ln1.gain"], p[f"dec{i}.ln1.bias"])
     qh = T.split_heads(T.matmul(y, p[f"dec{i}.cross.wq"]), heads)
-    cross = T.attend_projected(qh, *cross_kv, p[f"dec{i}.cross.wo"],
-                               mask=src_mask)
+    cross = T.matmul(T.scaled_dot_attention(qh, *cross_kv, src_mask),
+                     p[f"dec{i}.cross.wo"])
     y = T.layer_norm(T.add(y, drop(cross)),
                      p[f"dec{i}.ln2.gain"], p[f"dec{i}.ln2.bias"])
     y = T.layer_norm(T.add(y, _transformer_ff(p, f"dec{i}.ff", y)),
@@ -306,7 +300,7 @@ def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
     return y, (kh, vh)
 
 
-def _transformer_decoder(model: Model, code_ids, training: bool, rng):
+def _transformer_decoder(model: Model, code_ids, rng):
     """The transformer decoder from an encoder run once, with each layer's
     cross-attention keys and values projected once. Each call runs the
     positions of a (B, L) id array after those of earlier calls and
@@ -317,7 +311,7 @@ def _transformer_decoder(model: Model, code_ids, training: bool, rng):
     p = model.params
 
     def drop(x):
-        return T.apply_dropout(x, cfg.dropout_rate, rng, training)
+        return T.apply_dropout(x, cfg.dropout_rate, rng)
 
     memory, src_mask = _encode_transformer(model, code_ids, drop)
     cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
@@ -339,23 +333,21 @@ def _transformer_decoder(model: Model, code_ids, training: bool, rng):
     return decode
 
 
-def _decoder(model: Model, code_ids, ast_ids, training: bool = False,
-             rng: Rng | None = None):
+def _decoder(model: Model, code_ids, ast_ids, rng: Rng | None = None):
     """The architecture's decoder over checked source ids."""
     if model.config.arch == "transformer":
-        return _transformer_decoder(model, code_ids, training, rng)
+        return _transformer_decoder(model, code_ids, rng)
     return _gru_decoder(model, code_ids, ast_ids)
 
 
 def forward_logits(model: Model, code_ids, ast_ids, prefix_ids,
-                   training: bool = False, rng: Rng | None = None) -> T.Tensor:
-    """Next-token logits for every prefix position: (batch, len, tgt_vocab)."""
+                   rng: Rng | None = None) -> T.Tensor:
+    """Next-token logits for every prefix position: (batch, len, tgt_vocab).
+    A pass given a dropout rng is a training pass; rng=None is inference."""
     cfg = model.config
     code_ids, ast_ids = _validate_sources(cfg, code_ids, ast_ids)
     prefix_ids = _validate_ids(prefix_ids, cfg.tgt_vocab, "comment")
-    if training and cfg.dropout_rate > 0 and rng is None:
-        raise ConfigurationError("training forward pass needs an rng")
-    return _decoder(model, code_ids, ast_ids, training, rng)(prefix_ids)
+    return _decoder(model, code_ids, ast_ids, rng)(prefix_ids)
 
 
 def forward_step(model: Model, code_ids, ast_ids, comment_prefix_ids) -> np.ndarray:
@@ -367,17 +359,16 @@ def forward_step(model: Model, code_ids, ast_ids, comment_prefix_ids) -> np.ndar
 
 
 def sequence_loss(model: Model, code_ids, ast_ids, comment_ids,
-                  training: bool = False, rng: Rng | None = None):
+                  rng: Rng | None = None):
     """Label-smoothed cross-entropy averaged over non-PAD target positions.
 
     comment_ids holds full marker-wrapped sequences; positions [:-1] are
-    the teacher-forcing prefix and [1:] the prediction targets. Returns
-    (loss Tensor, non-PAD token count).
+    the teacher-forcing prefix and [1:] the prediction targets; rng as in
+    forward_logits. Returns (loss Tensor, non-PAD token count).
     """
     comment_ids = _validate_ids(comment_ids, model.config.tgt_vocab, "comment")
     prefix, targets = comment_ids[:, :-1], comment_ids[:, 1:]
-    logits = forward_logits(model, code_ids, ast_ids, prefix,
-                            training=training, rng=rng)
+    logits = forward_logits(model, code_ids, ast_ids, prefix, rng)
     mask = (targets != PAD).astype(np.float64)
     count = int(mask.sum())
     if count == 0:
@@ -501,8 +492,7 @@ def grad_check_model(model: Model, code_ids, ast_ids, comment_ids) -> float:
     """Finite-difference check of the full training loss (dropout off)."""
 
     def loss_fn():
-        loss, _ = sequence_loss(model, code_ids, ast_ids, comment_ids,
-                                training=False)
+        loss, _ = sequence_loss(model, code_ids, ast_ids, comment_ids)
         return loss
 
     return T.grad_check(loss_fn, model.params)

@@ -333,13 +333,13 @@ def layer_norm(x, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, parents=(x, gain, bias), backward_fn=bw)
 
 
-def apply_dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity when not
-    training or rate is 0."""
+def apply_dropout(x, rate: float, rng: Rng | None) -> Tensor:
+    """Inverted dropout with masks from rng, survivors scaled by 1/(1-rate);
+    identity, drawing nothing, when rng is None (inference) or rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
     x = _coerce(x)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = rng.uniform_array(x.data.shape) >= rate
     return mul(x, keep.astype(np.float64) / (1.0 - rate))
@@ -352,30 +352,18 @@ def apply_dropout(x, rate: float, rng: Rng, training: bool) -> Tensor:
 GRU_KEYS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
 
-class GruWeights:
-    """The nine parameters of one GRU (GRU_KEYS) for gru_sequence, with the
-    input weights of the three gates packed side by side: w = [wz|wr|wh]
-    (E, 3H). Packing copies them, so pack again after the parameters
-    change."""
-
-    __slots__ = ("tensors", "w")
-
-    def __init__(self, params):
-        self.tensors = tuple(params[key] for key in GRU_KEYS)
-        self.w = np.concatenate([params[key].data for key in ("wz", "wr", "wh")],
-                                axis=1)
-
-
-def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
+def gru_sequence(x, h0, params) -> Tensor:
     """A GRU run over every position of x (batch, steps, E) from the
-    state h0 (batch, H); returns the states (batch, steps, H) as one tape
-    node. Each step is h' = (1 - z) * h + z * h_tilde with
+    state h0 (batch, H), with params mapping the nine GRU_KEYS to their
+    tensors; returns the states (batch, steps, H) as one tape node. Each
+    step is h' = (1 - z) * h + z * h_tilde with
 
         z = sigma(x Wz + h Uz + bz)
         r = sigma(x Wr + h Ur + br)
         h_tilde = tanh(x Wh + (r * h) Uh + bh)
 
-    with one x [Wz|Wr|Wh] matmul per step. The backward pass runs
+    with one x [Wz|Wr|Wh] matmul per step, the input weights packed from
+    their current values on entry. The backward pass runs
     backpropagation through time in one closure (Appleyard et al. 2016).
     Every matmul, forward and backward, covers one position. Folding the
     input product x [Wz|Wr|Wh] and the weight gradients over all batch *
@@ -385,14 +373,15 @@ def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
     gradients changed. Only the bias gradients are summed over all
     positions after the loop."""
     x, h0 = _coerce(x), _coerce(h0)
-    _, uz, bz, _, ur, br, _, uh, bh = (t.data for t in weights.tensors)
-    w, hid = weights.w, uh.shape[0]
+    tensors = tuple(params[key] for key in GRU_KEYS)
+    wz, uz, bz, wr, ur, br, wh, uh, bh = (t.data for t in tensors)
+    w, hid = np.concatenate([wz, wr, wh], axis=1), uh.shape[0]
     if (x.data.ndim != 3 or x.data.shape[-1] != w.shape[0]
             or h0.data.shape != (x.data.shape[0], hid)):
         raise ConfigurationError(
             f"gru dims {x.data.shape}/{h0.data.shape} do not match params")
     batch, steps, _ = x.data.shape
-    parents = (x, h0) + weights.tensors
+    parents = (x, h0) + tensors
     keep = _taping and any(p.requires_grad for p in parents)
     states = [h0.data]  # states[t] is the state before step t
     gates = []  # per step (z, r, r * h, h_tilde), kept for the backward pass
@@ -433,7 +422,7 @@ def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
         for i, d_u in enumerate((d_zr[:, :hid], d_zr[:, hid:], d_uh)):
             cols = slice(i * hid, (i + 1) * hid)
             grads += [d_w[:, cols], d_u, d_b[cols]]
-        for tensor, grad in zip(weights.tensors, grads):
+        for tensor, grad in zip(tensors, grads):
             _accumulate(tensor, grad)
         _accumulate(x, dx, fresh=True)
         _accumulate(h0, dh, fresh=True)
@@ -442,7 +431,7 @@ def gru_sequence(x, h0, weights: GruWeights) -> Tensor:
                   backward_fn=bw)
 
 
-def gru_step(x, h, weights: GruWeights) -> Tensor:
+def gru_step(x, h, params) -> Tensor:
     """One GRU update of the states h (batch, H) from the inputs x
     (batch, E): gru_sequence over a single position."""
     x = _coerce(x)
@@ -450,7 +439,7 @@ def gru_step(x, h, weights: GruWeights) -> Tensor:
         raise ConfigurationError(f"gru_step input {x.data.shape} is not "
                                  f"(batch, dim)")
     batch = x.data.shape[0]
-    states = gru_sequence(reshape(x, (batch, 1, x.data.shape[1])), h, weights)
+    states = gru_sequence(reshape(x, (batch, 1, x.data.shape[1])), h, params)
     return reshape(states, (batch, states.data.shape[-1]))
 
 
@@ -552,21 +541,15 @@ def _attention(qh, kh, vh, mask, scale: float) -> Tensor:
                   backward_fn=bw)
 
 
-def attend_projected(qh: Tensor, kh: Tensor, vh: Tensor, wo: Tensor,
-                     mask=None) -> Tensor:
-    """scaled_dot_attention of head-split queries over head-split keys and
-    values, projected by wo."""
-    return matmul(scaled_dot_attention(qh, kh, vh, mask), wo)
-
-
 def multi_head_attention(queries, keys, values, heads: int,
                          wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                          mask=None) -> Tensor:
     """Queries, keys and values projected by wq, wk, wv and split into
-    heads, then attend_projected."""
-    return attend_projected(split_heads(matmul(queries, wq), heads),
-                            split_heads(matmul(keys, wk), heads),
-                            split_heads(matmul(values, wv), heads), wo, mask)
+    heads, attended by scaled_dot_attention and projected by wo."""
+    return matmul(scaled_dot_attention(split_heads(matmul(queries, wq), heads),
+                                       split_heads(matmul(keys, wk), heads),
+                                       split_heads(matmul(values, wv), heads),
+                                       mask), wo)
 
 
 def causal_mask(length: int, past: int = 0) -> np.ndarray:

@@ -249,7 +249,7 @@ def train(model: models.Model, train_set: EncodedDataset,
             model.params.zero_grads()
             loss, count = models.sequence_loss(
                 model, train_set.code[idx], train_set.ast[idx],
-                train_set.comments[idx], training=True, rng=dropout_rng)
+                train_set.comments[idx], rng=dropout_rng)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericError(

@@ -869,12 +869,17 @@ class TestTrainPredictScore:
         ("compare", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("sweep", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         ("sweep", ["--vocab-sizes", "50,4"], "vocabulary size 4"),
+        # a repeated size would overwrite the first one's sweep_v files
+        ("sweep", ["--vocab-sizes", "40,40"], "--vocab-sizes lists 40 twice"),
+        ("sweep", ["--vocab-sizes", "40,60,040"],
+         "--vocab-sizes lists 40 twice"),
         ("actionword", ["--arch", "transformer", "--heads", "3"], "heads 3"),
         *((command, ["--arch", "transformer", "--hidden-dim", "5",
                      "--embed-dim", "5", "--heads", "1"], "must be even")
           for command in ("train", "compare", "sweep", "actionword")),
     ], ids=["train-heads", "train-epsilon", "train-code-len", "compare-heads",
-            "sweep-heads", "sweep-second-size", "actionword-heads",
+            "sweep-heads", "sweep-second-size", "sweep-repeated-size",
+            "sweep-repeated-padded-size", "actionword-heads",
             "train-odd-width", "compare-odd-width", "sweep-odd-width",
             "actionword-odd-width"])
     def test_bad_model_flag_exits_2_before_writing(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -460,8 +462,7 @@ class TestTapeFreed:
         model = M.build_model(tiny_config("transformer", dropout_rate=0.1,
                                           epsilon=0.1), seed=4)
         model.params.zero_grads()
-        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
-                                  rng=Rng(5))
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, rng=Rng(5))
         assert {id(t) for t in taped} == {id(t) for t in taped_nodes(loss)}
         T.backward(loss, model.params)
         for node in taped:
@@ -480,8 +481,7 @@ class TestFoldedMatmul:
     @staticmethod
     def _run(model):
         model.params.zero_grads()
-        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
-                                  rng=Rng(5))
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, rng=Rng(5))
         T.backward(loss, model.params)
         grads = {n: t.grad for n, t in model.params.items()}
         return float(loss.data), grads, M.greedy_decode(model, CODE, None)
@@ -538,8 +538,7 @@ class TestFusedTransformerNodes:
     def test_step_tape_size(self):
         # the per-op compositions taped 161 nodes for this step
         model = self._model()
-        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
-                                  rng=Rng(5))
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, rng=Rng(5))
         assert len(taped_nodes(loss)) == 92
 
     @pytest.mark.parametrize("arch", ["transformer", "attendgru"])
@@ -549,8 +548,7 @@ class TestFusedTransformerNodes:
         # slices of one buffer, such as the GRU's packed gate gradients
         model = M.build_model(tiny_config(arch, dropout_rate=0.1,
                                           epsilon=0.1), seed=4)
-        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, training=True,
-                                  rng=Rng(5))
+        loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, rng=Rng(5))
         T.backward(loss, model.params)
         items = model.params.items()
         for name, t in items:
@@ -618,6 +616,35 @@ class TestSequenceLoss:
     def test_gradients_match_finite_differences(self):
         model = M.build_model(tiny_config("attendgru", epsilon=0.1), seed=2)
         assert M.grad_check_model(model, CODE, None, COMMENTS) < 1e-4
+
+    @staticmethod
+    def _loss_and_grads(model, ast, rng):
+        model.params.zero_grads()
+        loss, _ = M.sequence_loss(model, CODE, ast, COMMENTS, rng=rng)
+        T.backward(loss, model.params)
+        return float(loss.data), {n: t.grad.tobytes()
+                                  for n, t in model.params.items()}
+
+    @pytest.mark.parametrize("arch, dropout", [("transformer", 0.0),
+                                               ("attendgru", 0.1),
+                                               ("ast_attendgru", 0.1)])
+    def test_pass_without_rng_equals_pass_with_one(self, arch, dropout):
+        # a transformer at dropout 0, and the GRU models at any rate,
+        # train exactly as they infer
+        model = M.build_model(tiny_config(arch, epsilon=0.1,
+                                          dropout_rate=dropout), seed=3)
+        ast = AST if arch == "ast_attendgru" else None
+        assert self._loss_and_grads(model, ast, None) \
+            == self._loss_and_grads(model, ast, Rng(5))
+
+    def test_transformer_pass_without_rng_applies_no_dropout(self):
+        config = tiny_config("transformer", epsilon=0.1, dropout_rate=0.3)
+        model = M.build_model(config, seed=3)
+        plain = M.Model(config=replace(config, dropout_rate=0.0),
+                        params=model.params)
+        inference = self._loss_and_grads(model, None, None)
+        assert inference == self._loss_and_grads(plain, None, Rng(5))
+        assert inference[0] != self._loss_and_grads(model, None, Rng(5))[0]
 
     def test_target_outside_vocabulary_rejected(self):
         # the last position is a target only, never part of the prefix

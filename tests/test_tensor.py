@@ -23,7 +23,7 @@ def zero_gru_params(in_dim, hid):
         params[key] = T.Tensor(np.zeros((rows, hid)))
     for key in ("bz", "br", "bh"):
         params[key] = T.Tensor(np.zeros(hid))
-    return T.GruWeights(params)
+    return params
 
 
 def random_gru_store(rng, in_dim, hid, scale=1.0):
@@ -138,8 +138,7 @@ class TestGruStep:
                 params[key] = T.Tensor(rng.uniform_array((h,)) * 2 - 1)
             x = rng.uniform_array((1, d)) * 6 - 3
             state = rng.uniform_array((1, h)) * 6 - 3
-            out = T.gru_step(T.Tensor(x), T.Tensor(state),
-                             T.GruWeights(params)).data
+            out = T.gru_step(T.Tensor(x), T.Tensor(state), params).data
             bound = np.maximum(np.abs(state), 1.0)
             assert (np.abs(out) <= bound + 1e-12).all()
 
@@ -156,12 +155,12 @@ class TestGruStep:
         with pytest.raises(ConfigurationError):
             reference_gru_step(x, h, dict(store.items()))
         with pytest.raises(ConfigurationError):
-            T.gru_step(x, h, T.GruWeights(dict(store.items())))
+            T.gru_step(x, h, dict(store.items()))
 
     @pytest.mark.parametrize("x_shape, h_shape", [((4, 3), (5, 3)),
                                                   ((4, 1, 3), (4, 3))])
     def test_batch_or_rank_mismatch_rejected(self, x_shape, h_shape):
-        weights = T.GruWeights(dict(random_gru_store(Rng(20), 3, 3).items()))
+        weights = dict(random_gru_store(Rng(20), 3, 3).items())
         with pytest.raises(ConfigurationError):
             T.gru_step(T.Tensor(np.ones(x_shape)), T.Tensor(np.ones(h_shape)),
                        weights)
@@ -177,11 +176,8 @@ class TestGruStep:
             mix = rng.uniform_array((batch, hid)) - 0.5
             results = []
             for step in (reference_gru_step, T.gru_step):
-                params = dict(store.items())
-                weights = (params if step is reference_gru_step
-                           else T.GruWeights(params))
                 store.zero_grads()
-                out = step(store["x"], store["h"], weights)
+                out = step(store["x"], store["h"], dict(store.items()))
                 T.backward(tensor_sum(T.mul(out, mix)), store)
                 results.append((out.data, {n: t.grad.copy()
                                            for n, t in store.items()}))
@@ -205,7 +201,7 @@ class TestGruSequence:
 
         def loss_fn():
             states = T.gru_sequence(store["x"], store["h0"],
-                                    T.GruWeights(dict(store.items())))
+                                    dict(store.items()))
             return tensor_sum(T.mul(states, mix))
 
         assert T.grad_check(loss_fn, store) < 1e-4
@@ -213,7 +209,7 @@ class TestGruSequence:
     def test_matches_stepping(self):
         # every state of the sequence equals gru_step applied in turn
         rng = Rng(23)
-        weights = T.GruWeights(dict(random_gru_store(rng, 3, 4).items()))
+        weights = dict(random_gru_store(rng, 3, 4).items())
         x = rng.uniform_array((2, 6, 3)) * 2 - 1
         state = T.Tensor(rng.uniform_array((2, 4)))
         states = T.gru_sequence(T.Tensor(x), state, weights).data
@@ -221,6 +217,23 @@ class TestGruSequence:
             state = T.gru_step(T.Tensor(x[:, t]), state, weights)
             np.testing.assert_allclose(states[:, t], state.data, rtol=0,
                                        atol=1e-15)
+
+    def test_reads_the_current_parameter_values(self):
+        # an in-place update between two calls reaches the packed input
+        # weights of the second call
+        rng = Rng(24)
+        params = dict(random_gru_store(rng, 3, 4).items())
+        x = rng.uniform_array((2, 5, 3)) * 2 - 1
+        h0 = rng.uniform_array((2, 4))
+        first = T.gru_sequence(x, h0, params).data
+        params["wz"].data += rng.uniform_array((3, 4)) - 0.5
+        second = T.gru_sequence(x, h0, params).data
+        state = T.Tensor(h0)
+        for t in range(5):
+            state = reference_gru_step(x[:, t], state, params)
+            np.testing.assert_allclose(second[:, t], state.data, rtol=1e-12,
+                                       atol=1e-15)
+        assert np.abs(second - first).max() > 1e-3
 
 
 class TestDotAttention:
@@ -365,20 +378,26 @@ class TestPositionalEncoding:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = T.Tensor(np.arange(6.0))
-        out = T.apply_dropout(x, 0.0, Rng(1), training=True)
+        out = T.apply_dropout(x, 0.0, Rng(1))
         np.testing.assert_array_equal(out.data, x.data)
 
-    def test_inference_identity(self):
-        x = T.Tensor(np.arange(6.0))
-        out = T.apply_dropout(x, 0.5, Rng(1), training=False)
-        np.testing.assert_array_equal(out.data, x.data)
+    def test_inference_identity(self, monkeypatch):
+        # without a stream, dropout returns its input and draws nothing
+        def no_draw(*args):
+            raise AssertionError("inference dropout drew from a stream")
+
+        for method in ("uniform_array", "next_u64", "random"):
+            monkeypatch.setattr(Rng, method, no_draw)
+        x = T.Tensor(np.arange(6.0), requires_grad=True)
+        for rate in (0.0, 0.3, 0.9):
+            assert T.apply_dropout(x, rate, None) is x
 
     def test_expectation_preserved(self):
         rng = Rng(2)
         x = T.Tensor(np.full(400, 2.0))
         rate = 0.3
         draws = np.stack([
-            T.apply_dropout(x, rate, rng, training=True).data
+            T.apply_dropout(x, rate, rng).data
             for _ in range(200)
         ])
         mean = draws.mean(axis=0).mean()
@@ -388,13 +407,13 @@ class TestDropout:
 
     def test_deterministic_masks(self):
         x = T.Tensor(np.ones(64))
-        a = T.apply_dropout(x, 0.4, Rng(9), training=True).data
-        b = T.apply_dropout(x, 0.4, Rng(9), training=True).data
+        a = T.apply_dropout(x, 0.4, Rng(9)).data
+        b = T.apply_dropout(x, 0.4, Rng(9)).data
         np.testing.assert_array_equal(a, b)
 
     def test_rate_validation(self):
         with pytest.raises(ConfigurationError):
-            T.apply_dropout(T.Tensor([1.0]), 1.0, Rng(0), training=True)
+            T.apply_dropout(T.Tensor([1.0]), 1.0, Rng(0))
 
 
 class TestBackward:
