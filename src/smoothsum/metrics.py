@@ -502,12 +502,15 @@ def classification_report(gold, predicted) -> ClassificationReport:
 # prediction files
 
 
+# json.dumps(..., sort_keys=True) would build a new encoder per record
+_PREDICTION_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_predictions(preds: list, path) -> None:
     with atomic_write(path) as fh:
         for r in preds:
-            fh.write(json.dumps(
-                {"id": r.id, "ref": r.reference, "pred": r.predicted},
-                sort_keys=True) + "\n")
+            fh.write(_PREDICTION_ENCODER.encode(
+                {"id": r.id, "ref": r.reference, "pred": r.predicted}) + "\n")
 
 
 def read_predictions(path) -> list:

@@ -242,12 +242,21 @@ def _gru_decoder(model: Model, code_ids, ast_ids):
 
 
 def _transformer_ff(params: T.ParamStore, prefix: str, x: T.Tensor) -> T.Tensor:
-    hidden = T.relu(T.linear(x, params[f"{prefix}.w1"],
-                             params[f"{prefix}.b1"]))
+    hidden = T.linear_relu(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     return T.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def _encode_transformer(model: Model, code_ids, drop):
+def _residual(model: Model, prefix: str, x: T.Tensor, y: T.Tensor,
+              rng: Rng | None = None) -> T.Tensor:
+    """The post-norm residual layer_norm(x + dropout(y)) with the layer
+    norm named prefix; y is dropped out only when a dropout rng is given."""
+    p = model.params
+    return T.residual_layer_norm(x, y, p[f"{prefix}.gain"],
+                                 p[f"{prefix}.bias"],
+                                 model.config.dropout_rate, rng)
+
+
+def _encode_transformer(model: Model, code_ids, rng):
     """Encoder stack. Returns (memory (B, T, H), key mask (B, 1, T))."""
     cfg = model.config
     p = model.params
@@ -258,10 +267,9 @@ def _encode_transformer(model: Model, code_ids, drop):
         attn = T.multi_head_attention(
             x, x, x, cfg.heads, p[f"enc{i}.attn.wq"], p[f"enc{i}.attn.wk"],
             p[f"enc{i}.attn.wv"], p[f"enc{i}.attn.wo"], mask=src_mask)
-        x = T.layer_norm(T.add(x, drop(attn)),
-                         p[f"enc{i}.ln1.gain"], p[f"enc{i}.ln1.bias"])
-        x = T.layer_norm(T.add(x, _transformer_ff(p, f"enc{i}.ff", x)),
-                         p[f"enc{i}.ln2.gain"], p[f"enc{i}.ln2.bias"])
+        x = _residual(model, f"enc{i}.ln1", x, attn, rng)
+        x = _residual(model, f"enc{i}.ln2", x,
+                      _transformer_ff(p, f"enc{i}.ff", x))
     return x, src_mask
 
 
@@ -273,7 +281,7 @@ def _cross_kv(model: Model, i: int, memory: T.Tensor):
 
 
 def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
-                   cross_kv, src_mask, drop):
+                   cross_kv, src_mask, rng):
     """Decoder layer i over the positions of y. past holds the layer's
     self-attention keys and values of earlier positions (None when there
     are none); causal masks y's positions over the earlier ones and their
@@ -288,15 +296,12 @@ def _decoder_layer(model: Model, i: int, y: T.Tensor, past, causal,
     qh = T.split_heads(T.matmul(y, p[f"dec{i}.self.wq"]), heads)
     self_attn = T.matmul(T.scaled_dot_attention(qh, kh, vh, causal),
                          p[f"dec{i}.self.wo"])
-    y = T.layer_norm(T.add(y, drop(self_attn)),
-                     p[f"dec{i}.ln1.gain"], p[f"dec{i}.ln1.bias"])
+    y = _residual(model, f"dec{i}.ln1", y, self_attn, rng)
     qh = T.split_heads(T.matmul(y, p[f"dec{i}.cross.wq"]), heads)
     cross = T.matmul(T.scaled_dot_attention(qh, *cross_kv, src_mask),
                      p[f"dec{i}.cross.wo"])
-    y = T.layer_norm(T.add(y, drop(cross)),
-                     p[f"dec{i}.ln2.gain"], p[f"dec{i}.ln2.bias"])
-    y = T.layer_norm(T.add(y, _transformer_ff(p, f"dec{i}.ff", y)),
-                     p[f"dec{i}.ln3.gain"], p[f"dec{i}.ln3.bias"])
+    y = _residual(model, f"dec{i}.ln2", y, cross, rng)
+    y = _residual(model, f"dec{i}.ln3", y, _transformer_ff(p, f"dec{i}.ff", y))
     return y, (kh, vh)
 
 
@@ -309,11 +314,7 @@ def _transformer_decoder(model: Model, code_ids, rng):
     which is exact for a causal post-norm decoder."""
     cfg = model.config
     p = model.params
-
-    def drop(x):
-        return T.apply_dropout(x, cfg.dropout_rate, rng)
-
-    memory, src_mask = _encode_transformer(model, code_ids, drop)
+    memory, src_mask = _encode_transformer(model, code_ids, rng)
     cross = [_cross_kv(model, i, memory) for i in range(cfg.layers)]
     cache = [None] * cfg.layers
     past = 0
@@ -327,7 +328,7 @@ def _transformer_decoder(model: Model, code_ids, rng):
         past += length
         for i in range(cfg.layers):
             y, cache[i] = _decoder_layer(model, i, y, cache[i], causal,
-                                         cross[i], src_mask, drop)
+                                         cross[i], src_mask, rng)
         return T.linear(y, p["out.w"], p["out.b"])
 
     return decode

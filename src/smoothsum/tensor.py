@@ -2,11 +2,12 @@
 
 Every differentiable building block the summarizers need lives here: the
 arithmetic primitives, a whole-sequence GRU kernel, multiplicative and
-multi-head attention, the label-smoothed loss, sinusoidal position table,
-inverted dropout, and a finite-difference gradient checker. Graphs are taped
-per forward pass; backward() walks the tape once in reverse topological
-order and frees each node as it passes it. Inside ``no_grad()`` nothing is
-taped.
+multi-head attention, the label-smoothed loss, the transformer's fused
+feed-forward and residual nodes (the latter with its inverted dropout),
+sinusoidal position table, and a finite-difference gradient checker.
+Graphs are taped per forward pass; backward() walks the tape once in
+reverse topological order and frees each node as it passes it. Inside
+``no_grad()`` nothing is taped.
 """
 
 from contextlib import contextmanager
@@ -101,18 +102,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.data + b.data, parents=(a, b), backward_fn=bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(g * a.data, b.data.shape), fresh=True)
-
-    return Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
-
-
 def matmul(a, b) -> Tensor:
     """a @ b for a 2-D right operand b, broadcast over the leading
     dimensions of a. Those fold into rows, so the forward product, a's
@@ -134,24 +123,42 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b for a 2-D weight w and a bias b over its columns, as one
     tape node: matmul's product over folded rows with b added in place.
     Values and gradients are those of add(matmul(x, w), b)."""
+    return _row_product(*_linear_operands(x, w, b))
+
+
+def linear_relu(x, w, b) -> Tensor:
+    """max(x @ w + b, 0) as one tape node: linear's product with the relu
+    applied in the product's own memory. The backward pass masks the
+    gradient by the output, which is positive exactly where the product
+    was. Values and gradients are those of relu(linear(x, w, b))."""
+    return _row_product(*_linear_operands(x, w, b), relu=True)
+
+
+def _linear_operands(x, w, b) -> tuple:
+    """The operands of linear and linear_relu as tensors, shapes checked."""
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if (x.data.ndim < 2 or w.data.ndim != 2
             or x.data.shape[-1] != w.data.shape[0]
             or b.data.shape != w.data.shape[1:]):
         raise ConfigurationError(f"linear shapes {x.data.shape} @ "
                                  f"{w.data.shape} + {b.data.shape}")
-    return _row_product(x, w, b)
+    return x, w, b
 
 
-def _row_product(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """The node of matmul and of linear: x @ w (+ bias) over x's leading
-    dimensions folded into rows."""
+def _row_product(x: Tensor, w: Tensor, bias: Tensor | None = None,
+                 relu: bool = False) -> Tensor:
+    """The node of matmul, linear and linear_relu: x @ w (+ bias) over x's
+    leading dimensions folded into rows, clipped at 0 when relu is set."""
     rows = x.data.reshape(-1, x.data.shape[-1])
-    out = rows @ w.data
+    out = (rows @ w.data).reshape(x.data.shape[:-1] + w.data.shape[-1:])
     if bias is not None:
         out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bw(g):
+        if relu:
+            g = g * (out > 0)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, _reduce_to(g, bias.data.shape), fresh=True)
         g = g.reshape(-1, g.shape[-1])
@@ -161,8 +168,7 @@ def _row_product(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
             _accumulate(w, rows.T @ g, fresh=True)
 
     parents = (x, w) if bias is None else (x, w, bias)
-    return Tensor(out.reshape(x.data.shape[:-1] + w.data.shape[-1:]),
-                  parents=parents, backward_fn=bw)
+    return Tensor(out, parents=parents, backward_fn=bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -211,15 +217,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
-def relu(a) -> Tensor:
-    a = _coerce(a)
-
-    def bw(g):
-        _accumulate(a, g * (a.data > 0), fresh=True)
-
-    return Tensor(np.maximum(a.data, 0.0), parents=(a,), backward_fn=bw)
-
-
 def softmax_in_place(x: np.ndarray, axis=-1) -> np.ndarray:
     """Max-subtracted exponentiation of a float64 array along axis, in x's
     own memory; returns x. Rows sum to 1 and order is preserved."""
@@ -262,14 +259,21 @@ def smoothed_cross_entropy(logits, targets, epsilon: float, mask) -> Tensor:
     fairseq's label_smoothed_nll_loss (Ott et al. 2019): sum_k t(k) log p(k)
     is epsilon / (V - 1) * sum_k log p(k) + (1 - epsilon - epsilon / (V - 1))
     * log p(target), so no (..., V) target matrix is built, and the gradient
-    with respect to the logits is (p - t) * mask / count."""
+    with respect to the logits is (p - t) * mask / count.
+
+    The loss consumes its logits, as forward_step does: p is formed in
+    the memory of logits.data, and the backward pass turns p into the
+    gradient there and hands that array to the logits as their gradient,
+    so no (..., V) array is copied. After the call, logits.data no longer
+    holds the logits."""
     logits = _coerce(logits)
     targets = np.asarray(targets, dtype=np.int64)[..., None]
     mask = np.asarray(mask, dtype=np.float64)
     vocab = logits.data.shape[-1]
     off = epsilon / (vocab - 1)
     gold_extra = 1.0 - epsilon - off
-    probs = logits.data - logits.data.max(axis=-1, keepdims=True)
+    probs = logits.data
+    probs -= probs.max(axis=-1, keepdims=True)
     shifted_sum = probs.sum(axis=-1)
     shifted_gold = np.take_along_axis(probs, targets, axis=-1)[..., 0]
     np.exp(probs, out=probs)
@@ -293,16 +297,24 @@ def smoothed_cross_entropy(logits, targets, epsilon: float, mask) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row gather; gradients scatter-add back into the table."""
+    """Row gather of a 2-D table. The backward pass scatter-adds the rows
+    of the gradient into one new table-shaped array with one np.bincount
+    over the flat indices id * width + column, which sums each entry's
+    rows in id order from 0.0, as np.add.at does into the zeros of
+    ParamStore.zero_grads, so the sums are the same bit for bit. A table
+    that feeds two embedding nodes of one graph gets the same sums only to
+    rounding, as the second node's sums are added to the first's whole."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ConfigurationError(
             f"embedding id outside table of {table.data.shape[0]} rows")
 
     def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
+        width = table.data.shape[1]
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        grad = np.bincount(flat, weights=g.reshape(-1),
+                           minlength=table.data.size)
+        _accumulate(table, grad.reshape(table.data.shape), fresh=True)
 
     return Tensor(table.data[ids], parents=(table,), backward_fn=bw)
 
@@ -312,37 +324,83 @@ def layer_norm(x, gain: Tensor, bias: Tensor) -> Tensor:
     input is centred once: the variance is np.var's sum of squares over
     the centred values, divided by the width."""
     x = _coerce(x)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
+    out, xhat, inv = _normalize(x.data - x.data.mean(axis=-1, keepdims=True),
+                                gain, bias)
 
     def bw(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=reduce_axes), fresh=True)
-        _accumulate(bias, g.sum(axis=reduce_axes), fresh=True)
-        gx = g * gain.data
-        dot = (gx * xhat).mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
-        gx -= xhat * dot
-        gx *= inv
-        _accumulate(x, gx, fresh=True)
+        _accumulate(x, _normalize_backward(g, xhat, inv, gain, bias),
+                    fresh=True)
 
     return Tensor(out, parents=(x, gain, bias), backward_fn=bw)
 
 
-def apply_dropout(x, rate: float, rng: Rng | None) -> Tensor:
-    """Inverted dropout with masks from rng, survivors scaled by 1/(1-rate);
-    identity, drawing nothing, when rng is None (inference) or rate is 0."""
+def residual_layer_norm(x, y, gain: Tensor, bias: Tensor, rate: float = 0.0,
+                        rng: Rng | None = None) -> Tensor:
+    """layer_norm(x + dropout(y)) as one tape node: a post-norm residual
+    with inverted dropout on the branch y, its keep-mask drawn from rng
+    and survivors scaled by 1/(1-rate); no dropout, and nothing drawn, when
+    rng is None (inference) or rate is 0. The node keeps the boolean
+    keep-mask, the normalized values and the inverse deviations only,
+    never the dropped-out branch or the sum (the fused
+    bias-dropout-residual of Shoeybi et al. 2019, with masks at one byte
+    per element as Korthikanti et al. 2022 count them). Values, gradients
+    and draws are those of layer_norm(add(x, dropout(y)), gain, bias) with
+    dropout as mul(y, keep / (1 - rate))."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
-    x = _coerce(x)
+    x, y = _coerce(x), _coerce(y)
+    if x.data.shape != y.data.shape:
+        raise ConfigurationError(f"residual shapes {x.data.shape} and "
+                                 f"{y.data.shape} differ")
+    keep = None
     if rng is None or rate == 0.0:
-        return x
-    keep = rng.uniform_array(x.data.shape) >= rate
-    return mul(x, keep.astype(np.float64) / (1.0 - rate))
+        s = x.data + y.data
+    else:
+        keep = rng.uniform_array(y.data.shape) >= rate
+        s = y.data * (keep / (1.0 - rate))
+        s += x.data
+    s -= s.mean(axis=-1, keepdims=True)
+    out, xhat, inv = _normalize(s, gain, bias)
+
+    def bw(g):
+        gs = _normalize_backward(g, xhat, inv, gain, bias)
+        if y.requires_grad:
+            if keep is None:
+                _accumulate(y, gs)  # copied: x takes gs over below
+            else:
+                _accumulate(y, gs * (keep / (1.0 - rate)), fresh=True)
+        if x.requires_grad:
+            _accumulate(x, gs, fresh=True)
+
+    return Tensor(out, parents=(x, y, gain, bias), backward_fn=bw)
+
+
+def _normalize(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> tuple:
+    """The forward pass of the layer-norm nodes from the centred input,
+    an array of their own that is scaled in place to unit variance over
+    the last axis: returns (output, xhat, inverse deviations)."""
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1]
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+    return out, xhat, inv
+
+
+def _normalize_backward(g, xhat, inv, gain: Tensor, bias: Tensor):
+    """The backward pass of the layer-norm nodes: accumulates the gain and
+    bias gradients and returns a new array, the gradient of the input."""
+    reduce_axes = tuple(range(g.ndim - 1))
+    if gain.requires_grad:
+        _accumulate(gain, (g * xhat).sum(axis=reduce_axes), fresh=True)
+    if bias.requires_grad:
+        _accumulate(bias, g.sum(axis=reduce_axes), fresh=True)
+    gx = g * gain.data
+    dot = (gx * xhat).mean(axis=-1, keepdims=True)
+    gx -= gx.mean(axis=-1, keepdims=True)
+    gx -= xhat * dot
+    gx *= inv
+    return gx
 
 
 # ---------------------------------------------------------------------------

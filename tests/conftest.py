@@ -85,6 +85,61 @@ def sigmoid(a) -> T.Tensor:
     return T.Tensor(y, parents=(a,), backward_fn=bw)
 
 
+def mul(a, b) -> T.Tensor:
+    """Elementwise a * b with broadcasting, as a tape node: the reference
+    of the dropout in T.residual_layer_norm, and a building block of the
+    per-op references."""
+    a, b = T._coerce(a), T._coerce(b)
+
+    def bw(g):
+        if a.requires_grad:
+            T._accumulate(a, T._reduce_to(g * b.data, a.data.shape),
+                          fresh=True)
+        if b.requires_grad:
+            T._accumulate(b, T._reduce_to(g * a.data, b.data.shape),
+                          fresh=True)
+
+    return T.Tensor(a.data * b.data, parents=(a, b), backward_fn=bw)
+
+
+def relu(a) -> T.Tensor:
+    """max(a, 0) as a tape node: the reference of the relu in
+    T.linear_relu."""
+    a = T._coerce(a)
+
+    def bw(g):
+        T._accumulate(a, g * (a.data > 0), fresh=True)
+
+    return T.Tensor(np.maximum(a.data, 0.0), parents=(a,), backward_fn=bw)
+
+
+def apply_dropout(x, rate: float, rng) -> T.Tensor:
+    """Inverted dropout with masks from rng, survivors scaled by
+    1/(1-rate), as a mul node; identity, drawing nothing, when rng is None
+    or rate is 0: the reference of the dropout in T.residual_layer_norm."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
+    x = T._coerce(x)
+    if rng is None or rate == 0.0:
+        return x
+    keep = rng.uniform_array(x.data.shape) >= rate
+    return mul(x, keep.astype(np.float64) / (1.0 - rate))
+
+
+def reference_residual_layer_norm(x, y, gain, bias, rate=0.0,
+                                  rng=None) -> T.Tensor:
+    """layer_norm(x + dropout(y)) as a dropout node, an add node and a
+    layer-norm node: the reference that T.residual_layer_norm is pinned
+    to."""
+    return T.layer_norm(T.add(x, apply_dropout(y, rate, rng)), gain, bias)
+
+
+def reference_linear_relu(x, w, b) -> T.Tensor:
+    """relu(x @ w + b) as a linear node and a relu node: the reference
+    that T.linear_relu is pinned to."""
+    return relu(T.linear(x, w, b))
+
+
 def tensor_sum(a, axis=None) -> T.Tensor:
     a = T._coerce(a)
 
@@ -182,8 +237,8 @@ def reference_attention(qh, kh, vh, mask=None) -> T.Tensor:
     """Scaled dot-product attention of head-split operands, heads merged,
     composed of matmul, mul, add, softmax, transpose and reshape nodes: the
     reference that T.scaled_dot_attention is pinned to."""
-    scores = T.mul(reference_matmul(qh, swap_last_axes(kh)),
-                   1.0 / np.sqrt(qh.data.shape[-1]))
+    scores = mul(reference_matmul(qh, swap_last_axes(kh)),
+                 1.0 / np.sqrt(qh.data.shape[-1]))
     if mask is not None:
         additive = T._check_attention_mask(mask)
         scores = T.add(scores, np.expand_dims(additive, axis=-3))
@@ -208,9 +263,9 @@ def reference_smoothed_loss(logits, targets, epsilon, mask) -> T.Tensor:
     to."""
     smooth = smooth_target_matrix(targets, logits.data.shape[-1], epsilon)
     log_probs = T.log_softmax(logits, axis=-1)
-    per_position = tensor_sum(T.mul(smooth, log_probs), axis=-1)
-    total = tensor_sum(T.mul(per_position, mask))
-    return T.mul(total, -1.0 / mask.sum())
+    per_position = tensor_sum(mul(smooth, log_probs), axis=-1)
+    total = tensor_sum(mul(per_position, mask))
+    return mul(total, -1.0 / mask.sum())
 
 
 def reference_gru_step(x, h, params):
@@ -228,9 +283,9 @@ def reference_gru_step(x, h, params):
     r = sigmoid(T.add(T.add(T.matmul(x, params["wr"]),
                             T.matmul(h, params["ur"])), params["br"]))
     cand = tanh(T.add(T.add(T.matmul(x, params["wh"]),
-                            T.matmul(T.mul(r, h), params["uh"])),
+                            T.matmul(mul(r, h), params["uh"])),
                       params["bh"]))
-    return T.add(T.mul(sub(1.0, z), h), T.mul(z, cand))
+    return T.add(mul(sub(1.0, z), h), mul(z, cand))
 
 
 def reference_dot_attention(state, states, mask):

@@ -422,6 +422,16 @@ class TestPredictionFiles:
         again = X.read_predictions(tmp_path / "p.jsonl")
         assert again == preds
 
+    def test_lines_are_sorted_key_json(self, tmp_path):
+        # one shared encoder writes the text of json.dumps(sort_keys=True)
+        preds = pset((["gets", "\u00e9t\u00e9"], ['say "hi"', "a\\b"]),
+                     ([], ["\U0001f600", "x"]))
+        X.write_predictions(preds, tmp_path / "p.jsonl")
+        assert (tmp_path / "p.jsonl").read_text() == "".join(
+            json.dumps({"id": r.id, "ref": r.reference,
+                        "pred": r.predicted}, sort_keys=True) + "\n"
+            for r in preds)
+
     def test_malformed(self, tmp_path):
         (tmp_path / "bad.jsonl").write_text("{oops\n")
         with pytest.raises(DataError):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from smoothsum.rng import Rng
 
 from conftest import (reference_attention, reference_dot_attention,
                       reference_gru_attention, reference_gru_step,
-                      reference_linear, reference_matmul,
-                      reference_split_heads, taped_nodes, total_size)
+                      reference_linear, reference_linear_relu,
+                      reference_matmul, reference_residual_layer_norm,
+                      reference_split_heads, relu, taped_nodes, total_size)
 
 
 def tiny_config(arch, **overrides):
@@ -495,6 +497,8 @@ class TestFoldedMatmul:
         monkeypatch.setattr(T, "matmul", reference_matmul)
         monkeypatch.setattr(T, "linear", lambda x, w, b: T.add(
             reference_matmul(x, w), b))
+        monkeypatch.setattr(T, "linear_relu", lambda x, w, b: relu(T.add(
+            reference_matmul(x, w), b)))
         ref_loss, ref_grads, ref_ids = self._run(model)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         for name, ref in ref_grads.items():
@@ -505,8 +509,9 @@ class TestFoldedMatmul:
 
 class TestFusedTransformerNodes:
     """The transformer through its fused nodes (one per attention core,
-    head split and biased linear layer) against the same model through
-    the per-op compositions that they replace."""
+    head split, biased linear layer, feed-forward first layer with its
+    relu, and residual with its dropout and layer norm) against the same
+    model through the per-op compositions that they replace."""
 
     @staticmethod
     def _model():
@@ -521,6 +526,9 @@ class TestFusedTransformerNodes:
         monkeypatch.setattr(T, "scaled_dot_attention", reference_attention)
         monkeypatch.setattr(T, "split_heads", reference_split_heads)
         monkeypatch.setattr(T, "linear", reference_linear)
+        monkeypatch.setattr(T, "linear_relu", reference_linear_relu)
+        monkeypatch.setattr(T, "residual_layer_norm",
+                            reference_residual_layer_norm)
         results.append(TestFoldedMatmul._run(model))
         (loss, grads, ids), (ref_loss, ref_grads, ref_ids) = results
         assert loss == ref_loss
@@ -536,10 +544,38 @@ class TestFusedTransformerNodes:
         assert probs.tobytes() == T.softmax(logits, axis=-1).data.tobytes()
 
     def test_step_tape_size(self):
-        # the per-op compositions taped 161 nodes for this step
+        # the per-op compositions taped 161 nodes for this step, and 92
+        # with a relu node after the first feed-forward layer and a
+        # dropout, add and layer-norm node per residual
         model = self._model()
         loss, _ = M.sequence_loss(model, CODE, None, COMMENTS, rng=Rng(5))
-        assert len(taped_nodes(loss)) == 92
+        assert len(taped_nodes(loss)) == 72
+
+    def test_step_peak_memory(self):
+        # one training step at the benchmark's transformer-wide shape:
+        # batch 32, code 30, comment 13, vocabularies of 1,200, hidden 64,
+        # 2 layers, dropout 0.1. Its traced peak was 48.0 MB with a relu
+        # node, a float dropout mask and a dropout, add and layer-norm node
+        # per residual, and a copy of the logits in the loss; it is 32.3 MB
+        # with the fused nodes and the loss in the logits' memory.
+        cfg = M.ModelConfig(arch="transformer", src_vocab=1200,
+                            tgt_vocab=1200, code_len=30, comment_len=13,
+                            layers=2, dropout_rate=0.1, epsilon=0.1)
+        model = M.build_model(cfg, seed=3)
+        rng = Rng(8)
+        code, comments = ((rng.uniform_array((32, length)) * 1195)
+                          .astype(np.int64) + 5 for length in (30, 13))
+        model.params.zero_grads()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss, _ = M.sequence_loss(model, code, None, comments,
+                                      rng=Rng(5))
+            T.backward(loss, model.params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 35.0e6, peak
 
     @pytest.mark.parametrize("arch", ["transformer", "attendgru"])
     def test_no_gradient_shares_memory(self, arch):

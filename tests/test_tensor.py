@@ -10,8 +10,9 @@ from smoothsum.errors import ConfigurationError, NumericError
 from smoothsum.rng import Rng, stable_token_seed, uniform_rows
 from smoothsum.trainer import GRAD_CLIP_NORM
 
-from conftest import (reference_attention, reference_gru_step,
-                      reference_linear, reference_smoothed_loss,
+from conftest import (mul, reference_attention, reference_gru_step,
+                      reference_linear, reference_linear_relu,
+                      reference_residual_layer_norm, reference_smoothed_loss,
                       reference_split_heads, reference_weight_grad,
                       swap_heads_and_positions, tanh, tensor_sum)
 
@@ -35,6 +36,15 @@ def random_gru_store(rng, in_dim, hid, scale=1.0):
                  if key[0] in "wu" else (hid,))
         store.add(key, (rng.uniform_array(shape) * 2 - 1) * scale)
     return store
+
+
+# fused node -> the per-op reference it is pinned to
+FUSED_AND_REFERENCE = {
+    "linear": (T.linear, reference_linear),
+    "linear_relu": (T.linear_relu, reference_linear_relu),
+    "attention": (T.scaled_dot_attention, reference_attention),
+    "residual": (T.residual_layer_norm, reference_residual_layer_norm),
+}
 
 
 class TestRng:
@@ -178,7 +188,7 @@ class TestGruStep:
             for step in (reference_gru_step, T.gru_step):
                 store.zero_grads()
                 out = step(store["x"], store["h"], dict(store.items()))
-                T.backward(tensor_sum(T.mul(out, mix)), store)
+                T.backward(tensor_sum(mul(out, mix)), store)
                 results.append((out.data, {n: t.grad.copy()
                                            for n, t in store.items()}))
             (ref, ref_grads), (got, got_grads) = results
@@ -202,7 +212,7 @@ class TestGruSequence:
         def loss_fn():
             states = T.gru_sequence(store["x"], store["h0"],
                                     dict(store.items()))
-            return tensor_sum(T.mul(states, mix))
+            return tensor_sum(mul(states, mix))
 
         assert T.grad_check(loss_fn, store) < 1e-4
 
@@ -375,45 +385,67 @@ class TestPositionalEncoding:
             T.positional_encoding(4, 7)
 
 
+def residual_operands(shape, seed):
+    """x, y, gain and bias leaves of T.residual_layer_norm over shape."""
+    rng = Rng(seed)
+    return [T.Tensor(rng.uniform_array(s) * 2 - 1, requires_grad=True)
+            for s in (shape, shape, shape[-1:], shape[-1:])]
+
+
 class TestDropout:
+    """The inverted dropout of T.residual_layer_norm on its branch y."""
+
     def test_rate_zero_identity(self):
-        x = T.Tensor(np.arange(6.0))
-        out = T.apply_dropout(x, 0.0, Rng(1))
-        np.testing.assert_array_equal(out.data, x.data)
+        # rate 0 adds the branch as it is and draws nothing
+        x, y, gain, bias = residual_operands((3, 6), seed=41)
+        rng = Rng(1)
+        out = T.residual_layer_norm(x, y, gain, bias, 0.0, rng)
+        np.testing.assert_array_equal(
+            out.data, T.layer_norm(T.add(x, y), gain, bias).data)
+        assert rng.random() == Rng(1).random()
 
     def test_inference_identity(self, monkeypatch):
-        # without a stream, dropout returns its input and draws nothing
+        # without a stream, the branch is added as it is and nothing drawn
         def no_draw(*args):
             raise AssertionError("inference dropout drew from a stream")
 
+        x, y, gain, bias = residual_operands((3, 6), seed=42)
         for method in ("uniform_array", "next_u64", "random"):
             monkeypatch.setattr(Rng, method, no_draw)
-        x = T.Tensor(np.arange(6.0), requires_grad=True)
+        plain = T.layer_norm(T.add(x, y), gain, bias).data
         for rate in (0.0, 0.3, 0.9):
-            assert T.apply_dropout(x, rate, None) is x
+            out = T.residual_layer_norm(x, y, gain, bias, rate, None)
+            np.testing.assert_array_equal(out.data, plain)
 
     def test_expectation_preserved(self):
+        # the branch's gradient is the sum's times the scaled keep-mask,
+        # which is 0 or 1 / (1 - rate) and 1 on average
         rng = Rng(2)
-        x = T.Tensor(np.full(400, 2.0))
         rate = 0.3
-        draws = np.stack([
-            T.apply_dropout(x, rate, rng).data
-            for _ in range(200)
-        ])
-        mean = draws.mean(axis=0).mean()
-        # per-element variance of inverted dropout: x^2 * rate/(1-rate)
-        sigma = math.sqrt(4.0 * rate / (1 - rate) / draws.size)
-        assert abs(mean - 2.0) < 3 * sigma + 1e-9
+        ratios = []
+        for _ in range(200):
+            x, y, gain, bias = residual_operands((4, 100), seed=43)
+            T.backward(tensor_sum(T.residual_layer_norm(x, y, gain, bias,
+                                                        rate, rng)))
+            ratios.append(y.grad / x.grad)
+        ratios = np.stack(ratios)
+        kept = ratios != 0
+        np.testing.assert_allclose(ratios[kept], 1.0 / (1 - rate),
+                                   rtol=1e-12)
+        # per-element variance of the scaled mask: rate/(1-rate)
+        sigma = math.sqrt(rate / (1 - rate) / ratios.size)
+        assert abs(ratios.mean() - 1.0) < 3 * sigma + 1e-9
 
     def test_deterministic_masks(self):
-        x = T.Tensor(np.ones(64))
-        a = T.apply_dropout(x, 0.4, Rng(9)).data
-        b = T.apply_dropout(x, 0.4, Rng(9)).data
+        operands = residual_operands((4, 16), seed=44)
+        a = T.residual_layer_norm(*operands, 0.4, Rng(9)).data
+        b = T.residual_layer_norm(*operands, 0.4, Rng(9)).data
         np.testing.assert_array_equal(a, b)
 
     def test_rate_validation(self):
-        with pytest.raises(ConfigurationError):
-            T.apply_dropout(T.Tensor([1.0]), 1.0, Rng(0))
+        with pytest.raises(ConfigurationError, match="dropout rate"):
+            T.residual_layer_norm(*residual_operands((2, 4), seed=45), 1.0,
+                                  Rng(0))
 
 
 class TestBackward:
@@ -436,11 +468,11 @@ class TestBackward:
     def test_shared_node_accumulates(self):
         store = T.ParamStore()
         w = store.add("w", np.array([3.0]))
-        loss = tensor_sum(T.add(T.mul(w, 2.0), T.mul(w, 5.0)))
+        loss = tensor_sum(T.add(mul(w, 2.0), mul(w, 5.0)))
         T.backward(loss, store)
         np.testing.assert_allclose(w.grad, [7.0])
 
-    @pytest.mark.parametrize("case", ["linear", "attention"])
+    @pytest.mark.parametrize("case", sorted(FUSED_AND_REFERENCE))
     def test_input_used_twice_by_fused_nodes_accumulates(self, case):
         # h and b take their first gradient over, without a copy, from a
         # fused node; the second use must add to it and nothing else
@@ -450,24 +482,24 @@ class TestBackward:
                    for _ in range(2)]
         g = rng.uniform_array((2, 2, 3, 3)) * 2 - 1
         grads = []
-        for linear, attention in ((T.linear, T.scaled_dot_attention),
-                                  (reference_linear, reference_attention)):
+        for node in FUSED_AND_REFERENCE[case]:
             w = T.Tensor(w_data.copy(), requires_grad=True)
             b = T.Tensor(np.linspace(-1.0, 1.0, 3), requires_grad=True)
-            h = T.mul(w, 2.0)
-            if case == "linear":
-                out = T.add(linear(h, weights[0], b),
-                            linear(h, weights[1], b))
+            h = mul(w, 2.0)
+            if case.startswith("linear"):
+                out = T.add(node(h, weights[0], b), node(h, weights[1], b))
+            elif case == "attention":
+                out = T.add(T.reshape(node(h, h, h), g.shape), b)
             else:
-                out = T.add(T.reshape(attention(h, h, h), g.shape), b)
-            T.backward(tensor_sum(T.mul(out, g)))
+                out = node(h, h, b, b, 0.3, Rng(53))
+            T.backward(tensor_sum(mul(out, g)))
             grads.append(w.grad.tobytes() + b.grad.tobytes())
         assert grads[0] == grads[1]
 
     def test_nonfinite_gradient_names_parameter(self):
         store = T.ParamStore()
         bad = store.add("bad_param", np.array([1.0]))
-        loss = tensor_sum(T.mul(bad, np.array([np.inf])))
+        loss = tensor_sum(mul(bad, np.array([np.inf])))
         with pytest.raises(NumericError, match="bad_param"):
             T.backward(loss, store)
 
@@ -487,7 +519,7 @@ class TestBackward:
         def loss_fn():
             h = T.layer_norm(tanh(T.matmul(T.Tensor(x), w1)), gain, bias)
             p = T.log_softmax(T.matmul(h, w2), axis=-1)
-            return T.mul(tensor_sum(p), -0.5)
+            return mul(tensor_sum(p), -0.5)
 
         assert T.grad_check(loss_fn, store) < 1e-5
 
@@ -496,14 +528,14 @@ class TestBackward:
         # second consumer, which must not reach q
         p = T.Tensor(np.zeros(2), requires_grad=True)
         q = T.Tensor(np.zeros(2), requires_grad=True)
-        T.backward(tensor_sum(T.add(T.add(p, q), T.mul(p, 3.0))))
+        T.backward(tensor_sum(T.add(T.add(p, q), mul(p, 3.0))))
         np.testing.assert_array_equal(p.grad, [4.0, 4.0])
         np.testing.assert_array_equal(q.grad, [1.0, 1.0])
 
     def test_second_backward_over_freed_graph_raises(self):
         store = T.ParamStore()
         w = store.add("w", np.array([3.0]))
-        shared = T.mul(w, 2.0)
+        shared = mul(w, 2.0)
         loss = tensor_sum(shared)
         T.backward(loss, store)
         with pytest.raises(ConfigurationError, match="once"):
@@ -511,8 +543,8 @@ class TestBackward:
         # a second graph over a node the first backward freed, with a
         # fresh branch into w: it raises before any gradient changes
         with pytest.raises(ConfigurationError, match="once"):
-            T.backward(tensor_sum(T.add(T.mul(w, 7.0),
-                                          T.mul(shared, 5.0))), store)
+            T.backward(tensor_sum(T.add(mul(w, 7.0),
+                                        mul(shared, 5.0))), store)
         np.testing.assert_array_equal(w.grad, [2.0])
 
 
@@ -549,7 +581,7 @@ class TestMatmulBackward:
         a, b, x, g = self._operands(a_shape, swapped)
         assert x.data.flags.c_contiguous != swapped
         assert g.flags.c_contiguous != swapped
-        T.backward(tensor_sum(T.mul(T.matmul(x, b), g)))
+        T.backward(tensor_sum(mul(T.matmul(x, b), g)))
         assert_close_12(b.grad, reference_weight_grad(x.data, g))
         reference = np.matmul(g, b.data.T)
         if swapped:
@@ -580,7 +612,7 @@ def forward_and_gradients(build, shapes, seed):
     leaves = [T.Tensor(v, requires_grad=True) for v in values]
     out = build(*leaves)
     weights = rng.uniform_array(out.data.shape) * 2 - 1
-    T.backward(tensor_sum(T.mul(out, weights)))
+    T.backward(tensor_sum(mul(out, weights)))
     return [out.data.shape, out.data.tobytes()] + [
         leaf.grad.tobytes() for leaf in leaves]
 
@@ -631,6 +663,46 @@ class TestFusedNodes:
             for linear in (T.linear, reference_linear)]
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (5, 4)])
+    def test_linear_relu_matches_linear_and_relu(self, x_shape):
+        results = [forward_and_gradients(
+            linear_relu, (x_shape, (4, 6), (6,)), seed=46)
+            for linear_relu in (T.linear_relu, reference_linear_relu)]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 8)])
+    @pytest.mark.parametrize("rate, stream", [(0.3, True), (0.0, True),
+                                              (0.3, False)])
+    def test_residual_layer_norm_matches_per_op_chain(self, shape, rate,
+                                                       stream):
+        # values, the gradients of x, y, gain and bias, and the stream's
+        # next draw after the node
+        results = []
+        for residual in (T.residual_layer_norm,
+                         reference_residual_layer_norm):
+            rng = Rng(47) if stream else None
+            results.append(forward_and_gradients(
+                lambda x, y, gain, bias: residual(x, y, gain, bias, rate,
+                                                  rng),
+                (shape, shape, shape[-1:], shape[-1:]), seed=48)
+                + [rng and rng.random()])
+        assert results[0] == results[1]
+
+    def test_residual_keeps_the_mask_as_bytes(self):
+        # backward reads a one-byte keep-mask, the normalized values and
+        # the inverse deviations, not the dropped-out branch or the sum
+        x, y, gain, bias = residual_operands((2, 3, 8), seed=49)
+        out = T.residual_layer_norm(x, y, gain, bias, 0.3, Rng(50))
+        kept = [cell.cell_contents for cell in out._backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert sorted((a.dtype.str, a.shape) for a in kept) == [
+            ("<f8", (2, 3, 1)), ("<f8", (2, 3, 8)), ("|b1", (2, 3, 8))]
+
+    def test_residual_shape_mismatch_rejected(self):
+        x, _, gain, bias = residual_operands((2, 4), seed=51)
+        with pytest.raises(ConfigurationError, match="residual shapes"):
+            T.residual_layer_norm(x, np.ones((1, 4)), gain, bias)
+
     def test_attention_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError, match="attention dims"):
             T.scaled_dot_attention(np.ones((2, 3, 4)), np.ones((2, 5, 3)),
@@ -647,7 +719,7 @@ class TestConstantOperands:
         """x @ w masked, scaled and shifted by a table, so that constants
         stand on either side of add and mul and left of matmul."""
         h = T.matmul(x, w)
-        h = T.mul(scale, T.add(table, T.mul(h, mask)))
+        h = mul(scale, T.add(table, mul(h, mask)))
         return tensor_sum(T.matmul(T.add(h, table), T.reshape(w, (4, 3))))
 
     def test_no_gradient_is_formed_for_a_constant(self, monkeypatch):
@@ -675,7 +747,15 @@ class TestConstantOperands:
             assert constant.grad is None
             assert all(t is not constant for t in reached)
 
-    @pytest.mark.parametrize("node", ["linear", "attention"])
+    FUSED_NODES = {
+        "linear": (T.linear, [(2, 3, 4), (4, 5), (5,)]),
+        "linear_relu": (T.linear_relu, [(2, 3, 4), (4, 5), (5,)]),
+        "attention": (T.scaled_dot_attention, [(2, 2, 3, 4)] * 3),
+        "residual": (lambda x, y, gain, bias: T.residual_layer_norm(
+            x, y, gain, bias, 0.3, Rng(52)), [(2, 3, 4)] * 2 + [(4,)] * 2),
+    }
+
+    @pytest.mark.parametrize("node", sorted(FUSED_NODES))
     def test_fused_node_forms_no_gradient_for_a_constant(self, node,
                                                           monkeypatch):
         rng = Rng(38)
@@ -687,10 +767,8 @@ class TestConstantOperands:
             accumulate(tensor, grad, fresh)
 
         monkeypatch.setattr(T, "_accumulate", recording)
-        shapes = ([(2, 3, 4), (4, 5), (5,)] if node == "linear"
-                  else [(2, 2, 3, 4)] * 3)
-        fn = T.linear if node == "linear" else T.scaled_dot_attention
-        for trained in range(3):
+        fn, shapes = self.FUSED_NODES[node]
+        for trained in range(len(shapes)):
             tensors = [T.Tensor(rng.uniform_array(shape), requires_grad=i
                                 == trained) for i, shape in enumerate(shapes)]
             reached.clear()
@@ -702,22 +780,98 @@ class TestConstantOperands:
                     assert all(t is not constant for t in reached)
 
 
+class TestEmbedding:
+    @pytest.mark.parametrize("ids_shape", [(4, 6), (12,)])
+    def test_scatter_matches_add_at_bitwise(self, ids_shape):
+        # repeated ids, whose rows sum in id order, and id 5's one row of
+        # -0.0, which sums to 0.0 as np.add.at adds it into zeros
+        rng = Rng(54)
+        table = T.Tensor(rng.uniform_array((7, 5)), requires_grad=True)
+        ids = (rng.uniform_array(ids_shape) * 4).astype(np.int64)
+        ids.reshape(-1)[:3] = 6
+        ids.reshape(-1)[3] = 5
+        g = (rng.uniform_array(ids_shape + (5,)) * 2 - 1) * 10.0 ** (
+            rng.uniform_array(ids_shape + (1,)) * 12 - 6)
+        g.reshape(-1, 5)[3] = -0.0
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, g)
+        for grad in (None, np.zeros_like(table.data)):  # as zero_grads
+            table.grad = grad
+            T.backward(tensor_sum(mul(T.embedding(table, ids), g)))
+            assert table.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(table.grad[5]).any()
+
+
+def copying_smoothed_cross_entropy(logits, targets, epsilon, mask):
+    """T.smoothed_cross_entropy as it was before it consumed its logits:
+    the same closed form over a copy of them, the reference that the
+    in-place loss is pinned to."""
+    logits = T._coerce(logits)
+    targets = np.asarray(targets, dtype=np.int64)[..., None]
+    mask = np.asarray(mask, dtype=np.float64)
+    vocab = logits.data.shape[-1]
+    off = epsilon / (vocab - 1)
+    gold_extra = 1.0 - epsilon - off
+    probs = logits.data - logits.data.max(axis=-1, keepdims=True)
+    shifted_sum = probs.sum(axis=-1)
+    shifted_gold = np.take_along_axis(probs, targets, axis=-1)[..., 0]
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    lse = np.log(total[..., 0])
+    per_position = (off * (shifted_sum - vocab * lse)
+                    + gold_extra * (shifted_gold - lse))
+    scale = 1.0 / mask.sum()
+
+    def bw(g):
+        np.subtract(probs, off, out=probs)
+        gold = np.take_along_axis(probs, targets, axis=-1)
+        np.put_along_axis(probs, targets, gold - gold_extra, axis=-1)
+        np.multiply(probs, (mask * (scale * g))[..., None], out=probs)
+        T._accumulate(logits, probs, fresh=True)
+
+    return T.Tensor((per_position * mask).sum() * -scale, parents=(logits,),
+                    backward_fn=bw)
+
+
 class TestSmoothedCrossEntropy:
+    LOGITS = (Rng(31).uniform_array((3, 4, 9)) * 2 - 1) * 5
+    TARGETS = np.array([[1, 4, 8, PAD], [2, 2, PAD, PAD], [5, 3, 7, 6]])
+
+    def _run(self, loss_fn, epsilon):
+        mask = (self.TARGETS != PAD).astype(np.float64)
+        logits = T.Tensor(self.LOGITS.copy(), requires_grad=True)
+        loss = loss_fn(logits, self.TARGETS, epsilon, mask)
+        T.backward(loss)
+        return float(loss.data), logits.grad
+
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
     def test_matches_dense_target_chain(self, epsilon):
-        logits_data = (Rng(31).uniform_array((3, 4, 9)) * 2 - 1) * 5
-        targets = np.array([[1, 4, 8, PAD], [2, 2, PAD, PAD], [5, 3, 7, 6]])
-        mask = (targets != PAD).astype(np.float64)
-        results = []
-        for loss_fn in (reference_smoothed_loss, T.smoothed_cross_entropy):
-            logits = T.Tensor(logits_data, requires_grad=True)
-            loss = loss_fn(logits, targets, epsilon, mask)
-            T.backward(loss)
-            results.append((float(loss.data), logits.grad))
-        (ref_loss, ref_grad), (loss, grad) = results
+        (ref_loss, ref_grad), (loss, grad) = [
+            self._run(loss_fn, epsilon)
+            for loss_fn in (reference_smoothed_loss, T.smoothed_cross_entropy)]
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
-        assert not grad[targets == PAD].any()
+        assert not grad[self.TARGETS == PAD].any()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_in_place_matches_copying_loss_bitwise(self, epsilon):
+        (ref_loss, ref_grad), (loss, grad) = [
+            self._run(loss_fn, epsilon)
+            for loss_fn in (copying_smoothed_cross_entropy,
+                            T.smoothed_cross_entropy)]
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_consumes_its_logits(self):
+        # the probabilities, and then the gradient, take the logits' memory
+        mask = (self.TARGETS != PAD).astype(np.float64)
+        logits = T.Tensor(self.LOGITS.copy(), requires_grad=True)
+        memory = logits.data
+        loss = T.smoothed_cross_entropy(logits, self.TARGETS, 0.1, mask)
+        np.testing.assert_allclose(memory.sum(axis=-1), 1.0, rtol=1e-12)
+        T.backward(loss)
+        assert logits.grad is memory
 
 
 class TestNoGrad:
@@ -740,18 +894,18 @@ class TestNoGrad:
         store, loss = self._model()
         with T.no_grad():
             out = loss()
-            chained = T.mul(store["w"], 2.0)
+            chained = mul(store["w"], 2.0)
         for t in (out, chained):
             assert not t.requires_grad
             assert t._parents == () and t._backward_fn is None
-        assert T.mul(store["w"], 2.0).requires_grad  # taping resumes
+        assert mul(store["w"], 2.0).requires_grad  # taping resumes
 
     def test_mode_restored_after_exception(self):
         store, _ = self._model()
         with pytest.raises(RuntimeError):
             with T.no_grad():
                 raise RuntimeError("inside")
-        out = T.mul(store["w"], 2.0)
+        out = mul(store["w"], 2.0)
         assert out.requires_grad and out._parents
 
     def test_backward_after_block_unchanged(self):
