@@ -4,7 +4,8 @@ length-quantile filtering and action-word labels.
 Corpus files are UTF-8 JSON lines with fields id, project, code, comment
 and an optional ast (s-expression). A prepared split directory contains
 train/val/test.jsonl plus vocab.src.txt / vocab.tgt.txt / vocab.ast.txt,
-one token per line (line number = index).
+one token per line (line number = index). The module owns both reading
+and writing of the JSON-lines format (read_jsonl, write_jsonl).
 """
 
 import json
@@ -318,6 +319,18 @@ def _raw_id(rec, key: str = "id") -> str:
     return value
 
 
+# json.dumps(..., sort_keys=True) would build a new encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def write_jsonl(records, path) -> None:
+    """Each record as one sorted-key JSON object per line (the text of
+    json.dumps(record, sort_keys=True)), written atomically."""
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(_ENCODER.encode(rec) + "\n")
+
+
 def read_jsonl(path, fields, make, kind: str) -> list:
     """make(record) for every non-blank line of a JSON-lines file.
 
@@ -430,16 +443,6 @@ def _sample_to_record(s: Sample) -> dict:
     }
 
 
-# json.dumps(..., sort_keys=True) would build a new encoder per record
-_SPLIT_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def write_split_jsonl(samples: list, path) -> None:
-    with atomic_write(path) as fh:
-        for s in samples:
-            fh.write(_SPLIT_ENCODER.encode(_sample_to_record(s)) + "\n")
-
-
 def read_split_jsonl(path) -> list:
     def make(rec):
         return Sample(
@@ -478,7 +481,8 @@ def write_prepared_dir(directory, train: list, val: list, test: list,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for split, samples in zip(SPLITS, (train, val, test)):
-        write_split_jsonl(samples, directory / f"{split}.jsonl")
+        write_jsonl(map(_sample_to_record, samples),
+                    directory / f"{split}.jsonl")
     for name, vocab in zip(VOCAB_FILES, (src_vocab, tgt_vocab, ast_vocab)):
         vocab.write(directory / name)
 

@@ -479,6 +479,12 @@ def cmd_diversity(args) -> int:
     """Word diversity per prediction file plus deltas against the first
     file (the baseline)."""
     out = None if args.out is None else _out_file(args.out)
+    for path in args.predictions:
+        try:  # the table names each file, and every output is UTF-8
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigurationError(
+                f"--predictions path {path!r} is not UTF-8") from None
     reports = []
     for path in args.predictions:
         preds = metrics.read_predictions(path)

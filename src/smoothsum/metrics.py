@@ -29,7 +29,6 @@ no |t| is too large for a p-value; the fraction's terms and log B(df/2,
 the millions.
 """
 
-import json
 import math
 import sys
 from collections import Counter
@@ -38,8 +37,8 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import (SPECIAL_TOKENS, atomic_write, read_jsonl, string_id,
-                     token_list)
+from .corpus import (SPECIAL_TOKENS, read_jsonl, string_id, token_list,
+                     write_jsonl)
 from .errors import ConfigurationError, DataError, NumericError
 from .rng import stable_token_seed, uniform_rows
 from .stemming import porter_stem
@@ -502,15 +501,9 @@ def classification_report(gold, predicted) -> ClassificationReport:
 # prediction files
 
 
-# json.dumps(..., sort_keys=True) would build a new encoder per record
-_PREDICTION_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def write_predictions(preds: list, path) -> None:
-    with atomic_write(path) as fh:
-        for r in preds:
-            fh.write(_PREDICTION_ENCODER.encode(
-                {"id": r.id, "ref": r.reference, "pred": r.predicted}) + "\n")
+    write_jsonl(({"id": r.id, "ref": r.reference, "pred": r.predicted}
+                 for r in preds), path)
 
 
 def read_predictions(path) -> list:
@@ -529,8 +522,6 @@ def score_predictions(preds: list) -> MetricReport:
     """All three metrics over one prediction set. Stems and similarity
     vectors are computed once per distinct token of the set, and kept
     only for this call."""
-    if len(preds) == 0:
-        raise DataError("cannot score an empty prediction set")
     stems = {}
     return MetricReport(
         corpus_bleu=corpus_bleu(preds),

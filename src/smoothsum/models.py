@@ -101,6 +101,12 @@ def _ln_shapes(prefix: str, d: int) -> dict:
     return {f"{prefix}.gain": (d,), f"{prefix}.bias": (d,)}
 
 
+def _ff_shapes(prefix: str, d: int) -> dict:
+    ff = 4 * d
+    return {f"{prefix}.w1": (d, ff), f"{prefix}.b1": (ff,),
+            f"{prefix}.w2": (ff, d), f"{prefix}.b2": (d,)}
+
+
 def parameter_template(config: ModelConfig) -> dict:
     """Name -> shape map for an architecture; the checkpoint contract."""
     e, h = config.embed_dim, config.hidden_dim
@@ -108,36 +114,29 @@ def parameter_template(config: ModelConfig) -> dict:
         "src_embed": (config.src_vocab, e),
         "tgt_embed": (config.tgt_vocab, e),
     }
-    if config.arch in ("attendgru", "ast_attendgru"):
-        shapes.update(_gru_shapes("enc_gru", e, h))
-        shapes.update(_gru_shapes("dec_gru", e, h))
-        contexts = 2 if config.arch == "attendgru" else 3
-        if config.arch == "ast_attendgru":
-            shapes["ast_embed"] = (config.ast_vocab, e)
-            shapes.update(_gru_shapes("ast_gru", e, h))
-        shapes["out.w"] = (contexts * h, config.tgt_vocab)
-        shapes["out.b"] = (config.tgt_vocab,)
-    else:
-        ff = 4 * h
+    if config.arch == "transformer":
         for i in range(config.layers):
             shapes.update(_attn_shapes(f"enc{i}.attn", h))
             shapes.update(_ln_shapes(f"enc{i}.ln1", h))
-            shapes[f"enc{i}.ff.w1"] = (h, ff)
-            shapes[f"enc{i}.ff.b1"] = (ff,)
-            shapes[f"enc{i}.ff.w2"] = (ff, h)
-            shapes[f"enc{i}.ff.b2"] = (h,)
+            shapes.update(_ff_shapes(f"enc{i}.ff", h))
             shapes.update(_ln_shapes(f"enc{i}.ln2", h))
             shapes.update(_attn_shapes(f"dec{i}.self", h))
             shapes.update(_ln_shapes(f"dec{i}.ln1", h))
             shapes.update(_attn_shapes(f"dec{i}.cross", h))
             shapes.update(_ln_shapes(f"dec{i}.ln2", h))
-            shapes[f"dec{i}.ff.w1"] = (h, ff)
-            shapes[f"dec{i}.ff.b1"] = (ff,)
-            shapes[f"dec{i}.ff.w2"] = (ff, h)
-            shapes[f"dec{i}.ff.b2"] = (h,)
+            shapes.update(_ff_shapes(f"dec{i}.ff", h))
             shapes.update(_ln_shapes(f"dec{i}.ln3", h))
-        shapes["out.w"] = (h, config.tgt_vocab)
-        shapes["out.b"] = (config.tgt_vocab,)
+        width = h  # the output layer reads the last decoder state
+    else:
+        shapes.update(_gru_shapes("enc_gru", e, h))
+        shapes.update(_gru_shapes("dec_gru", e, h))
+        width = 2 * h  # [source context, decoder state]
+        if config.arch == "ast_attendgru":
+            shapes["ast_embed"] = (config.ast_vocab, e)
+            shapes.update(_gru_shapes("ast_gru", e, h))
+            width = 3 * h  # plus the AST context
+    shapes["out.w"] = (width, config.tgt_vocab)
+    shapes["out.b"] = (config.tgt_vocab,)
     return shapes
 
 
@@ -160,11 +159,13 @@ def _gru_weights(params: T.ParamStore, prefix: str) -> dict:
     return {key: params[f"{prefix}.{key}"] for key in T.GRU_KEYS}
 
 
-def _run_gru_encoder(model: Model, prefix: str, embed_name: str,
-                     ids: np.ndarray):
-    """Returns (states (B, T, H), final state (B, H))."""
-    start = T.Tensor(np.zeros((ids.shape[0], model.config.hidden_dim)))
-    states = T.gru_sequence(T.embedding(model.params[embed_name], ids), start,
+def _run_gru(model: Model, prefix: str, embed_name: str, ids: np.ndarray,
+             state: T.Tensor | None = None):
+    """The GRU named prefix over the embeddings of a (B, L) id array from
+    state (zeros when None). Returns (states (B, L, H), last state (B, H))."""
+    if state is None:
+        state = T.Tensor(np.zeros((ids.shape[0], model.config.hidden_dim)))
+    states = T.gru_sequence(T.embedding(model.params[embed_name], ids), state,
                             _gru_weights(model.params, prefix))
     return states, T.select(states, ids.shape[1] - 1, axis=1)
 
@@ -183,11 +184,10 @@ def _encode_gru(model: Model, code_ids, ast_ids):
     """Runs the encoders once. Returns the final source state, which seeds
     the decoder, and one (states (B, T, H), key mask (B, 1, T)) attention
     memory per encoder."""
-    src_states, state = _run_gru_encoder(model, "enc_gru", "src_embed",
-                                         code_ids)
+    src_states, state = _run_gru(model, "enc_gru", "src_embed", code_ids)
     memories = [(src_states, (code_ids != PAD)[:, None, :])]
     if model.config.arch == "ast_attendgru":
-        ast_states, _ = _run_gru_encoder(model, "ast_gru", "ast_embed", ast_ids)
+        ast_states, _ = _run_gru(model, "ast_gru", "ast_embed", ast_ids)
         memories.append((ast_states, (ast_ids != PAD)[:, None, :]))
     return state, memories
 
@@ -228,15 +228,12 @@ def _gru_decoder(model: Model, code_ids, ast_ids):
     state, and attention follows the update, so a teacher-forced prefix
     runs as one sequence."""
     state, memories = _encode_gru(model, code_ids, ast_ids)
-    p = model.params
-    dec_gru = _gru_weights(p, "dec_gru")
 
     def decode(prefix_ids: np.ndarray) -> T.Tensor:
         nonlocal state
-        states = T.gru_sequence(T.embedding(p["tgt_embed"], prefix_ids),
-                                state, dec_gru)
-        state = T.select(states, prefix_ids.shape[1] - 1, axis=1)
-        return _gru_logits(p, states, memories)
+        states, state = _run_gru(model, "dec_gru", "tgt_embed", prefix_ids,
+                                 state)
+        return _gru_logits(model.params, states, memories)
 
     return decode
 

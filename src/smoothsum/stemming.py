@@ -1,7 +1,9 @@
 """Porter suffix-stripping stemmer (steps 1a through 5b).
 
 Deterministic and lexicon-free; collapses inflection families such as
-deletes/deleted/deleting/delete onto the single stem "delet".
+deletes/deleted/deleting/delete onto the single stem "delet". One rule
+loop, _apply_rules, serves steps 2, 3 and 4; step 4's "ion" also needs a
+stem ending in s or t.
 """
 
 _VOWELS = "aeiou"
@@ -54,13 +56,14 @@ def _ends_cvc(word: str) -> bool:
 
 
 def _apply_rules(word: str, rules, min_measure: int) -> str:
-    """Longest matching suffix wins; if its measure condition fails, the
-    step is over (no shorter suffix is tried), mirroring the original
-    algorithm's first-match semantics."""
+    """Longest matching suffix wins; if its condition fails (a measure
+    above min_measure and, for step 4's "ion", a stem ending in s or t),
+    the step is over: no shorter suffix is tried, as in the original."""
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_measure:
+            if _measure(stem) > min_measure and (
+                    suffix != "ion" or stem.endswith(("s", "t"))):
                 return stem + replacement
             return word
     return word
@@ -131,18 +134,6 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step4(word: str) -> str:
-    for suffix, _ in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > 1:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    return word
-                return stem
-            return word
-    return word
-
-
 def _step5(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
@@ -163,6 +154,6 @@ def porter_stem(word: str) -> str:
     word = _step1c(word)
     word = _apply_rules(word, _STEP2_RULES, 0)
     word = _apply_rules(word, _STEP3_RULES, 0)
-    word = _step4(word)
+    word = _apply_rules(word, _STEP4_SUFFIXES, 1)
     word = _step5(word)
     return word

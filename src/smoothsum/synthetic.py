@@ -8,10 +8,9 @@ verbs ("deletes") so action-word extraction exercises the stemmer.
 """
 
 import argparse
-import json
 
 from .astkit import mini_function_sexpr
-from .corpus import atomic_write
+from .corpus import write_jsonl
 from .rng import Rng
 
 VERBS = [
@@ -129,9 +128,7 @@ def generate_samples(n_samples: int, seed: int = 7, n_projects: int = 12,
 
 
 def write_corpus_jsonl(records, path) -> None:
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(records, path)
 
 
 def main(argv=None) -> int:

@@ -15,13 +15,14 @@ from smoothsum.corpus import (PAD, START, END, UNK, Sample,
                               filter_by_length_quantile, load_prepared_dir,
                               read_corpus_jsonl, read_split_jsonl,
                               split_by_project,
-                              tokenize_code, tokenize_comment,
+                              tokenize_code, tokenize_comment, write_jsonl,
                               write_prepared_dir)
 from smoothsum.errors import ConfigurationError, DataError
 from smoothsum.metrics import (PredictionRecord, read_predictions,
                                write_predictions)
 from smoothsum.rng import Rng
 from smoothsum.stemming import porter_stem
+from smoothsum.synthetic import generate_samples, write_corpus_jsonl
 
 
 def make_sample(i, project, code_len=10, comment=("does", "things")):
@@ -361,6 +362,34 @@ class TestCorpusFiles:
         assert [s.id for s in prepared.test] == ["s4"]
         assert prepared.ast_vocab.tokens == vocab.tokens
 
+    def test_split_lines_are_sorted_key_json(self, tmp_path):
+        # each line is the text of json.dumps(record, sort_keys=True)
+        samples = [
+            Sample("a", "p\u00e9", ["get", "\u00e9t\u00e9"],
+                   ['say "hi"', "a\\b"], "(f (x))", 17),
+            Sample("b", "p2", [], ["\U0001f600"], None, 0),
+        ]
+        vocab = Vocabulary(list(SPECIAL_TOKENS) + ["tok"])
+        write_prepared_dir(tmp_path, samples, samples[:1], [], vocab, vocab,
+                           vocab)
+        for split, written in (("train", samples), ("val", samples[:1]),
+                               ("test", [])):
+            assert (tmp_path / f"{split}.jsonl").read_text() == "".join(
+                json.dumps({"id": s.id, "project": s.project,
+                            "code_tokens": s.code_tokens,
+                            "comment_tokens": s.comment_tokens,
+                            "ast": s.ast_text,
+                            "code_char_len": s.code_char_len},
+                           sort_keys=True) + "\n" for s in written)
+
+    def test_raw_corpus_lines_are_sorted_key_json(self, tmp_path):
+        records = generate_samples(20, seed=3) + [
+            {"project": "p\u00e9", "id": 7, "comment": 'say "\U0001f600"',
+             "code": "int f(){}\n\t", "ast": None}]
+        write_corpus_jsonl(records, tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_text() == "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in records)
+
     def test_prepared_dir_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_prepared_dir(tmp_path / "nothing")
@@ -491,6 +520,14 @@ class TestAtomicWrite:
             write_predictions(records, path)
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["preds.jsonl"]
+
+    def test_jsonl_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("previous\n")
+        with pytest.raises(TypeError):
+            write_jsonl([{"id": "a"}, {"id": {1, 2}}], path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
     def test_failure_creates_nothing(self, tmp_path):
         with pytest.raises(RuntimeError):

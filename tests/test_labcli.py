@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -1148,6 +1149,23 @@ class TestDiversityCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{nope\n")
         assert run_cli("diversity", "--predictions", str(bad)) == 2
+
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_non_utf8_predictions_path_exits_2(self, tmp_path, capsys,
+                                               with_out):
+        # a path holding byte 0xff reaches argv as a lone surrogate, which
+        # the table, written as UTF-8, cannot name
+        preds = tmp_path / os.fsdecode(b"p\xff.jsonl")
+        preds.write_text(json.dumps({"id": "a", "ref": ["x"], "pred": ["x"]})
+                         + "\n")
+        out = ["--out", str(tmp_path / "div")] if with_out else []
+        assert run_cli("diversity", "--predictions", str(preds), *out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            captured.err.count("\n") == 1
+        assert "p\\udcff.jsonl" in captured.err
+        assert sorted(tmp_path.iterdir()) == [preds]
 
 
 class TestNumericFailureExit:

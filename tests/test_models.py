@@ -33,7 +33,71 @@ AST = np.array([[4, 5, 6, 7, 0, 0], [5, 6, 7, 8, 9, 0]])
 COMMENTS = np.array([[START, 4, 5, END, PAD], [START, 6, 7, 8, END]])
 
 
+# parameter_template at layers=2, src/tgt/ast vocabularies 11/13/17 and
+# hidden width 8; the GRU models embed in 6, the transformer in 8
+ATTENDGRU_TEMPLATE = {
+    "src_embed": (11, 6), "tgt_embed": (13, 6), "enc_gru.wz": (6, 8),
+    "enc_gru.uz": (8, 8), "enc_gru.bz": (8,), "enc_gru.wr": (6, 8),
+    "enc_gru.ur": (8, 8), "enc_gru.br": (8,), "enc_gru.wh": (6, 8),
+    "enc_gru.uh": (8, 8), "enc_gru.bh": (8,), "dec_gru.wz": (6, 8),
+    "dec_gru.uz": (8, 8), "dec_gru.bz": (8,), "dec_gru.wr": (6, 8),
+    "dec_gru.ur": (8, 8), "dec_gru.br": (8,), "dec_gru.wh": (6, 8),
+    "dec_gru.uh": (8, 8), "dec_gru.bh": (8,), "out.w": (16, 13),
+    "out.b": (13,),
+}
+
+AST_ATTENDGRU_TEMPLATE = {
+    "src_embed": (11, 6), "tgt_embed": (13, 6), "enc_gru.wz": (6, 8),
+    "enc_gru.uz": (8, 8), "enc_gru.bz": (8,), "enc_gru.wr": (6, 8),
+    "enc_gru.ur": (8, 8), "enc_gru.br": (8,), "enc_gru.wh": (6, 8),
+    "enc_gru.uh": (8, 8), "enc_gru.bh": (8,), "dec_gru.wz": (6, 8),
+    "dec_gru.uz": (8, 8), "dec_gru.bz": (8,), "dec_gru.wr": (6, 8),
+    "dec_gru.ur": (8, 8), "dec_gru.br": (8,), "dec_gru.wh": (6, 8),
+    "dec_gru.uh": (8, 8), "dec_gru.bh": (8,), "ast_embed": (17, 6),
+    "ast_gru.wz": (6, 8), "ast_gru.uz": (8, 8), "ast_gru.bz": (8,),
+    "ast_gru.wr": (6, 8), "ast_gru.ur": (8, 8), "ast_gru.br": (8,),
+    "ast_gru.wh": (6, 8), "ast_gru.uh": (8, 8), "ast_gru.bh": (8,),
+    "out.w": (24, 13), "out.b": (13,),
+}
+
+TRANSFORMER_TEMPLATE = {
+    "src_embed": (11, 8), "tgt_embed": (13, 8), "enc0.attn.wq": (8, 8),
+    "enc0.attn.wk": (8, 8), "enc0.attn.wv": (8, 8), "enc0.attn.wo": (8, 8),
+    "enc0.ln1.gain": (8,), "enc0.ln1.bias": (8,), "enc0.ff.w1": (8, 32),
+    "enc0.ff.b1": (32,), "enc0.ff.w2": (32, 8), "enc0.ff.b2": (8,),
+    "enc0.ln2.gain": (8,), "enc0.ln2.bias": (8,), "dec0.self.wq": (8, 8),
+    "dec0.self.wk": (8, 8), "dec0.self.wv": (8, 8), "dec0.self.wo": (8, 8),
+    "dec0.ln1.gain": (8,), "dec0.ln1.bias": (8,), "dec0.cross.wq": (8, 8),
+    "dec0.cross.wk": (8, 8), "dec0.cross.wv": (8, 8), "dec0.cross.wo": (8, 8),
+    "dec0.ln2.gain": (8,), "dec0.ln2.bias": (8,), "dec0.ff.w1": (8, 32),
+    "dec0.ff.b1": (32,), "dec0.ff.w2": (32, 8), "dec0.ff.b2": (8,),
+    "dec0.ln3.gain": (8,), "dec0.ln3.bias": (8,), "enc1.attn.wq": (8, 8),
+    "enc1.attn.wk": (8, 8), "enc1.attn.wv": (8, 8), "enc1.attn.wo": (8, 8),
+    "enc1.ln1.gain": (8,), "enc1.ln1.bias": (8,), "enc1.ff.w1": (8, 32),
+    "enc1.ff.b1": (32,), "enc1.ff.w2": (32, 8), "enc1.ff.b2": (8,),
+    "enc1.ln2.gain": (8,), "enc1.ln2.bias": (8,), "dec1.self.wq": (8, 8),
+    "dec1.self.wk": (8, 8), "dec1.self.wv": (8, 8), "dec1.self.wo": (8, 8),
+    "dec1.ln1.gain": (8,), "dec1.ln1.bias": (8,), "dec1.cross.wq": (8, 8),
+    "dec1.cross.wk": (8, 8), "dec1.cross.wv": (8, 8), "dec1.cross.wo": (8, 8),
+    "dec1.ln2.gain": (8,), "dec1.ln2.bias": (8,), "dec1.ff.w1": (8, 32),
+    "dec1.ff.b1": (32,), "dec1.ff.w2": (32, 8), "dec1.ff.b2": (8,),
+    "dec1.ln3.gain": (8,), "dec1.ln3.bias": (8,), "out.w": (8, 13),
+    "out.b": (13,),
+}
+
+
 class TestBuildModel:
+    @pytest.mark.parametrize("arch,embed,expected", [
+        ("attendgru", 6, ATTENDGRU_TEMPLATE),
+        ("ast_attendgru", 6, AST_ATTENDGRU_TEMPLATE),
+        ("transformer", 8, TRANSFORMER_TEMPLATE)])
+    def test_parameter_template_names_and_shapes(self, arch, embed,
+                                                 expected):
+        config = M.ModelConfig(arch, src_vocab=11, tgt_vocab=13,
+                               embed_dim=embed, hidden_dim=8, heads=2,
+                               layers=2, ast_vocab=17)
+        assert M.parameter_template(config) == expected
+
     def test_attendgru_parameter_count(self):
         # independent arithmetic: embeddings 2*(20*8); two GRU stacks of
         # 3*(8*8) + 3*(8*8) + 3*8 each; output dense (16*20 + 20)
